@@ -52,7 +52,6 @@ class SelectionResult:
     cost: float
     evaluations: int
     duration: float
-    trace: list = None
 
 
 def lookahead_cost(problem: SelectionProblem, q) -> float:
@@ -73,18 +72,11 @@ def lookahead_cost(problem: SelectionProblem, q) -> float:
     return float(np.trace(updated.covariance))
 
 
-def select_next(problem: SelectionProblem, collect_trace: bool = False) -> SelectionResult:
+def select_next(problem: SelectionProblem) -> SelectionResult:
     """Minimize lookahead cost over the joint-limit box."""
     cfg = replace(problem.optimizer, bounds=problem.joint_limits)
     start = time.perf_counter()
-    result = direct.minimize(lambda q: lookahead_cost(problem, q), cfg,
-                             collect_trace=collect_trace)
+    result = direct.minimize(lambda q: lookahead_cost(problem, q), cfg)
     duration = time.perf_counter() - start
     return SelectionResult(config=result.best_point, cost=result.best_value,
-                           evaluations=result.evaluations_used, duration=duration,
-                           trace=result.trace)
-
-
-def greedy_trace_reduction(problem: SelectionProblem, q) -> float:
-    """How much one hypothetical measurement at q shrinks trace(P)."""
-    return float(np.trace(problem.state.covariance)) - lookahead_cost(problem, q)
+                           evaluations=result.evaluations_used, duration=duration)

@@ -265,16 +265,3 @@ def minimize(f, cfg: DirectConfig, on_iteration=None, collect_trace: bool = Fals
         on_iteration(iteration, rects, [])
     return DirectResult(best_point=ev.best_point, best_value=ev.best_value,
                         evaluations_used=ev.count, trace=ev.trace)
-
-
-def write_trace(result: DirectResult, path) -> None:
-    """Dump a collected trace as line-delimited JSON records."""
-    import json
-
-    if result.trace is None:
-        raise ValueError("result has no trace; run minimize(collect_trace=True)")
-    with open(path, "w") as fh:
-        for i, (point, value) in enumerate(result.trace):
-            fh.write(json.dumps({"evaluation": i, "point": list(map(float, point)),
-                                 "value": value}, sort_keys=True))
-            fh.write("\n")

@@ -14,12 +14,10 @@ Observations may have any dimension; the chain model returns 3-vectors.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
-_SYMMETRY_TOL = 1e-10
 _JITTER = 1e-12
 
 
@@ -49,22 +47,6 @@ class EstimatorState:
 
     def min_eigenvalue(self) -> float:
         return float(np.linalg.eigvalsh(0.5 * (self.covariance + self.covariance.T)).min())
-
-    def canonicalized(self, eig_floor: float = -1e-9) -> "EstimatorState":
-        """Symmetrize and clamp tiny negative eigenvalues to zero.
-
-        Raises if the covariance is further from PSD than eig_floor.
-        """
-        if self.symmetry_defect() > _SYMMETRY_TOL:
-            raise ValueError("covariance is not symmetric within tolerance")
-        sym = 0.5 * (self.covariance + self.covariance.T)
-        vals, vecs = np.linalg.eigh(sym)
-        if vals.min() < eig_floor:
-            raise ValueError(f"covariance has eigenvalue {vals.min():.3e} below {eig_floor:.1e}")
-        if vals.min() >= 0.0:
-            return EstimatorState(self.mean.copy(), sym)
-        clamped = vecs @ np.diag(np.maximum(vals, 0.0)) @ vecs.T
-        return EstimatorState(self.mean.copy(), 0.5 * (clamped + clamped.T))
 
 
 @dataclass
@@ -195,28 +177,3 @@ def prediction_error(mean, dataset, model) -> float:
             r = np.asarray(y, dtype=float) - model.predict(mean, q)
             total += float(r @ r)
     return float(np.sqrt(total / len(pairs)))
-
-
-def state_to_dict(state: EstimatorState) -> dict:
-    return {"mean": state.mean.tolist(), "covariance": state.covariance.tolist()}
-
-
-def state_from_dict(doc: dict) -> EstimatorState:
-    state = EstimatorState(np.asarray(doc["mean"], dtype=float),
-                           np.asarray(doc["covariance"], dtype=float))
-    if not np.isfinite(state.mean).all() or not np.isfinite(state.covariance).all():
-        raise ValueError("estimator snapshot must be finite")
-    if state.symmetry_defect() > _SYMMETRY_TOL:
-        raise ValueError("estimator snapshot covariance is not symmetric")
-    return state
-
-
-def save_state(state: EstimatorState, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(state_to_dict(state), fh)
-        fh.write("\n")
-
-
-def load_state(path) -> EstimatorState:
-    with open(path) as fh:
-        return state_from_dict(json.load(fh))

@@ -10,7 +10,7 @@ candidate configurations during selection.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 
 import numpy as np
 
@@ -57,6 +57,12 @@ class FovConfig:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "FovConfig":
+        names = [f.name for f in fields(cls)]
+        unknown = sorted(set(doc) - set(names))
+        missing = [f.name for f in fields(cls) if f.default is MISSING and f.name not in doc]
+        if unknown or missing:
+            raise ValueError(f"fov keys: unknown {unknown}, missing {missing}; "
+                             f"expected {names}")
         far = doc.get("far")
         return cls(np.asarray(doc["camera_position"], dtype=float),
                    np.asarray(doc["axis"], dtype=float),

@@ -10,7 +10,9 @@ The observation function maps a parameter vector and a joint
 configuration to the 3D position of the end effector. The parameter
 vector stacks the per-joint twists as [w_1, v_1, ..., w_n, v_n] (6n
 entries). Nothing here constrains the parameters to unit axis norm: the
-estimators operate on the raw vector.
+estimators operate on the raw vector. Positions and Jacobians for any
+block of configurations come from one vectorized kernel, _chain_terms;
+twist_exp is the scalar reference it is checked against.
 
 Chain files are JSON: {"joints": [[wx, wy, wz, vx, vy, vz], ...],
 "zero_pose": [12 numbers, row-major rotation then translation]}.
@@ -28,27 +30,20 @@ import numpy as np
 # everywhere else, so the map stays smooth on the estimation domain.
 _ZERO_AXIS_TOL = 1e-12
 
-# Rotation-vector norms below this use the series form of the
-# derivative of the exponential map.
-_SMALL_ROTATION_TOL = 1e-7
+# Central-difference step of the reference Jacobian.
+_FD_STEP = 1e-6
 
 _EYE3 = np.eye(3)
 
 
 def skew(a):
-    """3x3 matrix S with S @ x == cross(a, x)."""
-    return np.array([
-        [0.0, -a[2], a[1]],
-        [a[2], 0.0, -a[0]],
-        [-a[1], a[0], 0.0],
-    ])
-
-
-def _cross3(a, b):
-    # np.cross carries far too much overhead for the 3-vector hot path
-    return np.array([a[1] * b[2] - a[2] * b[1],
-                     a[2] * b[0] - a[0] * b[2],
-                     a[0] * b[1] - a[1] * b[0]])
+    """3x3 matrix S with S @ x == cross(a, x), over the last axis of a."""
+    a = np.asarray(a, dtype=float)
+    s = np.zeros(a.shape + (3,))
+    s[..., 0, 1], s[..., 0, 2] = -a[..., 2], a[..., 1]
+    s[..., 1, 0], s[..., 1, 2] = a[..., 2], -a[..., 0]
+    s[..., 2, 0], s[..., 2, 1] = -a[..., 1], a[..., 0]
+    return s
 
 
 def rotation_exp(r):
@@ -104,10 +99,6 @@ class Pose:
     def apply(self, point):
         return self.rotation @ np.asarray(point, dtype=float) + self.translation
 
-    def inverse(self) -> "Pose":
-        rt = self.rotation.T
-        return Pose(rt, -rt @ self.translation)
-
     def rigidity_defect(self) -> float:
         """Max abs deviation of R^T R from I and of det(R) from +1."""
         gram = self.rotation.T @ self.rotation
@@ -156,120 +147,134 @@ def twist_exp(xi: Twist, angle: float) -> Pose:
     if np.linalg.norm(w) < _ZERO_AXIS_TOL:
         return Pose(np.eye(3), v * angle)
     r = rotation_exp(w * angle)
-    t = (_EYE3 - r) @ _cross3(w, v) + w * ((w @ v) * angle)
+    t = (_EYE3 - r) @ (skew(w) @ v) + w * ((w @ v) * angle)
     return Pose(r, t)
 
 
-def forward_kinematics(params: ChainParams, q) -> Pose:
-    """Pose of the end effector: product of joint motions times zero_pose."""
+def _matvec(a, b):
+    """a @ b for stacks of 3x3 matrices and 3-vectors, broadcast over leading axes."""
+    return (a @ b[..., None])[..., 0]
+
+
+def _chain_terms(x, zero_translation, Q, jacobian=False):
+    """End-effector positions, and optionally their Jacobians, for a block of configurations.
+
+    x is the raw parameter vector [w_1, v_1, ..., w_n, v_n], Q an (m, n)
+    block of joint angles and zero_translation the end-effector position
+    at the all-zero configuration. Returns the positions (m, 3); with
+    jacobian=True returns (positions, Jacobians (m, 3, 6n) w.r.t. x).
+
+    Joint i moves by R_i = exp(skew(w_i) q_i) and
+    t_i = (I - R_i)(w_i x v_i) + q_i w_i (w_i . v_i), or by the pure
+    translation v_i q_i when |w_i| < _ZERO_AXIS_TOL; this is twist_exp,
+    computed for all joints and configurations at once. With s_i the
+    end-effector position in the input frame of joint i and P_i the
+    rotation of the joints before it, the blocks of joint i are
+        d/dw_i = P_i (D(s_{i+1} - w x v) + (R - I) skew(v) + q ((w . v) I + w v^T))
+        d/dv_i = P_i ((I - R) skew(w) + q w w^T)
+    where D(z), with columns dR/dw_j z, is the rotation-vector partial of
+    Gallego and Yezzi (2015) contracted with z:
+        D(z) = (q (w x Rz) w^T - w (Rz - z)^T + (w . z)(I - R)) / |w|^2.
+    It carries no division by the angle, so it needs no small-angle series.
+    """
+    x = np.asarray(x, dtype=float)
+    Q = np.asarray(Q, dtype=float)
+    if Q.ndim != 2:
+        raise ValueError(f"configurations must be an (m, n) block, got shape {Q.shape}")
+    m, n = Q.shape
+    if x.shape != (6 * n,):
+        raise ValueError(f"expected {6 * n} parameters for {n} joints, got shape {x.shape}")
+    if not (np.isfinite(x).all() and np.isfinite(Q).all()):
+        raise ValueError("parameters and joint angles must be finite")
+
+    twists = x.reshape(n, 6)
+    w, v = twists[:, :3], twists[:, 3:]
+    norm = np.sqrt(np.einsum("ij,ij->i", w, w))
+    rotates = norm >= _ZERO_AXIS_TOL
+    inv_norm = np.divide(1.0, norm, out=np.zeros(n), where=rotates)
+    k = w * inv_norm[:, None]               # unit axes; zero rows for pure translations
+    kx = skew(k)
+    kx2 = kx @ kx
+    # Rodrigues: R = I + sin K + vers K^2 for the rotation angle |w| q
+    angle = Q * norm
+    sin = np.sin(angle)[..., None]          # (m, n, 1), broadcasts over 3-vectors
+    cos = np.cos(angle)[..., None]
+    vers = 1.0 - cos
+    r_minus_i = sin[..., None] * kx + vers[..., None] * kx2
+    rot = _EYE3 + r_minus_i
+    wxv = norm[:, None] * _matvec(kx, v)
+    wv = np.einsum("ij,ij->i", w, v)
+    trans = np.where(rotates[:, None],
+                     Q[..., None] * (w * wv[:, None])
+                     - sin * _matvec(kx, wxv) - vers * _matvec(kx2, wxv),
+                     Q[..., None] * v)
+
+    # suffix[:, i] is the end effector in the input frame of joint i
+    suffix = np.empty((m, n + 1, 3))
+    suffix[:, n] = zero_translation
+    for i in range(n - 1, -1, -1):
+        suffix[:, i] = _matvec(rot[:, i], suffix[:, i + 1]) + trans[:, i]
+    if not jacobian:
+        return suffix[:, 0]
+
+    prefix = np.empty((m, n, 3, 3))
+    prefix[:, 0] = _EYE3
+    for i in range(1, n):
+        np.matmul(prefix[:, i - 1], rot[:, i - 1], out=prefix[:, i])
+
+    q = Q[..., None, None]
+    z = suffix[:, 1:] - wxv
+    kz = _matvec(kx, z)
+    k2z = _matvec(kx2, z)
+    rz_minus_z = sin * kz + vers * k2z
+    k_rz = cos * kz + sin * k2z             # K R z, since K^3 = -K
+    kz_dot = np.einsum("nj,mnj->mn", k, z)[..., None, None]
+    d_w = (q * (k_rz[..., :, None] * k[:, None, :]
+                + wv[:, None, None] * _EYE3 + w[:, :, None] * v[:, None, :])
+           - inv_norm[:, None, None] * (k[:, :, None] * rz_minus_z[..., None, :]
+                                        + kz_dot * r_minus_i)
+           + r_minus_i @ skew(v))
+    # (I - R) skew(w) = |w| (vers K - sin K^2), again by K^3 = -K
+    d_v = (norm[:, None, None] * (vers[..., None] * kx - sin[..., None] * kx2)
+           + q * (w[:, :, None] * w[:, None, :]))
+    d_w = np.where(rotates[:, None, None], d_w, 0.0)
+    d_v = np.where(rotates[:, None, None], d_v, q * _EYE3)
+    blocks = prefix @ np.concatenate([d_w, d_v], axis=-1)     # (m, n, 3, 6)
+    return suffix[:, 0], blocks.transpose(0, 2, 1, 3).reshape(m, 3, 6 * n)
+
+
+def _one_config(q, n_joints):
     q = np.asarray(q, dtype=float)
-    if q.shape != (params.n_joints,):
-        raise ValueError(f"expected {params.n_joints} joint angles, got shape {q.shape}")
-    # same composition order as Pose.compose, without per-joint Pose objects
-    rot = _EYE3
-    trans = np.zeros(3)
-    for xi, angle in zip(params.twists, q):
-        step = twist_exp(xi, float(angle))
-        trans = rot @ step.translation + trans
-        rot = rot @ step.rotation
-    zp = params.zero_pose
-    return Pose(rot @ zp.rotation, rot @ zp.translation + trans)
+    if q.shape != (n_joints,):
+        raise ValueError(f"expected {n_joints} joint angles, got shape {q.shape}")
+    return q[None]
 
 
 def observe(params: ChainParams, q) -> np.ndarray:
     """3D end-effector position at configuration q."""
-    return forward_kinematics(params, q).translation
+    return _chain_terms(params.to_vector(), params.zero_pose.translation,
+                        _one_config(q, params.n_joints))[0]
 
 
-def _rotation_partials(r):
-    """Rotation matrix for rotation vector r and its three partials dR/dr_i.
-
-    Closed form (Gallego and Yezzi, 2015) away from zero; quadratic
-    series below _SMALL_ROTATION_TOL.
-    """
-    rot = rotation_exp(r)
-    nsq = float(r @ r)
-    rx = skew(r)
-    if nsq < _SMALL_ROTATION_TOL ** 2:
-        partials = np.stack([skew(e) + 0.5 * (rx @ skew(e) + skew(e) @ rx)
-                             for e in _EYE3])
-    else:
-        # column i of rx @ (I - R) is r x ((I - R) e_i)
-        b = rx @ (_EYE3 - rot)
-        nums = r[:, None, None] * rx + np.stack([skew(b[:, i]) for i in range(3)])
-        partials = (nums @ rot) / nsq
-    return rot, partials
+def observation_jacobian(params: ChainParams, q) -> np.ndarray:
+    """3 x 6n Jacobian of observe() w.r.t. the stacked parameter vector."""
+    _, jac = _chain_terms(params.to_vector(), params.zero_pose.translation,
+                          _one_config(q, params.n_joints), jacobian=True)
+    return jac[0]
 
 
-def _joint_blocks(w, v, angle):
-    """Per-joint motion (R, t) and derivative blocks w.r.t. w and v.
-
-    Returns (R, t, dR stacked (3,3,3) with dR[j] = dR/dw_j, dt_w 3x3
-    with columns dt/dw_j, dt_v 3x3 with columns dt/dv_j).
-    """
-    if np.linalg.norm(w) < _ZERO_AXIS_TOL:
-        return _EYE3, v * angle, np.zeros((3, 3, 3)), np.zeros((3, 3)), angle * _EYE3
-    rot, rot_partials = _rotation_partials(w * angle)
-    wxv = _cross3(w, v)
-    i_minus = _EYE3 - rot
-    t = i_minus @ wxv + w * ((w @ v) * angle)
-    d_rot = angle * rot_partials
-    # column j of i_minus @ skew(v) is (I - R)(v x e_j) = -(I - R)(e_j x v)
-    dt_w = (-(d_rot @ wxv).T - i_minus @ skew(v)
-            + angle * ((w @ v) * _EYE3 + np.outer(w, v)))
-    dt_v = i_minus @ skew(w) + (angle * np.outer(w, w))
-    return rot, t, d_rot, dt_w, dt_v
-
-
-def observation_jacobian(params: ChainParams, q, method: str = "analytic",
-                         fd_step: float = 1e-6) -> np.ndarray:
-    """3 x 6n Jacobian of observe() w.r.t. the stacked parameter vector.
-
-    method "analytic" differentiates the closed-form motion of each
-    joint; "finite_difference" central-differences observe() and serves
-    as the reference the analytic path is checked against.
-    """
-    if method == "finite_difference":
-        return _jacobian_fd(params, q, fd_step)
-    if method != "analytic":
-        raise ValueError(f"unknown jacobian method: {method!r}")
-    q = np.asarray(q, dtype=float)
-    n = params.n_joints
-    if q.shape != (n,):
-        raise ValueError(f"expected {n} joint angles, got shape {q.shape}")
-
-    blocks = [_joint_blocks(t.w, t.v, float(a)) for t, a in zip(params.twists, q)]
-
-    # suffix[i] = position of the end effector in joint i's output frame
-    suffix = [None] * (n + 1)
-    suffix[n] = params.zero_pose.translation
-    for i in range(n - 1, -1, -1):
-        rot, t = blocks[i][0], blocks[i][1]
-        suffix[i] = rot @ suffix[i + 1] + t
-
-    jac = np.empty((3, 6 * n))
-    rot_prefix = _EYE3
-    for i in range(n):
-        rot, t, d_rot, dt_w, dt_v = blocks[i]
-        s_next = suffix[i + 1]
-        jac[:, 6 * i:6 * i + 3] = rot_prefix @ ((d_rot @ s_next).T + dt_w)
-        jac[:, 6 * i + 3:6 * i + 6] = rot_prefix @ dt_v
-        rot_prefix = rot_prefix @ rot
-    return jac
-
-
-def _jacobian_fd(params: ChainParams, q, step: float) -> np.ndarray:
+def observation_jacobian_fd(params: ChainParams, q) -> np.ndarray:
+    """Central differences of observe(): the reference for the analytic Jacobian."""
     x0 = params.to_vector()
-    zero_pose = params.zero_pose
     jac = np.empty((3, x0.size))
     for k in range(x0.size):
         xp = x0.copy()
-        xp[k] += step
+        xp[k] += _FD_STEP
         xm = x0.copy()
-        xm[k] -= step
-        fp = observe(ChainParams.from_vector(xp, zero_pose), q)
-        fm = observe(ChainParams.from_vector(xm, zero_pose), q)
-        jac[:, k] = (fp - fm) / (2.0 * step)
+        xm[k] -= _FD_STEP
+        fp = observe(ChainParams.from_vector(xp, params.zero_pose), q)
+        fm = observe(ChainParams.from_vector(xm, params.zero_pose), q)
+        jac[:, k] = (fp - fm) / (2.0 * _FD_STEP)
     return jac
 
 
@@ -289,42 +294,17 @@ class ChainObservationModel:
         return cls(params.zero_pose, params.n_joints)
 
     def predict(self, x, q) -> np.ndarray:
-        return observe(ChainParams.from_vector(x, self.zero_pose), q)
+        return _chain_terms(x, self.zero_pose.translation,
+                            _one_config(q, self.n_joints))[0]
 
-    def jacobian(self, x, q, method: str = "analytic") -> np.ndarray:
-        return observation_jacobian(ChainParams.from_vector(x, self.zero_pose), q,
-                                    method=method)
+    def jacobian(self, x, q) -> np.ndarray:
+        _, jac = _chain_terms(x, self.zero_pose.translation,
+                              _one_config(q, self.n_joints), jacobian=True)
+        return jac[0]
 
     def predict_batch(self, x, configs) -> np.ndarray:
-        """Positions for an (m, n) block of configurations, vectorized."""
-        x = np.asarray(x, dtype=float)
-        configs = np.asarray(configs, dtype=float)
-        if configs.ndim != 2 or configs.shape[1] != self.n_joints:
-            raise ValueError("configs must be (m, n_joints)")
-        rows = x.reshape(self.n_joints, 6)
-        m = configs.shape[0]
-        rot = np.broadcast_to(_EYE3, (m, 3, 3)).copy()
-        trans = np.zeros((m, 3))
-        for i in range(self.n_joints):
-            w, v = rows[i, :3], rows[i, 3:]
-            angles = configs[:, i]
-            nw = np.linalg.norm(w)
-            if nw < _ZERO_AXIS_TOL:
-                ri = np.broadcast_to(_EYE3, (m, 3, 3))
-                ti = np.outer(angles, v)
-            else:
-                k = skew(w / nw)
-                k2 = k @ k
-                a = nw * angles
-                sin_a = np.sin(a)[:, None, None]
-                cos_a = np.cos(a)[:, None, None]
-                ri = _EYE3 + sin_a * k + (1.0 - cos_a) * k2
-                wxv = np.cross(w, v)
-                ti = wxv - np.einsum("mij,j->mi", ri, wxv) + np.outer(angles, w * (w @ v))
-            trans = np.einsum("mij,mj->mi", rot, ti) + trans
-            rot = rot @ ri
-        zp = self.zero_pose
-        return np.einsum("mij,j->mi", rot, zp.translation) + trans
+        """Positions (m, 3) for an (m, n) block of configurations."""
+        return _chain_terms(x, self.zero_pose.translation, configs)
 
 
 def chain_to_dict(params: ChainParams) -> dict:

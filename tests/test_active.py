@@ -1,8 +1,7 @@
 import numpy as np
 import pytest
 
-from kincal.active import (SelectionProblem, greedy_trace_reduction, lookahead_cost,
-                           select_next)
+from kincal.active import SelectionProblem, lookahead_cost, select_next
 from kincal.direct import DirectConfig
 from kincal.estimator import EstimatorState, NoiseConfig
 from kincal.fov import FovConfig
@@ -149,13 +148,6 @@ class TestSelectNext:
         prior = float(np.trace(problem.state.covariance))
         assert result.cost == pytest.approx(2 * prior)
 
-    def test_trace_collection(self):
-        problem, _ = chain_problem(17, budget=25)
-        result = select_next(problem, collect_trace=True)
-        assert len(result.trace) == result.evaluations
-        values = [v for _, v in result.trace]
-        assert result.cost == min(values)
-
     def test_limit_validation(self):
         state = EstimatorState(np.zeros(1), np.eye(1))
         with pytest.raises(ValueError):
@@ -164,15 +156,3 @@ class TestSelectNext:
         with pytest.raises(ValueError):
             SelectionProblem(state, LinearModel([[1.0]]), NoiseConfig(),
                              [[1.0, -1.0]])
-
-
-class TestGreedyTraceReduction:
-    def test_never_worse_than_prediction_inflation(self):
-        rng = np.random.default_rng(53)
-        noise = NoiseConfig(obs_variance=1e-2, state_noise_variance=1e-3)
-        for seed in range(20):
-            problem, _ = chain_problem(seed)
-            problem.noise = noise
-            q = rng.uniform(-1.0, 1.0, size=3)
-            reduction = greedy_trace_reduction(problem, q)
-            assert reduction >= -18 * noise.state_noise_variance - 1e-12

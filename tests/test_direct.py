@@ -3,8 +3,7 @@ import logging
 import numpy as np
 import pytest
 
-from kincal.direct import (DirectConfig, HyperRect, minimize, potentially_optimal,
-                           trisect, write_trace)
+from kincal.direct import DirectConfig, HyperRect, minimize, potentially_optimal, trisect
 
 
 def rect1(depth, value):
@@ -238,17 +237,6 @@ class TestMinimize:
         assert any("NaN" in message for message in caplog.messages)
         assert np.isfinite(result.best_value)
         assert result.best_value < 1e-3
-
-    def test_trace_writing(self, tmp_path):
-        import json
-
-        cfg = DirectConfig(bounds=[(0.0, 1.0)], max_evaluations=9)
-        result = minimize(sphere, cfg, collect_trace=True)
-        path = tmp_path / "trace.jsonl"
-        write_trace(result, path)
-        lines = [json.loads(line) for line in path.read_text().splitlines()]
-        assert [line["evaluation"] for line in lines] == list(range(9))
-        assert lines[0]["point"] == [0.5]
 
     def test_config_validation(self):
         with pytest.raises(ValueError):

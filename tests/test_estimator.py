@@ -3,8 +3,7 @@ import pytest
 
 from kincal.estimator import (DegenerateUpdateError, EstimatorState, GradientConfig,
                               NoiseConfig, apply_stabilizing_noise, gradient_update,
-                              load_state, prediction_error, rls_update, save_state,
-                              state_from_dict, state_to_dict)
+                              prediction_error, rls_update)
 from kincal.kinematics import ChainObservationModel, ChainParams, Pose, Twist
 
 
@@ -279,25 +278,3 @@ class TestStateAndConfigs:
     def test_state_shape_validation(self):
         with pytest.raises(ValueError):
             EstimatorState(np.zeros(3), np.eye(2))
-
-    def test_snapshot_roundtrip(self, tmp_path):
-        rng = np.random.default_rng(10)
-        state = EstimatorState(rng.normal(size=5), random_spd(rng, 5))
-        path = tmp_path / "state.json"
-        save_state(state, path)
-        loaded = load_state(path)
-        np.testing.assert_array_equal(loaded.mean, state.mean)
-        np.testing.assert_array_equal(loaded.covariance, state.covariance)
-
-    def test_snapshot_rejects_asymmetric(self):
-        doc = state_to_dict(EstimatorState(np.zeros(2), np.eye(2)))
-        doc["covariance"][0][1] = 1e-3
-        with pytest.raises(ValueError):
-            state_from_dict(doc)
-
-    def test_canonicalized_clamps_tiny_negative_eigenvalues(self):
-        cov = np.diag([1.0, -5e-10])
-        state = EstimatorState(np.zeros(2), cov).canonicalized()
-        assert state.min_eigenvalue() >= 0.0
-        with pytest.raises(ValueError):
-            EstimatorState(np.zeros(2), np.diag([1.0, -1e-6])).canonicalized()

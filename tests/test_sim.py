@@ -63,6 +63,9 @@ class TestFov:
             FovConfig([0.0] * 3, [1.0, 0.0, 0.0], 4.0)
         with pytest.raises(ValueError):
             FovConfig([0.0] * 3, [1.0, 0.0, 0.0], 0.5, near=2.0, far=1.0)
+        with pytest.raises(ValueError, match="missing \\['camera_position'\\]"):
+            FovConfig.from_dict({"camera": [0.0] * 3, "axis": [1.0, 0.0, 0.0],
+                                 "half_angle": 0.5})
 
 
 class TestMeasure:
