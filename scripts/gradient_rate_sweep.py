@@ -6,7 +6,8 @@ non-finite parameters) and the final orientation error of the survivors.
 The packaged default (0.05) is the largest rate in this grid whose error
 still decreases monotonically; 0.08 oscillates upward and 0.1+ overflows.
 
-Usage: python3 scripts/gradient_rate_sweep.py [--iterations N] [--seeds N]
+Usage: PYTHONPATH=src python3 scripts/gradient_rate_sweep.py [--iterations N] [--seeds N]
+(or without PYTHONPATH after the editable install the README gives)
 """
 
 import argparse

@@ -214,7 +214,7 @@ def _run_seed(cfg: ExperimentConfig, gt: GroundTruth, model, probes, box, seed: 
 
 def run_experiment(cfg: ExperimentConfig, failures: list = None,
                    observations: list = None) -> list:
-    """All seeds sequentially; per-seed errors become failure entries.
+    """All seeds sequentially; numerical failures become failure entries.
 
     Seeds are independent of one another (records depend only on
     (config, seed)), so they could equally run in parallel and be merged
@@ -228,7 +228,7 @@ def run_experiment(cfg: ExperimentConfig, failures: list = None,
     for seed in cfg.seeds:
         try:
             seed_records, seed_obs = _run_seed(cfg, gt, model, probes, box, seed)
-        except Exception as exc:  # noqa: BLE001 - a seed must not sink the run
+        except (DegenerateUpdateError, FloatingPointError, np.linalg.LinAlgError) as exc:
             logger.error("seed %d failed: %s", seed, exc)
             if failures is not None:
                 failures.append({"seed": seed, "error": str(exc)})

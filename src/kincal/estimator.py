@@ -8,8 +8,9 @@ Two updates over the same observation model:
   * gradient_update: plain stochastic gradient on the squared residual,
     kept as a baseline. No covariance.
 
-Models are duck-typed: anything with predict(x, q) and jacobian(x, q).
-Observations may have any dimension; the chain model returns 3-vectors.
+Models are duck-typed: anything with predict(x, q) and jacobian(x, q);
+prediction_error also needs predict_batch(x, configs). Observations may
+have any dimension; the chain model returns 3-vectors.
 """
 
 from __future__ import annotations
@@ -22,7 +23,8 @@ _JITTER = 1e-12
 
 
 class DegenerateUpdateError(RuntimeError):
-    """Innovation covariance is numerically singular or non-finite."""
+    """Innovation covariance is numerically singular or non-finite, or an
+    update step leaves non-finite parameters."""
 
 
 @dataclass
@@ -157,7 +159,11 @@ def gradient_update(mean, q, y, cfg: GradientConfig, model, step: int = 0) -> np
     y = np.asarray(y, dtype=float)
     residual = y - model.predict(mean, q)
     jac = np.atleast_2d(np.asarray(model.jacobian(mean, q), dtype=float))
-    return mean + cfg.rate_at(step) * (jac.T @ residual)
+    with np.errstate(over="ignore", invalid="ignore"):
+        new_mean = mean + cfg.rate_at(step) * (jac.T @ residual)
+    if not np.isfinite(new_mean).all():
+        raise DegenerateUpdateError("gradient step produced non-finite parameters")
+    return new_mean
 
 
 def prediction_error(mean, dataset, model) -> float:
@@ -165,15 +171,8 @@ def prediction_error(mean, dataset, model) -> float:
     pairs = list(dataset)
     if not pairs:
         raise ValueError("prediction_error needs a non-empty dataset")
-    mean = np.asarray(mean, dtype=float)
-    total = 0.0
-    if hasattr(model, "predict_batch"):
-        configs = np.asarray([np.asarray(q, dtype=float) for q, _ in pairs])
-        targets = np.asarray([np.asarray(y, dtype=float) for _, y in pairs])
-        residuals = targets - model.predict_batch(mean, configs)
-        total = float(np.sum(residuals * residuals))
-    else:
-        for q, y in pairs:
-            r = np.asarray(y, dtype=float) - model.predict(mean, q)
-            total += float(r @ r)
+    configs = np.asarray([np.asarray(q, dtype=float) for q, _ in pairs])
+    targets = np.asarray([np.asarray(y, dtype=float) for _, y in pairs])
+    residuals = targets - model.predict_batch(np.asarray(mean, dtype=float), configs)
+    total = float(np.sum(residuals * residuals))
     return float(np.sqrt(total / len(pairs)))

@@ -5,15 +5,16 @@ through; the moment vectors follow as v = p x w. All randomness flows
 through numpy PCG64 generators built by make_rng, so a seed pins the
 exact stream on any platform.
 
-Metrics compare a raw estimated parameter vector against the truth:
+Metrics compare a raw estimated parameter vector against the truth,
+all joints and joint pairs at once in array operations:
 
-  * orientation error: mean absolute difference, over all joint pairs,
-    between the estimated and true inter-axis angles. Invariant to the
-    scale of the estimated axis vectors.
+  * orientation error: mean absolute difference, over joint pairs i < j,
+    between the estimated and true inter-axis angles arccos(d_i . d_j).
+    A pair with a degenerate estimated axis scores pi/2. Invariant to the
+    scale of the estimated axis vectors; 0 for a single joint.
   * location error: mean distance between the estimated and true axis
-    lines. A twist's axis is the line {w x v + s * w / |w|}; for
-    near-parallel lines the distance is taken between the points
-    closest to the origin.
+    lines {w x v + s * w / |w|}: |gap . (d_true x d_est)| / sin for skew
+    lines, else |gap|, where gap is the difference of the points w x v.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fov import FovConfig
-from .kinematics import ChainParams, Pose, Twist, observe
+from .kinematics import ChainParams, Pose, Twist, _matvec, observe, skew
 
 logger = logging.getLogger(__name__)
 
@@ -154,29 +155,19 @@ def builtin_chain(name: str) -> GroundTruth:
     return GroundTruth(params, limits)
 
 
-def _axis_line(w, v):
-    """(point closest to origin, unit direction) of a twist's axis, or
-    (w x v, None) when the axis vector is degenerate."""
-    norm = np.linalg.norm(w)
-    p = np.cross(w, v)
-    if norm < _DEGENERATE_AXIS_TOL:
-        return p, None
-    return p, w / norm
+def _row_dot(a, b):
+    """Dot products of matching rows, each summed as np.dot sums one pair."""
+    return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
 
 
-def _line_distance(p1, d1, p2, d2):
-    if d1 is None or d2 is None:
-        return float(np.linalg.norm(p2 - p1))
-    cross = np.cross(d1, d2)
-    sin_angle = np.linalg.norm(cross)
-    if sin_angle < _PARALLEL_TOL:
-        # p1, p2 are already each line's closest point to the origin
-        return float(np.linalg.norm(p2 - p1))
-    return float(abs((p2 - p1) @ cross) / sin_angle)
-
-
-def _pair_angle(d1, d2) -> float:
-    return math.acos(min(1.0, max(-1.0, float(d1 @ d2))))
+def _axis_lines(rows):
+    """(points w x v, unit directions, degenerate mask) of (n, 6) [w, v]
+    rows; a degenerate row keeps its raw w as direction."""
+    w, v = rows[:, :3], rows[:, 3:]
+    norms = np.sqrt(_row_dot(w, w))
+    degenerate = norms < _DEGENERATE_AXIS_TOL
+    directions = w / np.where(degenerate, 1.0, norms)[:, None]
+    return _matvec(skew(w), v), directions, degenerate
 
 
 def metrics(estimate, gt: GroundTruth):
@@ -185,26 +176,25 @@ def metrics(estimate, gt: GroundTruth):
     n = gt.n_joints
     if estimate.shape != (6 * n,):
         raise ValueError(f"estimate must have {6 * n} entries")
-    rows = estimate.reshape(n, 6)
+    est_points, est_dirs, degenerate = _axis_lines(estimate.reshape(n, 6))
+    true_points, true_dirs, _ = _axis_lines(gt.params.to_vector().reshape(n, 6))
+    if degenerate.any():
+        logger.warning("degenerate estimated axes at joints %s",
+                       np.flatnonzero(degenerate).tolist())
 
-    est_lines = [_axis_line(r[:3], r[3:]) for r in rows]
-    true_lines = [_axis_line(t.w, t.v) for t in gt.params.twists]
-    degenerate = [i for i, (_, d) in enumerate(est_lines) if d is None]
-    if degenerate:
-        logger.warning("degenerate estimated axes at joints %s", degenerate)
+    i, j = np.triu_indices(n, 1)
+    est_angles, true_angles = (np.arccos(np.clip(_row_dot(d[i], d[j]), -1.0, 1.0))
+                               for d in (est_dirs, true_dirs))
+    angle_terms = np.where(degenerate[i] | degenerate[j], math.pi / 2.0,
+                           np.abs(est_angles - true_angles))
+    orientation_error = float(np.mean(angle_terms)) if angle_terms.size else 0.0
 
-    angle_terms = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            if est_lines[i][1] is None or est_lines[j][1] is None:
-                angle_terms.append(math.pi / 2.0)
-                continue
-            est_angle = _pair_angle(est_lines[i][1], est_lines[j][1])
-            true_angle = _pair_angle(true_lines[i][1], true_lines[j][1])
-            angle_terms.append(abs(est_angle - true_angle))
-    orientation_error = float(np.mean(angle_terms)) if angle_terms else 0.0
-
-    distances = [_line_distance(true_lines[i][0], true_lines[i][1],
-                                est_lines[i][0], est_lines[i][1])
-                 for i in range(n)]
+    # near-parallel lines and degenerate estimates keep |gap|
+    gap = est_points - true_points
+    cross = _matvec(skew(true_dirs), est_dirs)
+    sin_angle = np.sqrt(_row_dot(cross, cross))
+    distances = np.sqrt(_row_dot(gap, gap))
+    skew_lines = ~degenerate & (sin_angle >= _PARALLEL_TOL)
+    distances[skew_lines] = (np.abs(_row_dot(gap, cross)[skew_lines])
+                             / sin_angle[skew_lines])
     return orientation_error, float(np.mean(distances))

@@ -70,6 +70,24 @@ class TestRunExperiment:
         records = run_experiment(cfg)
         assert records[-1].prediction_error < 0.5 * records[0].prediction_error
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_diverging_seed_becomes_failure_entry(self):
+        cfg = config_from_dict(base_config(strategy="random_gradient", iterations=30,
+                                           seeds=[0], gradient={"learning_rate": 5.0}))
+        failures = []
+        records = run_experiment(cfg, failures=failures)
+        assert records == []
+        assert len(failures) == 1 and failures[0]["seed"] == 0
+        assert "non-finite" in failures[0]["error"]
+
+    def test_programming_error_in_seed_propagates(self, monkeypatch):
+        def broken_measure(gt, q, rng):
+            raise TypeError("broken measure")
+
+        monkeypatch.setattr("kincal.cli.measure", broken_measure)
+        with pytest.raises(TypeError, match="broken measure"):
+            run_experiment(config_from_dict(base_config()), failures=[])
+
     def test_chain_file_input(self, tmp_path):
         path = tmp_path / "chain.json"
         save_chain(builtin_chain("planar3").params, path)

@@ -31,6 +31,9 @@ class ZeroModel:
     def jacobian(self, x, q):
         return np.zeros((self.out_dim, self.dim))
 
+    def predict_batch(self, x, configs):
+        return np.zeros((len(configs), self.out_dim))
+
 
 def batch_tikhonov(x0, p0, steps, obs_variance):
     """Weighted least squares with the prior as a Tikhonov term.
@@ -224,6 +227,13 @@ class TestGradientUpdate:
                                 model, step)
         assert abs(x[0] - 2.0) > 1e3
 
+    def test_non_finite_step_raises(self):
+        # finite residual -4e307, but the step 10 * 4 * -4e307 overflows
+        model = LinearModel([4.0 * np.eye(1)])
+        with pytest.raises(DegenerateUpdateError):
+            gradient_update(np.array([1e307]), 0, np.zeros(1),
+                            GradientConfig(learning_rate=10.0), model)
+
     def test_decay_schedule(self):
         cfg = GradientConfig(learning_rate=1.0, decay=0.5)
         assert cfg.rate_at(0) == 1.0
@@ -248,18 +258,6 @@ class TestPredictionError:
     def test_empty_dataset_rejected(self):
         with pytest.raises(ValueError):
             prediction_error(np.zeros(2), [], ZeroModel(2))
-
-    def test_batch_path_matches_plain_path(self):
-        rng = np.random.default_rng(9)
-        chain, model = small_chain_model(rng, n=2)
-        x = rng.normal(size=12)
-        data = [(rng.uniform(-1, 1, 2), rng.normal(size=3)) for _ in range(15)]
-
-        class NoBatch:
-            predict = staticmethod(model.predict)
-
-        assert prediction_error(x, data, model) == pytest.approx(
-            prediction_error(x, data, NoBatch()), abs=1e-12)
 
 
 class TestStateAndConfigs:

@@ -222,6 +222,18 @@ class TestMetrics:
         # joint 1 line now passes through (0.3 cos(phi), 0, 0)
         assert location == pytest.approx(0.1 * (1 - math.cos(phi)), abs=1e-12)
 
+    def test_tilted_base_axis_of_six_joints(self):
+        gt = builtin_chain("arm6")
+        vec = gt.params.to_vector().copy()
+        phi = 0.1
+        w = np.array([0.0, -math.sin(phi), math.cos(phi)])  # axis tilted about x
+        vec[0:6] = np.concatenate([w, np.cross([0.0, 0.0, 0.3], w)])
+        orientation, location = metrics(vec, gt)
+        # of the 15 pairs, joint 0 with the y axes of joints 1, 3 and 5
+        # changes by phi; its pairs with the x axes of joints 2 and 4 keep pi/2
+        assert orientation == pytest.approx(phi / 5, abs=1e-12)
+        assert location == pytest.approx(0.0, abs=1e-12)
+
     def test_degenerate_axis_penalized_and_logged(self, caplog):
         gt = builtin_chain("planar3")
         vec = gt.params.to_vector().copy()
