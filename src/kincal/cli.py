@@ -82,6 +82,8 @@ class ExperimentConfig:
             raise ConfigError("init_variance must be positive")
         if self.probe_set_size < 1:
             raise ConfigError("probe_set_size must be a positive integer")
+        if self.optimizer is not None and self.optimizer.bounds is not None:
+            raise ConfigError("optimizer.bounds is not allowed; the search box is joint_limits")
         if self.strategy == "active_rls" and self.optimizer is None:
             self.optimizer = DirectConfig(max_evaluations=60, variant="direct_l")
         if self.strategy == "random_gradient" and self.gradient is None:
@@ -107,12 +109,14 @@ def _resolve_limits(spec, n: int) -> np.ndarray:
         return np.tile([-DEFAULT_JOINT_LIMIT, DEFAULT_JOINT_LIMIT], (n, 1))
     arr = np.asarray(spec, dtype=float)
     if arr.ndim == 0:
-        if arr <= 0:
+        if not arr > 0:
             raise ConfigError("scalar joint_limits must be a positive half-width")
         return np.tile([-float(arr), float(arr)], (n, 1))
-    if arr.shape == (n, 2):
-        return arr
-    raise ConfigError(f"joint_limits must be a scalar half-width or an ({n}, 2) array")
+    if arr.shape != (n, 2):
+        raise ConfigError(f"joint_limits must be a scalar half-width or an ({n}, 2) array")
+    if not (arr[:, 0] <= arr[:, 1]).all():
+        raise ConfigError("joint_limits pairs need low <= high")
+    return arr
 
 
 def _resolve_init_box(spec, dim: int) -> np.ndarray:
@@ -137,11 +141,14 @@ def resolve_ground_truth(cfg: ExperimentConfig) -> GroundTruth:
         except (ValueError, json.JSONDecodeError) as exc:
             raise ConfigError(f"bad chain file {cfg.chain!r}: {exc}") from exc
     limits = _resolve_limits(cfg.joint_limits, params.n_joints)
+    if cfg.strategy == "active_rls" and not (limits[:, 0] < limits[:, 1]).all():
+        raise ConfigError("active_rls needs joint_limits with low < high on every joint")
     return GroundTruth(params, limits, fov=cfg.fov, obs_variance=cfg.noise.obs_variance)
 
 
 def _probe_set(gt: GroundTruth, size: int, probe_seed: int):
-    """Seeded random in-view configurations paired with true positions."""
+    """(configs (size, n), true positions (size, 3)) of seeded random
+    in-view configurations."""
     rng = make_rng(probe_seed)
     probes = []
     for _ in range(size * _PROBE_ATTEMPT_FACTOR):
@@ -150,7 +157,7 @@ def _probe_set(gt: GroundTruth, size: int, probe_seed: int):
         if gt.fov is None or gt.fov.contains(pos):
             probes.append((q, pos))
             if len(probes) == size:
-                return probes
+                return np.asarray([q for q, _ in probes]), np.asarray([p for _, p in probes])
     raise ConfigError("field of view rejects almost every probe configuration")
 
 
@@ -202,7 +209,7 @@ def _run_seed(cfg: ExperimentConfig, gt: GroundTruth, model, probes, box, seed: 
                 mean = state.mean
 
         orientation, location = metrics(mean, gt)
-        predict_rms = prediction_error(mean, probes, model)
+        predict_rms = prediction_error(mean, *probes, model)
         records.append(ExperimentRecord(seed, iteration, orientation, location,
                                         predict_rms, cost, seconds, rejections))
         observations.append({"seed": seed, "iteration": iteration,

@@ -1,11 +1,14 @@
 """DIRECT and DIRECT-l global minimization over a box.
 
 Deterministic, derivative-free, budgeted by function evaluations. The
-search box is mapped to the unit cube; rectangles are trisected along
-their longest sides, new center values are assigned so the best values
-get the largest children, and each sweep subdivides every potentially
-optimal rectangle (Jones, Perttunen, Stuckman 1993). The direct_l
-variant subdivides at most one rectangle per measure class per sweep
+search box is mapped to the unit cube. Each sweep subdivides every
+potentially optimal rectangle (Jones, Perttunen, Stuckman 1993) in three
+steps: list the offset centers along each selected rectangle's longest
+sides; evaluate them all in one call, in selection, dimension, plus-
+then-minus order, stopping when the budget is spent; split each
+rectangle along the dimensions whose two offsets both got a value, the
+best new values keeping the largest children. The direct_l variant
+subdivides at most one rectangle per measure class per sweep
 (Gablonsky's locally biased rule).
 
 Side lengths are exact powers of 1/3, tracked as integer trisection
@@ -93,37 +96,6 @@ class DirectResult:
     trace: list = None
 
 
-class _Evaluator:
-    """Counts evaluations, tracks the first strictly-best point, maps
-    NaN to +inf with a warning. Returns None once the budget is spent."""
-
-    def __init__(self, f, lower, span, budget, collect_trace):
-        self.f = f
-        self.lower = lower
-        self.span = span
-        self.budget = budget
-        self.count = 0
-        self.best_point = None
-        self.best_value = math.inf
-        self.trace = [] if collect_trace else None
-
-    def __call__(self, unit_point):
-        if self.count >= self.budget:
-            return None
-        x = self.lower + unit_point * self.span
-        value = float(self.f(x))
-        if math.isnan(value):
-            logger.warning("objective returned NaN at %s; treating as +inf", x)
-            value = math.inf
-        self.count += 1
-        if self.trace is not None:
-            self.trace.append((x, value))
-        if value < self.best_value:
-            self.best_value = value
-            self.best_point = x
-        return value
-
-
 def potentially_optimal(rects, f_min: float, epsilon: float, variant: str = "direct"):
     """Indices of rectangles worth subdividing, ascending.
 
@@ -176,30 +148,33 @@ def potentially_optimal(rects, f_min: float, epsilon: float, variant: str = "dir
     return sorted(selected)
 
 
-def _trisect(rect: HyperRect, try_eval):
-    """Subdivide rect along its longest sides.
-
-    try_eval(unit_point) -> value or None once the budget is gone. Only
-    dimensions whose both offset centers got evaluated are split; with
-    none completed the rectangle is left intact and [] is returned.
-    """
+def _offset_centers(rect: HyperRect) -> list:
+    """(dim, plus, minus) unit-cube centers one third of a side away from
+    rect's center, for each longest side in dimension order."""
     depth_min = rect.depth.min()
-    split_dims = np.flatnonzero(rect.depth == depth_min)
     delta = 3.0 ** (-(depth_min + 1.0))
-
-    completed = []
-    for dim in split_dims:
+    offsets = []
+    for dim in np.flatnonzero(rect.depth == depth_min):
         plus = rect.center.copy()
         plus[dim] += delta
         minus = rect.center.copy()
         minus[dim] -= delta
-        v_plus = try_eval(plus)
-        if v_plus is None:
-            break
-        v_minus = try_eval(minus)
-        if v_minus is None:
-            break
-        completed.append((min(v_plus, v_minus), dim, plus, v_plus, minus, v_minus))
+        offsets.append((dim, plus, minus))
+    return offsets
+
+
+def _split(rect: HyperRect, offsets: list, values) -> list:
+    """Children of rect from its offset centers and their values.
+
+    values yields plus, minus per entry of offsets and may stop short; an
+    iterator is advanced past the values used, so rectangles can take
+    theirs from one iterator in turn. Only dimensions with both values
+    are split; with none complete the rectangle stays intact and [] is
+    returned.
+    """
+    values = iter(values)
+    completed = [(min(v_plus, v_minus), dim, plus, v_plus, minus, v_minus)
+                 for (dim, plus, minus), v_plus, v_minus in zip(offsets, values, values)]
     if not completed:
         return []
 
@@ -216,9 +191,14 @@ def _trisect(rect: HyperRect, try_eval):
     return children
 
 
+def _unit_points(offsets: list) -> list:
+    return [point for _, plus, minus in offsets for point in (plus, minus)]
+
+
 def trisect(rect: HyperRect, f):
     """Subdivide rect, evaluating f at the new unit-cube centers."""
-    return _trisect(rect, lambda p: float(f(p)))
+    offsets = _offset_centers(rect)
+    return _split(rect, offsets, [float(f(p)) for p in _unit_points(offsets)])
 
 
 def minimize(f, cfg: DirectConfig, on_iteration=None, collect_trace: bool = False) -> DirectResult:
@@ -227,7 +207,8 @@ def minimize(f, cfg: DirectConfig, on_iteration=None, collect_trace: bool = Fals
     Deterministic: identical configs and a deterministic f reproduce the
     identical evaluation trace. on_iteration(iteration, rects, selected)
     is called before each sweep's subdivisions and once more after the
-    final sweep with an empty selection.
+    final sweep with an empty selection. The best point is the first
+    minimum of the trace: the first center when every value is +inf.
     """
     if cfg.bounds is None:
         raise ValueError("minimize requires cfg.bounds")
@@ -235,33 +216,42 @@ def minimize(f, cfg: DirectConfig, on_iteration=None, collect_trace: bool = Fals
     dim = bounds.shape[0]
     lower = bounds[:, 0]
     span = bounds[:, 1] - lower
+    trace = []
 
-    ev = _Evaluator(f, lower, span, cfg.max_evaluations, collect_trace)
+    def evaluate(unit_points):
+        """f at unit_points in order, stopping when the budget is spent."""
+        values = []
+        for unit_point in unit_points[:cfg.max_evaluations - len(trace)]:
+            x = lower + unit_point * span
+            value = float(f(x))
+            if math.isnan(value):
+                logger.warning("objective returned NaN at %s; treating as +inf", x)
+                value = math.inf
+            trace.append((x, value))
+            values.append(value)
+        return values
+
     center = np.full(dim, 0.5)
-    first = ev(center)
-    rects = [HyperRect(center, np.zeros(dim, dtype=int), first)]
+    rects = [HyperRect(center, np.zeros(dim, dtype=int), evaluate([center])[0])]
 
     iteration = 0
-    while ev.count < cfg.max_evaluations:
-        selected = potentially_optimal(rects, ev.best_value, cfg.epsilon, cfg.variant)
+    while len(trace) < cfg.max_evaluations:
+        f_min = min(value for _, value in trace)
+        selected = potentially_optimal(rects, f_min, cfg.epsilon, cfg.variant)
         if on_iteration is not None:
             on_iteration(iteration, rects, selected)
         if not selected:
             break
-        split = set()
-        new_rects = []
-        for idx in selected:
-            children = _trisect(rects[idx], ev)
-            if children:
-                split.add(idx)
-                new_rects.extend(children)
-            if ev.count >= cfg.max_evaluations:
-                break
-        survivors = [r for i, r in enumerate(rects) if i not in split]
-        rects = survivors + new_rects
+        offsets = {idx: _offset_centers(rects[idx]) for idx in selected}
+        values = iter(evaluate([p for o in offsets.values() for p in _unit_points(o)]))
+        children = {idx: split for idx, o in offsets.items()
+                    if (split := _split(rects[idx], o, values))}
+        rects = ([r for i, r in enumerate(rects) if i not in children]
+                 + [child for split in children.values() for child in split])
         iteration += 1
 
     if on_iteration is not None:
         on_iteration(iteration, rects, [])
-    return DirectResult(best_point=ev.best_point, best_value=ev.best_value,
-                        evaluations_used=ev.count, trace=ev.trace)
+    best_point, best_value = min(trace, key=lambda item: item[1])
+    return DirectResult(best_point=best_point, best_value=best_value,
+                        evaluations_used=len(trace), trace=trace if collect_trace else None)

@@ -166,13 +166,11 @@ def gradient_update(mean, q, y, cfg: GradientConfig, model, step: int = 0) -> np
     return new_mean
 
 
-def prediction_error(mean, dataset, model) -> float:
-    """RMS residual norm of the model at mean over (q, y) pairs."""
-    pairs = list(dataset)
-    if not pairs:
-        raise ValueError("prediction_error needs a non-empty dataset")
-    configs = np.asarray([np.asarray(q, dtype=float) for q, _ in pairs])
-    targets = np.asarray([np.asarray(y, dtype=float) for _, y in pairs])
+def prediction_error(mean, configs, targets, model) -> float:
+    """RMS residual norm of the model at mean over a probe set: a (k, n)
+    array of configurations and the (k, m) array of their targets."""
+    if len(configs) == 0:
+        raise ValueError("prediction_error needs a non-empty probe set")
     residuals = targets - model.predict_batch(np.asarray(mean, dtype=float), configs)
     total = float(np.sum(residuals * residuals))
-    return float(np.sqrt(total / len(pairs)))
+    return float(np.sqrt(total / len(configs)))

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -47,12 +47,14 @@ def make_rng(seed: int) -> np.random.Generator:
 
 @dataclass
 class GroundTruth:
-    """A canonical chain plus the measurement setup around it."""
+    """A canonical chain plus the measurement setup around it. The truth is
+    fixed once built: axis_lines holds its joint axes for metrics."""
 
     params: ChainParams
     joint_limits: np.ndarray
     fov: FovConfig = None
     obs_variance: float = 1e-4
+    axis_lines: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.joint_limits = np.asarray(self.joint_limits, dtype=float)
@@ -66,6 +68,7 @@ class GroundTruth:
         for i, t in enumerate(self.params.twists):
             if abs(np.linalg.norm(t.w) - 1.0) > 1e-6:
                 raise ValueError(f"joint {i}: ground-truth axis must be unit norm")
+        self.axis_lines = _axis_lines(self.params.to_vector().reshape(n, 6))
 
     @property
     def n_joints(self) -> int:
@@ -177,7 +180,7 @@ def metrics(estimate, gt: GroundTruth):
     if estimate.shape != (6 * n,):
         raise ValueError(f"estimate must have {6 * n} entries")
     est_points, est_dirs, degenerate = _axis_lines(estimate.reshape(n, 6))
-    true_points, true_dirs, _ = _axis_lines(gt.params.to_vector().reshape(n, 6))
+    true_points, true_dirs, _ = gt.axis_lines
     if degenerate.any():
         logger.warning("degenerate estimated axes at joints %s",
                        np.flatnonzero(degenerate).tolist())

@@ -111,6 +111,29 @@ class TestRunExperiment:
         np.testing.assert_array_equal(gt.joint_limits,
                                       np.tile([-0.25, 0.25], (3, 1)))
 
+    @pytest.mark.parametrize("strategy, limits", [
+        ("random_rls", [[0.0, 1.0], [0.5, -0.5], [0.0, 1.0]]),
+        ("active_rls", [[0.0, 1.0], [0.5, -0.5], [0.0, 1.0]]),
+        ("active_rls", [[0.0, 1.0], [0.2, 0.2], [0.0, 1.0]]),
+        ("random_rls", float("nan")),
+    ])
+    def test_bad_joint_limits_fail_before_any_seed(self, tmp_path, capsys, strategy, limits):
+        cfg = config_from_dict(base_config(strategy=strategy, joint_limits=limits))
+        failures = []
+        with pytest.raises(ConfigError, match="joint"):
+            run_experiment(cfg, failures=failures)
+        assert failures == []
+        path = write_config(tmp_path, strategy=strategy, joint_limits=limits)
+        assert main(["run", "--config", path, "--out", str(tmp_path / "r.jsonl")]) == 1
+        assert "error:" in capsys.readouterr().err
+
+    def test_zero_width_joint_limit_allowed_for_random_strategies(self):
+        limits = [[0.0, 1.0], [0.2, 0.2], [0.0, 1.0]]
+        for strategy in ("random_rls", "random_gradient"):
+            cfg = config_from_dict(base_config(strategy=strategy, joint_limits=limits,
+                                               iterations=2, seeds=[0]))
+            assert len(run_experiment(cfg)) == 2
+
     def test_bad_init_box(self):
         cfg = config_from_dict(base_config(init_hypercube=[[0.0, 1.0]]))
         with pytest.raises(ConfigError):
@@ -135,6 +158,9 @@ class TestConfigParsing:
             config_from_dict(base_config(seeds=[]))
         with pytest.raises(ConfigError):
             config_from_dict(base_config(noise={"obs_variance": -1.0}))
+        with pytest.raises(ConfigError):
+            config_from_dict(base_config(strategy="active_rls",
+                                         optimizer={"bounds": [[0.0, 1.0]] * 3}))
 
     def test_overrides(self, tmp_path):
         path = write_config(tmp_path)

@@ -238,6 +238,50 @@ class TestMinimize:
         assert np.isfinite(result.best_value)
         assert result.best_value < 1e-3
 
+    def test_budget_cut_mid_pair_splits_completed_dimensions_only(self):
+        snapshots = []
+        cfg = DirectConfig(bounds=[(0.0, 1.0)] * 2, max_evaluations=4)
+        result = minimize(lambda x: -float(x[1]), cfg, collect_trace=True,
+                          on_iteration=lambda i, rects, sel: snapshots.append(list(rects)))
+        # center, dimension 0 plus and minus, then dimension 1 plus only
+        np.testing.assert_allclose([p for p, _ in result.trace],
+                                   [[1 / 2, 1 / 2], [5 / 6, 1 / 2], [1 / 6, 1 / 2],
+                                    [1 / 2, 5 / 6]], rtol=0, atol=1e-15)
+        assert result.evaluations_used == 4
+        final = snapshots[-1]
+        assert len(final) == 3
+        assert all(tuple(r.depth) == (1, 0) for r in final)
+        # the unpaired plus is not split but still counts toward the best
+        np.testing.assert_allclose(result.best_point, [1 / 2, 5 / 6], rtol=0, atol=1e-15)
+        assert result.best_value == result.trace[3][1]
+
+    def test_all_nan_objective_returns_first_center(self, caplog):
+        cfg = DirectConfig(bounds=[(-1.0, 3.0), (0.0, 2.0)], max_evaluations=20)
+        with caplog.at_level(logging.WARNING, logger="kincal.direct"):
+            result = minimize(lambda x: np.nan, cfg)
+        assert any("NaN" in message for message in caplog.messages)
+        assert result.best_value == np.inf
+        np.testing.assert_array_equal(result.best_point, [1.0, 1.0])
+        assert result.evaluations_used == 20
+
+    @pytest.mark.parametrize("variant, expected", [
+        ("direct", [(9, 9), (15, 9), (3, 9), (9, 15), (9, 3), (3, 15), (3, 3), (15, 15),
+                    (15, 3), (5, 3), (1, 3), (3, 5), (3, 1), (11, 3), (7, 3), (9, 5),
+                    (9, 1), (5, 9), (1, 9), (3, 11), (3, 7), (5, 5), (5, 1), (11, 9),
+                    (7, 9)]),
+        ("direct_l", [(9, 9), (15, 9), (3, 9), (9, 15), (9, 3), (3, 15), (3, 3), (15, 15),
+                      (15, 3), (5, 3), (1, 3), (3, 5), (3, 1), (11, 3), (7, 3), (9, 5),
+                      (9, 1), (5, 5), (5, 1), (5, 9), (1, 9), (3, 11), (3, 7), (7, 5),
+                      (7, 1)]),
+    ])
+    def test_frozen_evaluation_order(self, variant, expected):
+        # unit points in eighteenths: selected index, dimension, plus
+        # before minus
+        cfg = DirectConfig(bounds=[(0.0, 1.0)] * 2, max_evaluations=25, variant=variant)
+        result = minimize(sphere, cfg, collect_trace=True)
+        np.testing.assert_allclose([p for p, _ in result.trace], np.array(expected) / 18.0,
+                                   rtol=0, atol=1e-15)
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             DirectConfig(bounds=[(0.0, 1.0)], max_evaluations=0)

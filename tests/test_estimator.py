@@ -246,18 +246,19 @@ class TestGradientUpdate:
 class TestPredictionError:
     def test_single_probe_is_residual_norm(self):
         model = ZeroModel(2)
-        err = prediction_error(np.zeros(2), [(0, np.array([3.0, 4.0, 0.0]))], model)
+        err = prediction_error(np.zeros(2), np.zeros((1, 1)), np.array([[3.0, 4.0, 0.0]]),
+                               model)
         assert err == pytest.approx(5.0)
 
     def test_rms_over_probes(self):
         model = ZeroModel(2)
-        data = [(0, np.array([3.0, 4.0, 0.0])), (1, np.array([0.0, 0.0, 1.0]))]
-        err = prediction_error(np.zeros(2), data, model)
+        targets = np.array([[3.0, 4.0, 0.0], [0.0, 0.0, 1.0]])
+        err = prediction_error(np.zeros(2), np.array([[0.0], [1.0]]), targets, model)
         assert err == pytest.approx(np.sqrt((25.0 + 1.0) / 2.0))
 
     def test_empty_dataset_rejected(self):
         with pytest.raises(ValueError):
-            prediction_error(np.zeros(2), [], ZeroModel(2))
+            prediction_error(np.zeros(2), np.zeros((0, 1)), np.zeros((0, 3)), ZeroModel(2))
 
 
 class TestStateAndConfigs:
