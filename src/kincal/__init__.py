@@ -7,10 +7,11 @@ Modules:
     fov         spherical-sector visibility predicate
     active      A-optimal next-configuration selection
     sim         ground-truth fixtures, noisy measurements, error metrics
-    cli         experiment runner and summaries
+    cli         experiment runner and summaries (import kincal.cli; not
+                loaded by the package, so python -m kincal.cli runs it once)
 """
 
-from . import active, cli, direct, estimator, fov, kinematics, sim
+from . import active, direct, estimator, fov, kinematics, sim
 
-__all__ = ["active", "cli", "direct", "estimator", "fov", "kinematics", "sim"]
+__all__ = ["active", "direct", "estimator", "fov", "kinematics", "sim"]
 __version__ = "0.1.0"

@@ -1,13 +1,22 @@
 """A-optimal selection of the next measurement configuration.
 
-The value of probing a configuration is judged by simulating the
-estimator update that would follow: predict the observation from the
-current mean, feed it back as if measured (zero innovation, so only the
-covariance changes), and score the trace of the posterior covariance.
-Configurations whose predicted observation falls outside the field of
-view get the prior trace plus an equal penalty, so visible candidates
-always win when any exist. The DIRECT optimizer searches the joint-limit
-box for the lowest lookahead cost.
+The value of probing a configuration is the trace of the covariance
+that a measurement there would leave. Only the covariance changes, so
+no update is run: with the prediction step P <- P + state_noise I
+applied first, as rls_update does, and H the observation Jacobian at the
+current mean, the posterior trace is the closed form
+    tr(P) - sum((H P) * S^-1 (H P)),    S = H P H^T + R.
+Each DIRECT sweep lists its candidates first, so a whole sweep is scored
+in one call: one kernel call for the predicted points and Jacobians,
+then stacked products and one stacked innovation solve. A candidate
+costs the prior trace plus an equal penalty when its predicted
+observation falls outside the field of view, when its S fails the
+innovation solve (not finite, or no Cholesky factor and solution even
+after one jitter retry), or when its result is not finite. So visible
+candidates always win when any exist.
+
+Models provide linearize(x, configs), returning predicted points (k, m)
+and Jacobians (k, m, d) for a (k, n) block of configurations.
 """
 
 from __future__ import annotations
@@ -18,7 +27,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import direct
-from .estimator import DegenerateUpdateError, EstimatorState, NoiseConfig, rls_update
+from .estimator import EstimatorState, NoiseConfig, _solve_innovation
+# unused here; the benchmark's --trace 1 mode looks rls_update up on this module
+from .estimator import rls_update  # noqa: F401
 from .fov import FovConfig
 
 
@@ -54,29 +65,51 @@ class SelectionResult:
     duration: float
 
 
-def lookahead_cost(problem: SelectionProblem, q) -> float:
-    """Trace of the covariance after a hypothetical measurement at q.
+def lookahead_costs(problem: SelectionProblem, configs) -> np.ndarray:
+    """Posterior covariance traces (k,) for a (k, n) block of candidates.
 
-    The predicted observation is checked against the field of view with
-    the current mean, not the unknown truth; invisible or degenerate
-    candidates cost trace(P) plus a penalty of the same size.
+    Visibility is judged on the point predicted from the current mean,
+    not the unknown truth. Invisible candidates, candidates whose S fails
+    the innovation solve, and non-finite results cost 2 tr(P), with P
+    the prior before the prediction step.
     """
-    prior_trace = float(np.trace(problem.state.covariance))
-    predicted = problem.model.predict(problem.state.mean, q)
-    if problem.fov is not None and not problem.fov.contains(predicted):
-        return prior_trace + prior_trace
-    try:
-        updated = rls_update(problem.state, q, predicted, problem.noise, problem.model)
-    except DegenerateUpdateError:
-        return prior_trace + prior_trace
-    return float(np.trace(updated.covariance))
+    configs = np.asarray(configs, dtype=float)
+    cov = problem.state.covariance
+    prior_trace = float(np.trace(cov))
+    costs = np.full(len(configs), prior_trace + prior_trace)
+    if problem.noise.state_noise_variance > 0.0:
+        cov = cov + problem.noise.state_noise_variance * np.eye(cov.shape[0])
+
+    predicted, jac = problem.model.linearize(problem.state.mean, configs)
+    visible = np.arange(len(configs))
+    if problem.fov is not None:
+        visible = np.flatnonzero([problem.fov.contains(p) for p in predicted])
+    jac = jac[visible]
+    # stacked products, one per candidate, so a cost does not depend on
+    # which batch the candidate came in
+    hp = jac @ cov
+    s = hp @ jac.transpose(0, 2, 1) + problem.noise.obs_variance * np.eye(jac.shape[1])
+    s = 0.5 * (s + s.transpose(0, 2, 1))
+    solved, ok = _solve_innovation(s, hp)
+    with np.errstate(over="ignore", invalid="ignore"):
+        posterior = np.trace(cov) - np.einsum("kij,kij->k", hp, solved)
+    ok &= np.isfinite(posterior)
+    costs[visible[ok]] = posterior[ok]
+    return costs
+
+
+def lookahead_cost(problem: SelectionProblem, q) -> float:
+    """Trace of the covariance after a hypothetical measurement at q: the
+    one-candidate view of lookahead_costs."""
+    return float(lookahead_costs(problem, np.asarray(q, dtype=float)[None])[0])
 
 
 def select_next(problem: SelectionProblem) -> SelectionResult:
-    """Minimize lookahead cost over the joint-limit box."""
+    """Minimize lookahead cost over the joint-limit box, scoring each
+    DIRECT sweep in one lookahead_costs call."""
     cfg = replace(problem.optimizer, bounds=problem.joint_limits)
     start = time.perf_counter()
-    result = direct.minimize(lambda q: lookahead_cost(problem, q), cfg)
+    result = direct.minimize_batch(lambda qs: lookahead_costs(problem, qs), cfg)
     duration = time.perf_counter() - start
     return SelectionResult(config=result.best_point, cost=result.best_value,
                            evaluations=result.evaluations_used, duration=duration)

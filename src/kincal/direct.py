@@ -4,10 +4,12 @@ Deterministic, derivative-free, budgeted by function evaluations. The
 search box is mapped to the unit cube. Each sweep subdivides every
 potentially optimal rectangle (Jones, Perttunen, Stuckman 1993) in three
 steps: list the offset centers along each selected rectangle's longest
-sides; evaluate them all in one call, in selection, dimension, plus-
-then-minus order, stopping when the budget is spent; split each
-rectangle along the dimensions whose two offsets both got a value, the
-best new values keeping the largest children. The direct_l variant
+sides; evaluate them all in one objective call, in selection, dimension,
+plus-then-minus order, cut to the budget left; split each rectangle
+along the dimensions whose two offsets both got a value, the best new
+values keeping the largest children. One sweep is one objective call:
+minimize_batch hands the whole point list to a batch objective, and
+minimize wraps a scalar objective as one. The direct_l variant
 subdivides at most one rectangle per measure class per sweep
 (Gablonsky's locally biased rule).
 
@@ -202,13 +204,24 @@ def trisect(rect: HyperRect, f):
 
 
 def minimize(f, cfg: DirectConfig, on_iteration=None, collect_trace: bool = False) -> DirectResult:
-    """Minimize f over cfg.bounds with at most cfg.max_evaluations calls.
+    """minimize_batch with a scalar objective f, evaluated point by point."""
+    return minimize_batch(lambda points: [float(f(x)) for x in points], cfg,
+                          on_iteration, collect_trace)
 
-    Deterministic: identical configs and a deterministic f reproduce the
-    identical evaluation trace. on_iteration(iteration, rects, selected)
-    is called before each sweep's subdivisions and once more after the
-    final sweep with an empty selection. The best point is the first
-    minimum of the trace: the first center when every value is +inf.
+
+def minimize_batch(f_batch, cfg: DirectConfig, on_iteration=None,
+                   collect_trace: bool = False) -> DirectResult:
+    """Minimize over cfg.bounds with at most cfg.max_evaluations evaluations.
+
+    f_batch maps a (k, dim) array of points to k values. It is called
+    once for the box center and then once per sweep, with that sweep's
+    offset centers in evaluation order, never more than the budget has
+    left. Deterministic: identical configs and a deterministic f_batch
+    reproduce the identical evaluation trace. on_iteration(iteration,
+    rects, selected) is called before each sweep's subdivisions and once
+    more after the final sweep with an empty selection. The best point is
+    the first minimum of the trace: the first center when every value is
+    +inf.
     """
     if cfg.bounds is None:
         raise ValueError("minimize requires cfg.bounds")
@@ -219,16 +232,16 @@ def minimize(f, cfg: DirectConfig, on_iteration=None, collect_trace: bool = Fals
     trace = []
 
     def evaluate(unit_points):
-        """f at unit_points in order, stopping when the budget is spent."""
-        values = []
-        for unit_point in unit_points[:cfg.max_evaluations - len(trace)]:
-            x = lower + unit_point * span
-            value = float(f(x))
-            if math.isnan(value):
+        """f_batch at unit_points in one call, cut to the budget left."""
+        points = lower + np.array(unit_points[:cfg.max_evaluations - len(trace)]) * span
+        values = [float(v) for v in f_batch(points)]
+        if len(values) != len(points):
+            raise ValueError(f"objective returned {len(values)} values for {len(points)} points")
+        for i, x in enumerate(points):
+            if math.isnan(values[i]):
                 logger.warning("objective returned NaN at %s; treating as +inf", x)
-                value = math.inf
-            trace.append((x, value))
-            values.append(value)
+                values[i] = math.inf
+            trace.append((x, values[i]))
         return values
 
     center = np.full(dim, 0.5)

@@ -91,23 +91,39 @@ class GradientConfig:
         return self.learning_rate / (1.0 + self.decay * step)
 
 
-def _solve_innovation(s, rhs):
-    """Solve s @ x = rhs for symmetric s, gated on an SPD factorization.
+def _solve_one(s, rhs):
+    """(x, True) for s @ x = rhs on the first of s and s + jitter that has
+    a Cholesky factorization and solves, else (zeros, False)."""
+    for attempt in (s, s + _JITTER * np.eye(s.shape[0])):
+        try:
+            np.linalg.cholesky(attempt)
+            return np.linalg.solve(attempt, rhs), True
+        except np.linalg.LinAlgError:
+            pass
+    return np.zeros(np.shape(rhs)), False
 
-    One retry with a diagonal jitter; a second failure (or non-finite
-    entries) raises DegenerateUpdateError.
+
+def _solve_innovation(s, rhs):
+    """Solve s[i] @ x[i] = rhs[i] over a (k, m, m) stack of symmetric s.
+
+    Returns the solutions (k, m, r) and a boolean ok mask (k,). Entry i
+    is ok when s[i] is finite, has a Cholesky factorization and solves,
+    as given or after one retry with a diagonal jitter; its solution uses
+    the matrix that passed. Entries that are not ok get zeros. A finite
+    stack is tried at once, and entry by entry only when that fails.
     """
-    if not np.isfinite(s).all():
-        raise DegenerateUpdateError("innovation covariance has non-finite entries")
-    try:
-        np.linalg.cholesky(s)
-    except np.linalg.LinAlgError:
-        s = s + _JITTER * np.eye(s.shape[0])
+    s = np.asarray(s, dtype=float)
+    ok = np.isfinite(s).all(axis=(1, 2))
+    if ok.all():
         try:
             np.linalg.cholesky(s)
+            return np.linalg.solve(s, rhs), ok
         except np.linalg.LinAlgError:
-            raise DegenerateUpdateError("innovation covariance is numerically singular") from None
-    return np.linalg.solve(s, rhs)
+            pass
+    x = np.zeros(np.shape(rhs))
+    for i in np.flatnonzero(ok):
+        x[i], ok[i] = _solve_one(s[i], rhs[i])
+    return x, ok
 
 
 def rls_update(state: EstimatorState, q, y, noise: NoiseConfig, model) -> EstimatorState:
@@ -132,7 +148,10 @@ def rls_update(state: EstimatorState, q, y, noise: NoiseConfig, model) -> Estima
     cov_ht = cov @ jac.T
     s = jac @ cov_ht + noise.obs_variance * np.eye(m)
     s = 0.5 * (s + s.T)
-    gain = _solve_innovation(s, cov_ht.T).T
+    gain, ok = _solve_innovation(s[None], cov_ht.T[None])
+    if not ok[0]:
+        raise DegenerateUpdateError("innovation covariance is non-finite or numerically singular")
+    gain = gain[0].T
 
     with np.errstate(over="ignore", invalid="ignore"):
         new_mean = mean + gain @ (y - predicted)

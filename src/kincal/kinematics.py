@@ -282,7 +282,8 @@ class ChainObservationModel:
     """h(x, q) = end-effector position for raw parameter vector x.
 
     The zero pose is fixed and known; only the 6n twist entries are
-    estimated. predict/jacobian is the interface the estimators expect.
+    estimated. predict/jacobian is the interface the estimators expect;
+    linearize is the batched form that selection scores candidates with.
     """
 
     def __init__(self, zero_pose: Pose, n_joints: int):
@@ -298,13 +299,15 @@ class ChainObservationModel:
                             _one_config(q, self.n_joints))[0]
 
     def jacobian(self, x, q) -> np.ndarray:
-        _, jac = _chain_terms(x, self.zero_pose.translation,
-                              _one_config(q, self.n_joints), jacobian=True)
-        return jac[0]
+        return self.linearize(x, _one_config(q, self.n_joints))[1][0]
 
     def predict_batch(self, x, configs) -> np.ndarray:
         """Positions (m, 3) for an (m, n) block of configurations."""
         return _chain_terms(x, self.zero_pose.translation, configs)
+
+    def linearize(self, x, configs):
+        """Positions (m, 3) and Jacobians (m, 3, 6n) for an (m, n) block of configurations."""
+        return _chain_terms(x, self.zero_pose.translation, configs, jacobian=True)
 
 
 def chain_to_dict(params: ChainParams) -> dict:

@@ -1,25 +1,39 @@
 import numpy as np
 import pytest
 
-from kincal.active import SelectionProblem, lookahead_cost, select_next
+from kincal.active import SelectionProblem, lookahead_cost, lookahead_costs, select_next
 from kincal.direct import DirectConfig
-from kincal.estimator import EstimatorState, NoiseConfig
+from kincal.estimator import DegenerateUpdateError, EstimatorState, NoiseConfig, rls_update
 from kincal.fov import FovConfig
 from kincal.kinematics import (ChainObservationModel, ChainParams, Pose, Twist,
                                rotation_exp)
+from kincal.sim import builtin_chain
 
 
 class LinearModel:
-    """h(x, q) = rows(q) @ x with a caller-chosen jacobian."""
+    """h(x, q) = rows @ x with a caller-chosen jacobian. Given several
+    observation matrices, q[0] picks one, so one batch can mix kinds of
+    candidates."""
 
-    def __init__(self, rows):
-        self.rows = np.atleast_2d(np.asarray(rows, dtype=float))
+    def __init__(self, *rows):
+        self.rows = np.array([np.atleast_2d(r) for r in rows], dtype=float)
 
     def predict(self, x, q):
-        return self.rows @ np.asarray(x, dtype=float)
+        return self.jacobian(x, q) @ np.asarray(x, dtype=float)
 
     def jacobian(self, x, q):
-        return self.rows
+        return self.rows[int(q[0])]
+
+    def linearize(self, x, configs):
+        rows = self.rows[np.asarray(configs)[:, 0].astype(int)]
+        return rows @ np.asarray(x, dtype=float), rows
+
+
+def joseph_trace(problem, q):
+    """Reference cost: trace of the full rls_update at a zero innovation."""
+    state, model = problem.state, problem.model
+    updated = rls_update(state, q, model.predict(state.mean, q), problem.noise, model)
+    return float(np.trace(updated.covariance))
 
 
 def random_chain(rng, n_joints):
@@ -104,6 +118,61 @@ class TestLookaheadCost:
         prior = float(np.trace(problem.state.covariance))
         visible = [c for c in costs if c < 2 * prior]
         assert visible and max(visible) < 2 * prior
+
+
+class TestLookaheadCosts:
+    @pytest.mark.parametrize("chain", ["planar3", "arm6", "arm12"])
+    @pytest.mark.parametrize("state_noise", [0.0, 0.05])
+    def test_matches_joseph_update(self, chain, state_noise):
+        gt = builtin_chain(chain)
+        model = ChainObservationModel.from_chain(gt.params)
+        truth = gt.params.to_vector()
+        rng = np.random.default_rng(97)
+        lo, hi = gt.joint_limits[:, 0], gt.joint_limits[:, 1]
+        for _ in range(4):
+            state = EstimatorState(truth + 0.1 * rng.normal(size=truth.size),
+                                   random_spd(rng, truth.size))
+            noise = NoiseConfig(obs_variance=float(rng.uniform(1e-6, 1e-2)),
+                                state_noise_variance=state_noise)
+            problem = SelectionProblem(state, model, noise, gt.joint_limits)
+            configs = rng.uniform(lo, hi, size=(7, gt.n_joints))
+            costs = lookahead_costs(problem, configs)
+            assert costs.shape == (7,)
+            for q, cost in zip(configs, costs):
+                assert abs(cost - joseph_trace(problem, q)) <= 1e-10
+                assert cost == lookahead_cost(problem, q)
+
+    @pytest.mark.parametrize("state_noise", [0.0, 0.5])
+    @pytest.mark.parametrize("obs_variance", [0.1, 0.0])
+    def test_mixed_batch_penalizes_only_bad_candidates(self, state_noise, obs_variance):
+        # P is indefinite: rows along u = (1, 1, 0)/sqrt2 and e3 see a
+        # positive S, a row along (1, -1, 0)/sqrt2 a negative one. With no
+        # measurement noise the visible S are singular (repeated rows) and
+        # pass on the jitter retry.
+        cov = np.array([[1.0, 2.0, 0.0], [2.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
+        u = np.array([1.0, 1.0, 0.0]) / np.sqrt(2.0)
+        w = np.array([1.0, -1.0, 0.0]) / np.sqrt(2.0)
+        e3 = np.array([0.0, 0.0, 1.0])
+        rows = [np.stack([u, u, e3]),          # visible
+                np.stack([u, u, -e3]),         # predicts (0, 0, -1): out of view
+                np.stack([w, w, e3]),          # visible, S not SPD
+                np.stack([0.5 * u, u, e3])]    # visible
+        problem = SelectionProblem(
+            EstimatorState(e3, cov), LinearModel(*rows),
+            NoiseConfig(obs_variance=obs_variance, state_noise_variance=state_noise),
+            [[0.0, 3.0]],
+            fov=FovConfig(camera_position=[0.0, 0.0, 0.0], axis=e3, half_angle=np.pi / 4))
+        configs = np.array([[0.0], [1.0], [2.0], [3.0], [0.0]])
+        costs = lookahead_costs(problem, configs)
+
+        penalty = 2 * np.trace(cov)             # the prior before inflation
+        np.testing.assert_array_equal(costs[[1, 2]], [penalty, penalty])
+        with pytest.raises(DegenerateUpdateError):
+            joseph_trace(problem, configs[2])
+        for i in (0, 3, 4):
+            assert costs[i] < penalty
+            assert abs(costs[i] - joseph_trace(problem, configs[i])) <= 1e-10
+        assert costs[4] == costs[0]
 
 
 class TestSelectNext:

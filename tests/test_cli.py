@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -282,6 +286,17 @@ class TestCommandLine:
         assert "random_rls" in text and "iterations to orientation" in text
         doc = json.loads(open(json_out).read())
         assert doc["random_rls"]["seeds"] == 2
+
+    def test_module_entry_point_loads_cli_once(self):
+        # kincal/__init__.py must not import cli, or python -m kincal.cli
+        # loads it twice and warns
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        done = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-m", "kincal.cli",
+                               "--help"], env=env, capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
+        assert "usage: kincal" in done.stdout
 
     def test_fixtures_command(self, capsys):
         assert main(["fixtures"]) == 0

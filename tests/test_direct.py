@@ -3,7 +3,8 @@ import logging
 import numpy as np
 import pytest
 
-from kincal.direct import DirectConfig, HyperRect, minimize, potentially_optimal, trisect
+from kincal.direct import (DirectConfig, HyperRect, minimize, minimize_batch, potentially_optimal,
+                           trisect)
 
 
 def rect1(depth, value):
@@ -295,6 +296,47 @@ class TestMinimize:
             DirectConfig(bounds=[])
         with pytest.raises(ValueError):
             minimize(sphere, DirectConfig(max_evaluations=5))
+
+
+class TestMinimizeBatch:
+    # the 2-D budget-25 cases are the frozen evaluation order above; every
+    # case ends with a sweep cut short by the budget
+    @pytest.mark.parametrize("dim, budget, variant", [
+        (2, 25, "direct"), (2, 25, "direct_l"), (3, 40, "direct"), (1, 10, "direct"),
+    ])
+    def test_one_call_per_sweep_within_budget(self, dim, budget, variant):
+        cfg = DirectConfig(bounds=[(0.0, 1.0)] * dim, max_evaluations=budget, variant=variant)
+        calls, planned = [], []
+
+        def sphere_batch(points):
+            assert points.shape[1] == dim
+            assert 0 < len(points) <= budget - sum(calls)
+            calls.append(len(points))
+            return ((points - 0.3) ** 2).sum(axis=1)
+
+        def on_iteration(_, rects, selected):
+            planned.append(sum(2 * int((rects[i].depth == rects[i].depth.min()).sum())
+                               for i in selected))
+
+        batch = minimize_batch(sphere_batch, cfg, on_iteration=on_iteration,
+                               collect_trace=True)
+        sweeps = [n for n in planned if n]
+        assert len(calls) == 1 + len(sweeps)
+        assert calls[0] == 1 and calls[1:-1] == sweeps[:-1]
+        assert calls[-1] < sweeps[-1] and sum(calls) == budget
+
+        scalar = minimize(sphere, cfg, collect_trace=True)
+        assert len(batch.trace) == len(scalar.trace) == batch.evaluations_used
+        for (x_b, v_b), (x_s, v_s) in zip(batch.trace, scalar.trace):
+            np.testing.assert_array_equal(x_b, x_s)
+            assert v_b == v_s
+        np.testing.assert_array_equal(batch.best_point, scalar.best_point)
+        assert batch.best_value == scalar.best_value
+
+    def test_rejects_wrong_number_of_values(self):
+        cfg = DirectConfig(bounds=[(0.0, 1.0)] * 2, max_evaluations=9)
+        with pytest.raises(ValueError, match="values for"):
+            minimize_batch(lambda points: np.zeros(len(points) + 1), cfg)
 
 
 class TestVariantStructure:
