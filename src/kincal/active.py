@@ -37,7 +37,7 @@ from .fov import FovConfig
 class SelectionProblem:
     """Everything lookahead needs: belief, model, noise, and the search box.
 
-    optimizer.bounds is ignored; the search box is always joint_limits.
+    The search box is joint_limits, so optimizer must leave bounds unset.
     """
 
     state: EstimatorState
@@ -55,6 +55,8 @@ class SelectionProblem:
             raise ValueError("joint limits need low <= high")
         if self.optimizer is None:
             self.optimizer = direct.DirectConfig(max_evaluations=100)
+        elif self.optimizer.bounds is not None:
+            raise ValueError("optimizer.bounds must be unset; the search box is joint_limits")
 
 
 @dataclass
@@ -83,7 +85,7 @@ def lookahead_costs(problem: SelectionProblem, configs) -> np.ndarray:
     predicted, jac = problem.model.linearize(problem.state.mean, configs)
     visible = np.arange(len(configs))
     if problem.fov is not None:
-        visible = np.flatnonzero([problem.fov.contains(p) for p in predicted])
+        visible = np.flatnonzero(problem.fov.contains_points(predicted))
     jac = jac[visible]
     # stacked products, one per candidate, so a cost does not depend on
     # which batch the candidate came in

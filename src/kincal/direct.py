@@ -15,10 +15,17 @@ subdivides at most one rectangle per measure class per sweep
 
 Side lengths are exact powers of 1/3, tracked as integer trisection
 depths, so measure classes group exactly with no float comparisons.
+During a run the rectangles are plain records in parallel lists: center
+array, depth tuple, class key (the sorted depths) and value, with each
+depth tuple's measure computed once. HyperRect objects exist only at the
+edges: the views handed to on_iteration, and the arguments and results
+of potentially_optimal and trisect, which adapt them to the same record
+code, so there is one selection rule and one split.
 """
 
 from __future__ import annotations
 
+import functools
 import logging
 import math
 from dataclasses import dataclass
@@ -57,7 +64,7 @@ class HyperRect:
 
     @property
     def measure(self) -> float:
-        return 0.5 * float(np.linalg.norm(self.side_lengths))
+        return _measure(tuple(self.depth.tolist()))
 
     def measure_class(self) -> tuple:
         """Exact grouping key: the multiset of per-dimension depths."""
@@ -98,6 +105,12 @@ class DirectResult:
     trace: list = None
 
 
+@functools.lru_cache(maxsize=1024)
+def _measure(depth: tuple) -> float:
+    """Half the diagonal of a cell with these trisection depths."""
+    return 0.5 * float(np.linalg.norm(3.0 ** (-np.array(depth, dtype=float))))
+
+
 def potentially_optimal(rects, f_min: float, epsilon: float, variant: str = "direct"):
     """Indices of rectangles worth subdividing, ascending.
 
@@ -112,33 +125,41 @@ def potentially_optimal(rects, f_min: float, epsilon: float, variant: str = "dir
         return []
     if variant not in VARIANTS:
         raise ValueError(f"variant must be one of {VARIANTS}")
+    depths = [tuple(rect.depth.tolist()) for rect in rects]
+    return _select(depths, [tuple(sorted(depth)) for depth in depths],
+                   [rect.value for rect in rects], f_min, epsilon, variant)
 
+
+def _select(depths, keys, values, f_min, epsilon, variant):
+    """potentially_optimal over records given as parallel lists of depth
+    tuples, class keys and values."""
     classes = {}
-    for idx, rect in enumerate(rects):
-        key = rect.measure_class()
+    for idx, key in enumerate(keys):
         entry = classes.get(key)
         if entry is None:
-            classes[key] = [rect.measure, rect.value, idx, [idx]]
+            # the first member's own depths, not the sorted key: the last
+            # bit of a norm can depend on the order of its terms
+            classes[key] = [_measure(depths[idx]), values[idx], idx, [idx]]
         else:
-            if rect.value < entry[1]:
-                entry[1] = rect.value
+            if values[idx] < entry[1]:
+                entry[1] = values[idx]
                 entry[2] = idx
             entry[3].append(idx)
 
     candidates = sorted(classes.values(), key=lambda e: e[0])
     measures = [e[0] for e in candidates]
-    values = [e[1] for e in candidates]
+    minima = [e[1] for e in candidates]
     threshold = f_min - epsilon * abs(f_min)
 
     selected = []
     for k, entry in enumerate(candidates):
-        d_k, f_k = measures[k], values[k]
+        d_k, f_k = measures[k], minima[k]
         lower_slope = -math.inf
         for i in range(k):
-            lower_slope = max(lower_slope, (f_k - values[i]) / (d_k - measures[i]))
+            lower_slope = max(lower_slope, (f_k - minima[i]) / (d_k - measures[i]))
         upper_slope = math.inf
         for i in range(k + 1, len(candidates)):
-            upper_slope = min(upper_slope, (values[i] - f_k) / (measures[i] - d_k))
+            upper_slope = min(upper_slope, (minima[i] - f_k) / (measures[i] - d_k))
         if upper_slope <= 0.0 or lower_slope > upper_slope:
             continue
         if math.isfinite(upper_slope) and f_k - upper_slope * d_k > threshold:
@@ -146,33 +167,35 @@ def potentially_optimal(rects, f_min: float, epsilon: float, variant: str = "dir
         if variant == "direct_l":
             selected.append(entry[2])
         else:
-            selected.extend(i for i in entry[3] if rects[i].value == f_k)
+            selected.extend(i for i in entry[3] if values[i] == f_k)
     return sorted(selected)
 
 
-def _offset_centers(rect: HyperRect) -> list:
+def _offset_centers(center, depth) -> list:
     """(dim, plus, minus) unit-cube centers one third of a side away from
-    rect's center, for each longest side in dimension order."""
-    depth_min = rect.depth.min()
+    center, for each longest side (least depth) in dimension order."""
+    depth_min = min(depth)
     delta = 3.0 ** (-(depth_min + 1.0))
     offsets = []
-    for dim in np.flatnonzero(rect.depth == depth_min):
-        plus = rect.center.copy()
-        plus[dim] += delta
-        minus = rect.center.copy()
-        minus[dim] -= delta
-        offsets.append((dim, plus, minus))
+    for dim, d in enumerate(depth):
+        if d == depth_min:
+            plus = center.copy()
+            plus[dim] += delta
+            minus = center.copy()
+            minus[dim] -= delta
+            offsets.append((dim, plus, minus))
     return offsets
 
 
-def _split(rect: HyperRect, offsets: list, values) -> list:
-    """Children of rect from its offset centers and their values.
+def _split(center, depth, value, offsets, values) -> list:
+    """Child records (center, depth, class key, value) of a rectangle
+    from its offset centers and their values.
 
     values yields plus, minus per entry of offsets and may stop short; an
     iterator is advanced past the values used, so rectangles can take
     theirs from one iterator in turn. Only dimensions with both values
     are split; with none complete the rectangle stays intact and [] is
-    returned.
+    returned. The last child is the rectangle itself, shrunk.
     """
     values = iter(values)
     completed = [(min(v_plus, v_minus), dim, plus, v_plus, minus, v_minus)
@@ -184,12 +207,13 @@ def _split(rect: HyperRect, offsets: list, values) -> list:
     # is stable, so equal values fall back to dimension order.
     completed.sort(key=lambda item: item[0])
     children = []
-    depth = rect.depth.copy()
+    depth = list(depth)
     for _, dim, plus, v_plus, minus, v_minus in completed:
         depth[dim] += 1
-        children.append(HyperRect(plus, depth.copy(), v_plus))
-        children.append(HyperRect(minus, depth.copy(), v_minus))
-    children.append(HyperRect(rect.center.copy(), depth, rect.value))
+        key = tuple(sorted(depth))
+        children.append((plus, tuple(depth), key, v_plus))
+        children.append((minus, tuple(depth), key, v_minus))
+    children.append((center, tuple(depth), key, value))
     return children
 
 
@@ -197,10 +221,18 @@ def _unit_points(offsets: list) -> list:
     return [point for _, plus, minus in offsets for point in (plus, minus)]
 
 
+def _views(records) -> list:
+    """HyperRect views of (center, depth, class key, value) records."""
+    return [HyperRect(center, np.array(depth), value) for center, depth, _, value in records]
+
+
 def trisect(rect: HyperRect, f):
     """Subdivide rect, evaluating f at the new unit-cube centers."""
-    offsets = _offset_centers(rect)
-    return _split(rect, offsets, [float(f(p)) for p in _unit_points(offsets)])
+    depth = tuple(rect.depth.tolist())
+    offsets = _offset_centers(rect.center, depth)
+    children = _split(rect.center.copy(), depth, rect.value, offsets,
+                      [float(f(p)) for p in _unit_points(offsets)])
+    return _views(children)
 
 
 def minimize(f, cfg: DirectConfig, on_iteration=None, collect_trace: bool = False) -> DirectResult:
@@ -218,10 +250,10 @@ def minimize_batch(f_batch, cfg: DirectConfig, on_iteration=None,
     offset centers in evaluation order, never more than the budget has
     left. Deterministic: identical configs and a deterministic f_batch
     reproduce the identical evaluation trace. on_iteration(iteration,
-    rects, selected) is called before each sweep's subdivisions and once
-    more after the final sweep with an empty selection. The best point is
-    the first minimum of the trace: the first center when every value is
-    +inf.
+    rects, selected) is called with HyperRect views before each sweep's
+    subdivisions and once more after the final sweep with an empty
+    selection. The best point is the first minimum of the trace: the
+    first center when every value is +inf.
     """
     if cfg.bounds is None:
         raise ValueError("minimize requires cfg.bounds")
@@ -244,27 +276,32 @@ def minimize_batch(f_batch, cfg: DirectConfig, on_iteration=None,
             trace.append((x, values[i]))
         return values
 
-    center = np.full(dim, 0.5)
-    rects = [HyperRect(center, np.zeros(dim, dtype=int), evaluate([center])[0])]
+    # the rectangles, as parallel lists of records
+    centers = [np.full(dim, 0.5)]
+    depths = [(0,) * dim]
+    keys = [(0,) * dim]
+    values = evaluate(centers)
 
     iteration = 0
     while len(trace) < cfg.max_evaluations:
         f_min = min(value for _, value in trace)
-        selected = potentially_optimal(rects, f_min, cfg.epsilon, cfg.variant)
+        selected = _select(depths, keys, values, f_min, cfg.epsilon, cfg.variant)
         if on_iteration is not None:
-            on_iteration(iteration, rects, selected)
+            on_iteration(iteration, _views(zip(centers, depths, keys, values)), selected)
         if not selected:
             break
-        offsets = {idx: _offset_centers(rects[idx]) for idx in selected}
-        values = iter(evaluate([p for o in offsets.values() for p in _unit_points(o)]))
+        offsets = {idx: _offset_centers(centers[idx], depths[idx]) for idx in selected}
+        new_values = iter(evaluate([p for o in offsets.values() for p in _unit_points(o)]))
         children = {idx: split for idx, o in offsets.items()
-                    if (split := _split(rects[idx], o, values))}
-        rects = ([r for i, r in enumerate(rects) if i not in children]
-                 + [child for split in children.values() for child in split])
+                    if (split := _split(centers[idx], depths[idx], values[idx], o, new_values))}
+        records = ([(centers[i], depths[i], keys[i], values[i])
+                    for i in range(len(values)) if i not in children]
+                   + [child for split in children.values() for child in split])
+        centers, depths, keys, values = (list(column) for column in zip(*records))
         iteration += 1
 
     if on_iteration is not None:
-        on_iteration(iteration, rects, [])
+        on_iteration(iteration, _views(zip(centers, depths, keys, values)), [])
     best_point, best_value = min(trace, key=lambda item: item[1])
     return DirectResult(best_point=best_point, best_value=best_value,
                         evaluations_used=len(trace), trace=trace if collect_trace else None)

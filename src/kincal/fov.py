@@ -3,8 +3,13 @@
 A point is visible when its distance from the camera lies in
 [near, far] and the angle between the camera axis and the ray to the
 point is strictly below half_angle. A zero half_angle therefore sees
-nothing. The same predicate gates simulated measurements and penalizes
-candidate configurations during selection.
+nothing; the camera point itself is visible to a positive half_angle
+when near is 0.
+
+contains_points applies the predicate to a (k, 3) block of points and
+contains is its one-point view, so there is one rule. It gates simulated
+measurements, filters the probe set, and penalizes a whole sweep of
+candidate configurations during selection in one call.
 """
 
 from __future__ import annotations
@@ -13,6 +18,8 @@ import math
 from dataclasses import MISSING, dataclass, fields
 
 import numpy as np
+
+from .kinematics import _row_dot
 
 
 @dataclass
@@ -36,15 +43,28 @@ class FovConfig:
             raise ValueError("need 0 <= near <= far")
 
     def contains(self, point) -> bool:
-        ray = np.asarray(point, dtype=float) - self.camera_position
-        dist = float(np.linalg.norm(ray))
+        """Visibility of one point: the one-row view of contains_points."""
+        return bool(self.contains_points(np.asarray(point, dtype=float)[None])[0])
+
+    def contains_points(self, points) -> np.ndarray:
+        """Visibility mask (k,) of a (k, 3) block of points."""
+        points = np.asarray(points, dtype=float)
+        if points.ndim != 2 or points.shape[1] != 3:
+            raise ValueError(f"points must be a (k, 3) block, got shape {points.shape}")
+        ray = points - self.camera_position
+        dists = np.sqrt(_row_dot(ray, ray)).tolist()
+        dots = _row_dot(ray, self.axis).tolist()
+        return np.array([self._sees(dist, dot) for dist, dot in zip(dists, dots)], dtype=bool)
+
+    def _sees(self, dist: float, dot: float) -> bool:
+        """The rule for one ray of length dist and axis component dot."""
         if dist < self.near or dist > self.far:
             return False
         if dist == 0.0:
             return self.half_angle > 0.0
-        cos_angle = float(ray @ self.axis) / dist
-        angle = math.acos(min(1.0, max(-1.0, cos_angle)))
-        return angle < self.half_angle
+        # math.acos, not np.arccos: the two differ in the last bit on some
+        # inputs, which would flip points within about 1e-15 rad of the cone
+        return math.acos(min(1.0, max(-1.0, dot / dist))) < self.half_angle
 
     def to_dict(self) -> dict:
         return {

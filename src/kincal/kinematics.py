@@ -11,8 +11,11 @@ configuration to the 3D position of the end effector. The parameter
 vector stacks the per-joint twists as [w_1, v_1, ..., w_n, v_n] (6n
 entries). Nothing here constrains the parameters to unit axis norm: the
 estimators operate on the raw vector. Positions and Jacobians for any
-block of configurations come from one vectorized kernel, _chain_terms;
-twist_exp is the scalar reference it is checked against.
+block of configurations come from one vectorized kernel in two parts:
+_twist_terms holds the input checks and every array that depends on the
+parameters only, and _chain_terms the work per configuration.
+ChainObservationModel keeps the first part for the last parameter vector
+it saw. twist_exp is the scalar reference the kernel is checked against.
 
 Chain files are JSON: {"joints": [[wx, wy, wz, vx, vy, vz], ...],
 "zero_pose": [12 numbers, row-major rotation then translation]}.
@@ -22,6 +25,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -156,10 +160,63 @@ def _matvec(a, b):
     return (a @ b[..., None])[..., 0]
 
 
-def _chain_terms(x, zero_translation, Q, jacobian=False):
+def _row_dot(a, b):
+    """Dot products of matching rows, each summed as np.dot sums one pair;
+    b may be one vector for all rows."""
+    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
+
+
+class _TwistTerms(NamedTuple):
+    """Kernel arrays that depend on the parameters only, one row per joint."""
+
+    n: int                  # joints
+    v: np.ndarray           # moments (n, 3)
+    norm: np.ndarray        # |w| (n,)
+    rotates: np.ndarray     # |w| >= _ZERO_AXIS_TOL (n,)
+    inv_norm: np.ndarray    # 1/|w|, 0 for pure translations (n,)
+    k: np.ndarray           # unit axes, zero rows for pure translations (n, 3)
+    kx: np.ndarray          # skew(k) (n, 3, 3)
+    kx2: np.ndarray         # skew(k)^2 (n, 3, 3)
+    wxv: np.ndarray         # w x v (n, 3)
+    w_wv: np.ndarray        # w (w . v) (n, 3)
+    kx_wxv: np.ndarray      # K (w x v) (n, 3)
+    kx2_wxv: np.ndarray     # K^2 (w x v) (n, 3)
+    wv_eye: np.ndarray      # (w . v) I (n, 3, 3)
+    wvt: np.ndarray         # w v^T (n, 3, 3)
+    wwt: np.ndarray         # w w^T (n, 3, 3)
+    vx: np.ndarray          # skew(v) (n, 3, 3)
+
+
+def _twist_terms(x) -> _TwistTerms:
+    """Check the raw parameter vector x = [w_1, v_1, ..., w_n, v_n] and
+    compute every array of _chain_terms that does not depend on the
+    configurations, so callers that hold x fixed can reuse them."""
+    x = np.array(x, dtype=float)            # a copy, since v below is a view of it
+    if x.ndim != 1 or x.size % 6:
+        raise ValueError(f"parameter vector length must be a multiple of 6, got shape {x.shape}")
+    if not np.isfinite(x).all():
+        raise ValueError("parameters must be finite")
+    n = x.size // 6
+    twists = x.reshape(n, 6)
+    w, v = twists[:, :3], twists[:, 3:]
+    norm = np.sqrt(np.einsum("ij,ij->i", w, w))
+    rotates = norm >= _ZERO_AXIS_TOL
+    inv_norm = np.divide(1.0, norm, out=np.zeros(n), where=rotates)
+    k = w * inv_norm[:, None]
+    kx = skew(k)
+    kx2 = kx @ kx
+    wxv = norm[:, None] * _matvec(kx, v)
+    wv = np.einsum("ij,ij->i", w, v)
+    return _TwistTerms(n, v, norm, rotates, inv_norm, k, kx, kx2, wxv,
+                       w * wv[:, None], _matvec(kx, wxv), _matvec(kx2, wxv),
+                       wv[:, None, None] * _EYE3, w[:, :, None] * v[:, None, :],
+                       w[:, :, None] * w[:, None, :], skew(v))
+
+
+def _chain_terms(terms: _TwistTerms, zero_translation, Q, jacobian=False):
     """End-effector positions, and optionally their Jacobians, for a block of configurations.
 
-    x is the raw parameter vector [w_1, v_1, ..., w_n, v_n], Q an (m, n)
+    terms is _twist_terms of the raw parameter vector x, Q an (m, n)
     block of joint angles and zero_translation the end-effector position
     at the all-zero configuration. Returns the positions (m, 3); with
     jacobian=True returns (positions, Jacobians (m, 3, 6n) w.r.t. x).
@@ -177,37 +234,26 @@ def _chain_terms(x, zero_translation, Q, jacobian=False):
         D(z) = (q (w x Rz) w^T - w (Rz - z)^T + (w . z)(I - R)) / |w|^2.
     It carries no division by the angle, so it needs no small-angle series.
     """
-    x = np.asarray(x, dtype=float)
+    t = terms
     Q = np.asarray(Q, dtype=float)
     if Q.ndim != 2:
         raise ValueError(f"configurations must be an (m, n) block, got shape {Q.shape}")
     m, n = Q.shape
-    if x.shape != (6 * n,):
-        raise ValueError(f"expected {6 * n} parameters for {n} joints, got shape {x.shape}")
-    if not (np.isfinite(x).all() and np.isfinite(Q).all()):
-        raise ValueError("parameters and joint angles must be finite")
+    if n != t.n:
+        raise ValueError(f"expected {6 * n} parameters for {n} joints, got {6 * t.n}")
+    if not np.isfinite(Q).all():
+        raise ValueError("joint angles must be finite")
 
-    twists = x.reshape(n, 6)
-    w, v = twists[:, :3], twists[:, 3:]
-    norm = np.sqrt(np.einsum("ij,ij->i", w, w))
-    rotates = norm >= _ZERO_AXIS_TOL
-    inv_norm = np.divide(1.0, norm, out=np.zeros(n), where=rotates)
-    k = w * inv_norm[:, None]               # unit axes; zero rows for pure translations
-    kx = skew(k)
-    kx2 = kx @ kx
     # Rodrigues: R = I + sin K + vers K^2 for the rotation angle |w| q
-    angle = Q * norm
+    angle = Q * t.norm
     sin = np.sin(angle)[..., None]          # (m, n, 1), broadcasts over 3-vectors
     cos = np.cos(angle)[..., None]
     vers = 1.0 - cos
-    r_minus_i = sin[..., None] * kx + vers[..., None] * kx2
+    r_minus_i = sin[..., None] * t.kx + vers[..., None] * t.kx2
     rot = _EYE3 + r_minus_i
-    wxv = norm[:, None] * _matvec(kx, v)
-    wv = np.einsum("ij,ij->i", w, v)
-    trans = np.where(rotates[:, None],
-                     Q[..., None] * (w * wv[:, None])
-                     - sin * _matvec(kx, wxv) - vers * _matvec(kx2, wxv),
-                     Q[..., None] * v)
+    trans = np.where(t.rotates[:, None],
+                     Q[..., None] * t.w_wv - sin * t.kx_wxv - vers * t.kx2_wxv,
+                     Q[..., None] * t.v)
 
     # suffix[:, i] is the end effector in the input frame of joint i
     suffix = np.empty((m, n + 1, 3))
@@ -223,22 +269,21 @@ def _chain_terms(x, zero_translation, Q, jacobian=False):
         np.matmul(prefix[:, i - 1], rot[:, i - 1], out=prefix[:, i])
 
     q = Q[..., None, None]
-    z = suffix[:, 1:] - wxv
-    kz = _matvec(kx, z)
-    k2z = _matvec(kx2, z)
+    z = suffix[:, 1:] - t.wxv
+    kz = _matvec(t.kx, z)
+    k2z = _matvec(t.kx2, z)
     rz_minus_z = sin * kz + vers * k2z
     k_rz = cos * kz + sin * k2z             # K R z, since K^3 = -K
-    kz_dot = np.einsum("nj,mnj->mn", k, z)[..., None, None]
-    d_w = (q * (k_rz[..., :, None] * k[:, None, :]
-                + wv[:, None, None] * _EYE3 + w[:, :, None] * v[:, None, :])
-           - inv_norm[:, None, None] * (k[:, :, None] * rz_minus_z[..., None, :]
-                                        + kz_dot * r_minus_i)
-           + r_minus_i @ skew(v))
+    kz_dot = np.einsum("nj,mnj->mn", t.k, z)[..., None, None]
+    d_w = (q * (k_rz[..., :, None] * t.k[:, None, :] + t.wv_eye + t.wvt)
+           - t.inv_norm[:, None, None] * (t.k[:, :, None] * rz_minus_z[..., None, :]
+                                          + kz_dot * r_minus_i)
+           + r_minus_i @ t.vx)
     # (I - R) skew(w) = |w| (vers K - sin K^2), again by K^3 = -K
-    d_v = (norm[:, None, None] * (vers[..., None] * kx - sin[..., None] * kx2)
-           + q * (w[:, :, None] * w[:, None, :]))
-    d_w = np.where(rotates[:, None, None], d_w, 0.0)
-    d_v = np.where(rotates[:, None, None], d_v, q * _EYE3)
+    d_v = (t.norm[:, None, None] * (vers[..., None] * t.kx - sin[..., None] * t.kx2)
+           + q * t.wwt)
+    d_w = np.where(t.rotates[:, None, None], d_w, 0.0)
+    d_v = np.where(t.rotates[:, None, None], d_v, q * _EYE3)
     blocks = prefix @ np.concatenate([d_w, d_v], axis=-1)     # (m, n, 3, 6)
     return suffix[:, 0], blocks.transpose(0, 2, 1, 3).reshape(m, 3, 6 * n)
 
@@ -252,13 +297,13 @@ def _one_config(q, n_joints):
 
 def observe(params: ChainParams, q) -> np.ndarray:
     """3D end-effector position at configuration q."""
-    return _chain_terms(params.to_vector(), params.zero_pose.translation,
+    return _chain_terms(_twist_terms(params.to_vector()), params.zero_pose.translation,
                         _one_config(q, params.n_joints))[0]
 
 
 def observation_jacobian(params: ChainParams, q) -> np.ndarray:
     """3 x 6n Jacobian of observe() w.r.t. the stacked parameter vector."""
-    _, jac = _chain_terms(params.to_vector(), params.zero_pose.translation,
+    _, jac = _chain_terms(_twist_terms(params.to_vector()), params.zero_pose.translation,
                           _one_config(q, params.n_joints), jacobian=True)
     return jac[0]
 
@@ -284,18 +329,31 @@ class ChainObservationModel:
     The zero pose is fixed and known; only the 6n twist entries are
     estimated. predict/jacobian is the interface the estimators expect;
     linearize is the batched form that selection scores candidates with.
+    The model keeps the _twist_terms of the last x it saw, matched bit for
+    bit, so the sweeps of one selection and an update's predict/jacobian
+    pair, which all linearize about one mean, compute them once.
     """
 
     def __init__(self, zero_pose: Pose, n_joints: int):
         self.zero_pose = zero_pose
         self.n_joints = n_joints
+        self._key = None        # (shape, bytes) of the last x seen
+        self._terms = None      # and its _twist_terms
 
     @classmethod
     def from_chain(cls, params: ChainParams) -> "ChainObservationModel":
         return cls(params.zero_pose, params.n_joints)
 
+    def _terms_of(self, x) -> _TwistTerms:
+        x = np.asarray(x, dtype=float)
+        key = (x.shape, x.tobytes())
+        if key != self._key:
+            self._terms = _twist_terms(x)
+            self._key = key
+        return self._terms
+
     def predict(self, x, q) -> np.ndarray:
-        return _chain_terms(x, self.zero_pose.translation,
+        return _chain_terms(self._terms_of(x), self.zero_pose.translation,
                             _one_config(q, self.n_joints))[0]
 
     def jacobian(self, x, q) -> np.ndarray:
@@ -303,11 +361,12 @@ class ChainObservationModel:
 
     def predict_batch(self, x, configs) -> np.ndarray:
         """Positions (m, 3) for an (m, n) block of configurations."""
-        return _chain_terms(x, self.zero_pose.translation, configs)
+        return _chain_terms(self._terms_of(x), self.zero_pose.translation, configs)
 
     def linearize(self, x, configs):
         """Positions (m, 3) and Jacobians (m, 3, 6n) for an (m, n) block of configurations."""
-        return _chain_terms(x, self.zero_pose.translation, configs, jacobian=True)
+        return _chain_terms(self._terms_of(x), self.zero_pose.translation, configs,
+                            jacobian=True)
 
 
 def chain_to_dict(params: ChainParams) -> dict:

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .fov import FovConfig
-from .kinematics import ChainParams, Pose, Twist, _matvec, observe, skew
+from .kinematics import ChainParams, Pose, Twist, _matvec, _row_dot, observe, skew
 
 logger = logging.getLogger(__name__)
 
@@ -156,11 +156,6 @@ def builtin_chain(name: str) -> GroundTruth:
     params = ChainParams(twists, Pose(np.eye(3), np.asarray(effector, dtype=float)))
     limits = np.tile([-DEFAULT_JOINT_LIMIT, DEFAULT_JOINT_LIMIT], (len(twists), 1))
     return GroundTruth(params, limits)
-
-
-def _row_dot(a, b):
-    """Dot products of matching rows, each summed as np.dot sums one pair."""
-    return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
 
 
 def _axis_lines(rows):

@@ -225,3 +225,10 @@ class TestSelectNext:
         with pytest.raises(ValueError):
             SelectionProblem(state, LinearModel([[1.0]]), NoiseConfig(),
                              [[1.0, -1.0]])
+
+    def test_rejects_optimizer_bounds(self):
+        state = EstimatorState(np.zeros(1), np.eye(1))
+        optimizer = DirectConfig(bounds=[(-1.0, 1.0)], max_evaluations=10)
+        with pytest.raises(ValueError, match="optimizer.bounds"):
+            SelectionProblem(state, LinearModel([[1.0]]), NoiseConfig(), [[-0.5, 0.5]],
+                             optimizer=optimizer)

@@ -283,6 +283,56 @@ class TestMinimize:
         np.testing.assert_allclose([p for p, _ in result.trace], np.array(expected) / 18.0,
                                    rtol=0, atol=1e-15)
 
+    @pytest.mark.parametrize("variant, expected", [
+        ("direct", [
+            (27, 27, 27, 27), (45, 27, 27, 27), (9, 27, 27, 27), (27, 45, 27, 27),
+            (27, 9, 27, 27), (27, 27, 45, 27), (27, 27, 9, 27), (27, 27, 27, 45),
+            (27, 27, 27, 9), (9, 45, 27, 27), (9, 9, 27, 27), (9, 27, 45, 27),
+            (9, 27, 9, 27), (9, 27, 27, 45), (9, 27, 27, 9), (45, 45, 27, 27),
+            (45, 9, 27, 27), (45, 27, 45, 27), (45, 27, 9, 27), (45, 27, 27, 45),
+            (45, 27, 27, 9), (27, 45, 27, 45), (27, 9, 27, 45), (27, 27, 45, 45),
+            (27, 27, 9, 45), (9, 45, 45, 27), (9, 45, 9, 27), (9, 45, 27, 45),
+            (9, 45, 27, 9), (27, 45, 27, 9), (27, 9, 27, 9), (27, 27, 45, 9),
+            (27, 27, 9, 9), (9, 9, 45, 27), (9, 9, 9, 27), (9, 9, 27, 45),
+            (9, 9, 27, 9), (9, 27, 9, 45), (9, 27, 9, 9), (27, 45, 45, 45),
+            (27, 45, 9, 45), (9, 45, 45, 45), (9, 45, 9, 45), (27, 45, 45, 27),
+            (27, 45, 9, 27), (33, 27, 27, 27), (21, 27, 27, 27), (27, 33, 27, 27),
+            (27, 21, 27, 27), (27, 27, 33, 27), (27, 27, 21, 27), (27, 27, 27, 33),
+            (27, 27, 27, 21), (15, 27, 27, 45), (3, 27, 27, 45), (9, 33, 27, 45),
+            (9, 21, 27, 45), (9, 27, 33, 45), (9, 27, 21, 45), (9, 27, 27, 51)]),
+        ("direct_l", [
+            (27, 27, 27, 27), (45, 27, 27, 27), (9, 27, 27, 27), (27, 45, 27, 27),
+            (27, 9, 27, 27), (27, 27, 45, 27), (27, 27, 9, 27), (27, 27, 27, 45),
+            (27, 27, 27, 9), (9, 45, 27, 27), (9, 9, 27, 27), (9, 27, 45, 27),
+            (9, 27, 9, 27), (9, 27, 27, 45), (9, 27, 27, 9), (45, 45, 27, 27),
+            (45, 9, 27, 27), (45, 27, 45, 27), (45, 27, 9, 27), (45, 27, 27, 45),
+            (45, 27, 27, 9), (27, 45, 27, 45), (27, 9, 27, 45), (27, 27, 45, 45),
+            (27, 27, 9, 45), (9, 45, 45, 27), (9, 45, 9, 27), (9, 45, 27, 45),
+            (9, 45, 27, 9), (27, 45, 27, 9), (27, 9, 27, 9), (27, 27, 45, 9),
+            (27, 27, 9, 9), (9, 27, 9, 45), (9, 27, 9, 9), (9, 9, 45, 27),
+            (9, 9, 9, 27), (9, 9, 27, 45), (9, 9, 27, 9), (27, 45, 45, 45),
+            (27, 45, 9, 45), (45, 45, 45, 27), (45, 45, 9, 27), (45, 45, 27, 45),
+            (45, 45, 27, 9), (9, 45, 45, 45), (9, 45, 9, 45), (27, 45, 45, 27),
+            (27, 45, 9, 27), (33, 27, 27, 27), (21, 27, 27, 27), (27, 33, 27, 27),
+            (27, 21, 27, 27), (27, 27, 33, 27), (27, 27, 21, 27), (27, 27, 27, 33),
+            (27, 27, 27, 21), (45, 9, 45, 27), (45, 9, 9, 27), (45, 9, 27, 45)]),
+    ])
+    def test_frozen_evaluation_order_4d_with_ties_and_inf(self, variant, expected):
+        # unit points in 54ths. The objective is +inf where x0 > 0.8 and a
+        # squared distance floored to eighths elsewhere, so most values tie.
+        def terraced(x):
+            if x[0] > 0.8:
+                return np.inf
+            return np.floor(8.0 * ((x - [0.3, 0.6, 0.4, 0.7]) ** 2).sum()) / 8.0
+
+        cfg = DirectConfig(bounds=[(0.0, 1.0)] * 4, max_evaluations=60, variant=variant)
+        result = minimize(terraced, cfg, collect_trace=True)
+        np.testing.assert_allclose([p for p, _ in result.trace], np.array(expected) / 54.0,
+                                   rtol=0, atol=1e-15)
+        assert np.isinf([v for _, v in result.trace]).any()
+        np.testing.assert_array_equal(result.best_point, [0.5] * 4)
+        assert result.best_value == 0.0
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             DirectConfig(bounds=[(0.0, 1.0)], max_evaluations=0)

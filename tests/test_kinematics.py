@@ -5,9 +5,9 @@ from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from kincal.kinematics import (ChainObservationModel, ChainParams, Pose, Twist,
-                               _chain_terms, chain_from_dict, chain_to_dict, load_chain,
-                               observation_jacobian, observation_jacobian_fd, observe,
-                               save_chain, skew, twist_exp)
+                               _chain_terms, _twist_terms, chain_from_dict, chain_to_dict,
+                               load_chain, observation_jacobian, observation_jacobian_fd,
+                               observe, save_chain, skew, twist_exp)
 
 
 def unit(v):
@@ -250,6 +250,31 @@ class TestObservationModel:
         np.testing.assert_array_equal(model.jacobian(x, q),
                                       observation_jacobian(chain, q))
 
+    def test_kept_terms_follow_the_parameters(self):
+        # the model keeps the last x's terms; changing x, even in place,
+        # must give what a fresh model gives, bit for bit
+        rng = np.random.default_rng(59)
+        chain = random_chain(rng, 4)
+        model = ChainObservationModel.from_chain(chain)
+        x = rng.normal(size=24)
+        x[:3] = 0.0                       # a pure translation first joint
+        configs = rng.uniform(-1.0, 1.0, size=(5, 4))
+        for _ in range(3):
+            before = x.copy()
+            got = model.linearize(x, configs)
+            fresh = ChainObservationModel.from_chain(chain).linearize(before, configs)
+            for a, b in zip(got, fresh):
+                np.testing.assert_array_equal(a, b)
+            np.testing.assert_array_equal(model.predict(x, configs[0]), fresh[0][0])
+            np.testing.assert_array_equal(model.jacobian(x, configs[0]), fresh[1][0])
+            x += rng.normal(scale=0.1, size=24)
+            for a, b in zip(model.linearize(before, configs), fresh):
+                np.testing.assert_array_equal(a, b)
+        with pytest.raises(ValueError):
+            model.linearize(np.full(24, np.nan), configs)
+        with pytest.raises(ValueError):
+            model.linearize(x[:18], configs)
+
     def test_predict_batch_matches_loop(self):
         rng = np.random.default_rng(53)
         chain = random_chain(rng, 5)
@@ -259,7 +284,7 @@ class TestObservationModel:
         batch = model.predict_batch(x, configs)
         single = np.array([model.predict(x, q) for q in configs])
         np.testing.assert_allclose(batch, single, atol=1e-12)
-        _, jac_batch = _chain_terms(x, chain.zero_pose.translation, configs,
+        _, jac_batch = _chain_terms(_twist_terms(x), chain.zero_pose.translation, configs,
                                     jacobian=True)
         jac_single = np.array([model.jacobian(x, q) for q in configs])
         np.testing.assert_allclose(jac_batch, jac_single, atol=1e-12)

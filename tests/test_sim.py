@@ -40,6 +40,40 @@ class TestFov:
         assert not FovConfig([1.0, 2.0, 3.0], [0.0, 0.0, 1.0], 0.5,
                              near=0.1).contains([1.0, 2.0, 3.0])
 
+    @pytest.mark.parametrize("half_angle", [0.0, 0.4, np.pi / 2, np.pi])
+    def test_points_match_scalar_reference(self, half_angle):
+        def reference(fov, point):
+            ray = point - fov.camera_position
+            dist = float(np.linalg.norm(ray))
+            if dist < fov.near or dist > fov.far:
+                return False
+            if dist == 0.0:
+                return fov.half_angle > 0.0
+            cos_angle = float(ray @ fov.axis) / dist
+            return math.acos(min(1.0, max(-1.0, cos_angle))) < fov.half_angle
+
+        rng = np.random.default_rng(61)
+        camera = np.array([0.5, -1.0, 2.0])
+        seen = set()
+        for near, far in [(0.0, math.inf), (0.5, 2.0), (1.0, 1.0)]:
+            fov = FovConfig(camera, [1.0, 2.0, -0.5], half_angle, near=near, far=far)
+            dirs = rng.normal(size=(20, 3))
+            dirs /= np.linalg.norm(dirs, axis=1)[:, None]
+            points = np.vstack([camera + rng.normal(scale=2.0, size=(200, 3)),
+                                camera + near * dirs,
+                                camera + (far if math.isfinite(far) else 3.0) * dirs,
+                                camera[None]])
+            mask = fov.contains_points(points)
+            assert mask.shape == (len(points),) and mask.dtype == bool
+            expected = [reference(fov, p) for p in points]
+            assert mask.tolist() == expected
+            assert [fov.contains(p) for p in points] == expected
+            seen.update(expected)
+        assert seen == ({False} if half_angle == 0.0 else {False, True})
+        assert fov.contains_points(np.empty((0, 3))).shape == (0,)
+        with pytest.raises(ValueError):
+            fov.contains_points(camera)
+
     def test_axis_normalized(self):
         fov = FovConfig([0.0, 0.0, 0.0], [0.0, 0.0, 10.0], 0.3)
         np.testing.assert_allclose(fov.axis, [0.0, 0.0, 1.0])
