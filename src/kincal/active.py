@@ -2,18 +2,17 @@
 
 The value of probing a configuration is the trace of the covariance
 that a measurement there would leave. Only the covariance changes, so
-no update is run: with the prediction step P <- P + state_noise I
-applied first, as rls_update does, and H the observation Jacobian at the
-current mean, the posterior trace is the closed form
-    tr(P) - sum((H P) * S^-1 (H P)),    S = H P H^T + R.
-Each DIRECT sweep lists its candidates first, so a whole sweep is scored
-in one call: one kernel call for the predicted points and Jacobians,
-then stacked products and one stacked innovation solve. A candidate
-costs the prior trace plus an equal penalty when its predicted
-observation falls outside the field of view, when its S fails the
-innovation solve (not finite, or no Cholesky factor and solution even
-after one jitter retry), or when its result is not finite. So visible
-candidates always win when any exist.
+no update is run: with H the observation Jacobian at the current mean,
+the posterior trace is the closed form
+    tr(P) - sum((H P) * S^-1 (H P)),    S = H P H^T + R,
+whose terms come from estimator._kalman_terms, the innovation algebra
+rls_update applies. Each DIRECT sweep lists its candidates first, so a
+whole sweep is scored in one call: one kernel call for the predicted
+points and Jacobians, then one stacked Kalman-terms call. A candidate
+costs 2 tr(P) when its predicted observation falls outside the field of
+view, when its S fails the innovation solve (not finite, or no Cholesky
+factor and solution even after one jitter retry), or when its result is
+not finite. So visible candidates always win when any exist.
 
 Models provide linearize(x, configs), returning predicted points (k, m)
 and Jacobians (k, m, d) for a (k, n) block of configurations.
@@ -26,10 +25,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import direct
-from .estimator import EstimatorState, NoiseConfig, _solve_innovation
-# unused here; the benchmark's --trace 1 mode looks rls_update up on this module
-from .estimator import rls_update  # noqa: F401
+from . import direct, estimator
+# rls_update is unused here; the benchmark's --trace 1 mode looks it up on this module
+from .estimator import EstimatorState, NoiseConfig, rls_update  # noqa: F401
 from .fov import FovConfig
 
 
@@ -72,29 +70,20 @@ def lookahead_costs(problem: SelectionProblem, configs) -> np.ndarray:
 
     Visibility is judged on the point predicted from the current mean,
     not the unknown truth. Invisible candidates, candidates whose S fails
-    the innovation solve, and non-finite results cost 2 tr(P), with P
-    the prior before the prediction step.
+    the innovation solve, and non-finite results cost 2 tr(P).
     """
     configs = np.asarray(configs, dtype=float)
     cov = problem.state.covariance
     prior_trace = float(np.trace(cov))
     costs = np.full(len(configs), prior_trace + prior_trace)
-    if problem.noise.state_noise_variance > 0.0:
-        cov = cov + problem.noise.state_noise_variance * np.eye(cov.shape[0])
 
     predicted, jac = problem.model.linearize(problem.state.mean, configs)
     visible = np.arange(len(configs))
     if problem.fov is not None:
         visible = np.flatnonzero(problem.fov.contains_points(predicted))
-    jac = jac[visible]
-    # stacked products, one per candidate, so a cost does not depend on
-    # which batch the candidate came in
-    hp = jac @ cov
-    s = hp @ jac.transpose(0, 2, 1) + problem.noise.obs_variance * np.eye(jac.shape[1])
-    s = 0.5 * (s + s.transpose(0, 2, 1))
-    solved, ok = _solve_innovation(s, hp)
+    hp, solved, ok = estimator._kalman_terms(cov, jac[visible], problem.noise.obs_variance)
     with np.errstate(over="ignore", invalid="ignore"):
-        posterior = np.trace(cov) - np.einsum("kij,kij->k", hp, solved)
+        posterior = prior_trace - np.einsum("kij,kij->k", hp, solved)
     ok &= np.isfinite(posterior)
     costs[visible[ok]] = posterior[ok]
     return costs

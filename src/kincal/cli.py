@@ -47,6 +47,7 @@ ORIENTATION_THRESHOLD = 0.05   # rad
 LOCATION_THRESHOLD = 0.02      # m
 
 _PROBE_ATTEMPT_FACTOR = 1000
+_STABILIZING_PERIOD = 10       # accepted RLS updates between stabilizing inflations
 
 
 class ConfigError(Exception):
@@ -161,12 +162,12 @@ def _probe_set(gt: GroundTruth, size: int, probe_seed: int):
     raise ConfigError("field of view rejects almost every probe configuration")
 
 
-def _run_seed(cfg: ExperimentConfig, gt: GroundTruth, model, probes, box, seed: int):
+def _run_seed(cfg: ExperimentConfig, gt: GroundTruth, model, probes, box, seed: int,
+              keep_observations: bool):
+    """(records, observation dicts or None) of one seed."""
     dim = 6 * gt.n_joints
-    init_ss, config_ss, noise_ss = np.random.SeedSequence(seed).spawn(3)
-    init_rng = np.random.Generator(np.random.PCG64(init_ss))
-    config_rng = np.random.Generator(np.random.PCG64(config_ss))
-    noise_rng = np.random.Generator(np.random.PCG64(noise_ss))
+    init_rng, config_rng, noise_rng = (make_rng(ss)
+                                       for ss in np.random.SeedSequence(seed).spawn(3))
 
     mean = init_rng.uniform(box[:, 0], box[:, 1])
     state = None
@@ -174,7 +175,7 @@ def _run_seed(cfg: ExperimentConfig, gt: GroundTruth, model, probes, box, seed: 
         state = EstimatorState(mean, cfg.init_variance * np.eye(dim))
 
     records = []
-    observations = []
+    observations = [] if keep_observations else None
     rejections = 0
     updates = 0
     for iteration in range(1, cfg.iterations + 1):
@@ -201,7 +202,7 @@ def _run_seed(cfg: ExperimentConfig, gt: GroundTruth, model, probes, box, seed: 
                     state = rls_update(state, q, y, cfg.noise, model)
                     updates += 1
                     if (cfg.noise.stabilizing_variance > 0.0
-                            and updates % cfg.noise.stabilizing_period == 0):
+                            and updates % _STABILIZING_PERIOD == 0):
                         state = apply_stabilizing_noise(state, cfg.noise)
                 except DegenerateUpdateError:
                     logger.warning("seed %d iteration %d: degenerate update skipped",
@@ -212,10 +213,11 @@ def _run_seed(cfg: ExperimentConfig, gt: GroundTruth, model, probes, box, seed: 
         predict_rms = prediction_error(mean, *probes, model)
         records.append(ExperimentRecord(seed, iteration, orientation, location,
                                         predict_rms, cost, seconds, rejections))
-        observations.append({"seed": seed, "iteration": iteration,
-                             "q": [float(a) for a in q],
-                             "y": None if y is None else [float(a) for a in y],
-                             "accepted": accepted})
+        if keep_observations:
+            observations.append({"seed": seed, "iteration": iteration,
+                                 "q": [float(a) for a in q],
+                                 "y": None if y is None else [float(a) for a in y],
+                                 "accepted": accepted})
     return records, observations
 
 
@@ -234,7 +236,8 @@ def run_experiment(cfg: ExperimentConfig, failures: list = None,
     records = []
     for seed in cfg.seeds:
         try:
-            seed_records, seed_obs = _run_seed(cfg, gt, model, probes, box, seed)
+            seed_records, seed_obs = _run_seed(cfg, gt, model, probes, box, seed,
+                                               keep_observations=observations is not None)
         except (DegenerateUpdateError, FloatingPointError, np.linalg.LinAlgError) as exc:
             logger.error("seed %d failed: %s", seed, exc)
             if failures is not None:

@@ -3,8 +3,10 @@
 Two updates over the same observation model:
 
   * rls_update: extended recursive least squares. Linearizes h at the
-    current mean, inflates the covariance by the state noise, then
-    applies a Kalman step with Joseph-form covariance propagation.
+    current mean, then applies a Kalman step with Joseph-form covariance
+    propagation. Its innovation algebra (_kalman_terms) works on a stack
+    of Jacobians, so active selection scores a whole sweep of
+    hypothetical measurements with the same code.
   * gradient_update: plain stochastic gradient on the squared residual,
     kept as a baseline. No covariance.
 
@@ -41,9 +43,6 @@ class EstimatorState:
         if self.covariance.shape != (n, n):
             raise ValueError("covariance shape must match mean")
 
-    def copy(self) -> "EstimatorState":
-        return EstimatorState(self.mean.copy(), self.covariance.copy())
-
     def symmetry_defect(self) -> float:
         return float(np.abs(self.covariance - self.covariance.T).max())
 
@@ -56,23 +55,16 @@ class NoiseConfig:
     """Variances driving the recursive estimator.
 
     obs_variance          isotropic measurement noise R = obs_variance * I
-    stabilizing_variance  added to the covariance diagonal every
-                          stabilizing_period updates (by the driver)
-    state_noise_variance  added to the covariance diagonal before every
-                          measurement update (prediction step for
-                          parameters that are nominally static)
+    stabilizing_variance  added to the covariance diagonal every 10th
+                          accepted update (by the driver)
     """
 
     obs_variance: float = 1e-4
     stabilizing_variance: float = 0.0
-    state_noise_variance: float = 0.0
-    stabilizing_period: int = 10
 
     def __post_init__(self):
-        if self.obs_variance < 0 or self.stabilizing_variance < 0 or self.state_noise_variance < 0:
+        if self.obs_variance < 0 or self.stabilizing_variance < 0:
             raise ValueError("variances must be non-negative")
-        if self.stabilizing_period < 1:
-            raise ValueError("stabilizing_period must be a positive integer")
 
 
 @dataclass
@@ -126,6 +118,19 @@ def _solve_innovation(s, rhs):
     return x, ok
 
 
+def _kalman_terms(cov, jac, obs_variance):
+    """(H P, S^-1 H P, ok mask of _solve_innovation) for a (k, m, d) stack
+    of Jacobians H and one covariance P, with S = H P H^T + obs_variance I
+    symmetrized. Products are taken per stack entry, so an entry's terms
+    do not depend on the rest of the stack."""
+    cov_ht = cov @ jac.transpose(0, 2, 1)
+    s = jac @ cov_ht + obs_variance * np.eye(jac.shape[1])
+    s = 0.5 * (s + s.transpose(0, 2, 1))
+    hp = cov_ht.transpose(0, 2, 1)
+    solved, ok = _solve_innovation(s, hp)
+    return hp, solved, ok
+
+
 def rls_update(state: EstimatorState, q, y, noise: NoiseConfig, model) -> EstimatorState:
     """One recursive least-squares step on observation y at configuration q.
 
@@ -136,22 +141,16 @@ def rls_update(state: EstimatorState, q, y, noise: NoiseConfig, model) -> Estima
     y = np.asarray(y, dtype=float)
     mean = state.mean
     cov = state.covariance
-    if noise.state_noise_variance > 0.0:
-        cov = cov + noise.state_noise_variance * np.eye(cov.shape[0])
-
     predicted = model.predict(mean, q)
     jac = np.atleast_2d(np.asarray(model.jacobian(mean, q), dtype=float))
     m = jac.shape[0]
     if y.shape != (m,):
         raise ValueError(f"observation shape {y.shape} does not match model output ({m},)")
 
-    cov_ht = cov @ jac.T
-    s = jac @ cov_ht + noise.obs_variance * np.eye(m)
-    s = 0.5 * (s + s.T)
-    gain, ok = _solve_innovation(s[None], cov_ht.T[None])
+    _, solved, ok = _kalman_terms(cov, jac[None], noise.obs_variance)
     if not ok[0]:
         raise DegenerateUpdateError("innovation covariance is non-finite or numerically singular")
-    gain = gain[0].T
+    gain = solved[0].T
 
     with np.errstate(over="ignore", invalid="ignore"):
         new_mean = mean + gain @ (y - predicted)

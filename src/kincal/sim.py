@@ -40,8 +40,8 @@ _DEGENERATE_AXIS_TOL = 1e-12
 _PARALLEL_TOL = 1e-8
 
 
-def make_rng(seed: int) -> np.random.Generator:
-    """PCG64 generator; a given seed reproduces the identical stream."""
+def make_rng(seed) -> np.random.Generator:
+    """PCG64 generator from an int or a SeedSequence; equal seeds give equal streams."""
     return np.random.Generator(np.random.PCG64(seed))
 
 

@@ -3,7 +3,8 @@ import pytest
 
 from kincal.active import SelectionProblem, lookahead_cost, lookahead_costs, select_next
 from kincal.direct import DirectConfig
-from kincal.estimator import DegenerateUpdateError, EstimatorState, NoiseConfig, rls_update
+from kincal.estimator import (DegenerateUpdateError, EstimatorState, NoiseConfig,
+                              apply_stabilizing_noise, rls_update)
 from kincal.fov import FovConfig
 from kincal.kinematics import (ChainObservationModel, ChainParams, Pose, Twist,
                                rotation_exp)
@@ -65,7 +66,8 @@ def chain_problem(seed, n_joints=3, budget=100, fov=None):
 class TestLookaheadCost:
     def test_uninformative_row_leaves_inflated_prior(self):
         state = EstimatorState(np.zeros(3), np.diag([1.0, 2.0, 3.0]))
-        noise = NoiseConfig(obs_variance=1.0, state_noise_variance=0.25)
+        noise = NoiseConfig(obs_variance=1.0, stabilizing_variance=0.25)
+        state = apply_stabilizing_noise(state, noise)
         problem = SelectionProblem(state, LinearModel(np.zeros((1, 3))), noise,
                                    [[-1.0, 1.0]])
         cost = lookahead_cost(problem, np.zeros(1))
@@ -77,8 +79,8 @@ class TestLookaheadCost:
                                    NoiseConfig(obs_variance=1.0), [[-1.0, 1.0]])
         assert lookahead_cost(problem, np.zeros(1)) == pytest.approx(0.5, abs=1e-12)
 
-        # with prediction noise s the posterior variance is (1+s)/(2+s)
-        problem.noise = NoiseConfig(obs_variance=1.0, state_noise_variance=0.5)
+        # on a prior inflated by s the posterior variance is (1+s)/(2+s)
+        problem.state = apply_stabilizing_noise(state, NoiseConfig(stabilizing_variance=0.5))
         assert lookahead_cost(problem, np.zeros(1)) == pytest.approx(0.6, abs=1e-12)
 
     def test_matches_information_form(self):
@@ -122,8 +124,8 @@ class TestLookaheadCost:
 
 class TestLookaheadCosts:
     @pytest.mark.parametrize("chain", ["planar3", "arm6", "arm12"])
-    @pytest.mark.parametrize("state_noise", [0.0, 0.05])
-    def test_matches_joseph_update(self, chain, state_noise):
+    @pytest.mark.parametrize("inflation", [0.0, 0.05])
+    def test_matches_joseph_update(self, chain, inflation):
         gt = builtin_chain(chain)
         model = ChainObservationModel.from_chain(gt.params)
         truth = gt.params.to_vector()
@@ -133,7 +135,8 @@ class TestLookaheadCosts:
             state = EstimatorState(truth + 0.1 * rng.normal(size=truth.size),
                                    random_spd(rng, truth.size))
             noise = NoiseConfig(obs_variance=float(rng.uniform(1e-6, 1e-2)),
-                                state_noise_variance=state_noise)
+                                stabilizing_variance=inflation)
+            state = apply_stabilizing_noise(state, noise)
             problem = SelectionProblem(state, model, noise, gt.joint_limits)
             configs = rng.uniform(lo, hi, size=(7, gt.n_joints))
             costs = lookahead_costs(problem, configs)
@@ -142,14 +145,15 @@ class TestLookaheadCosts:
                 assert abs(cost - joseph_trace(problem, q)) <= 1e-10
                 assert cost == lookahead_cost(problem, q)
 
-    @pytest.mark.parametrize("state_noise", [0.0, 0.5])
+    @pytest.mark.parametrize("inflation", [0.0, 0.5])
     @pytest.mark.parametrize("obs_variance", [0.1, 0.0])
-    def test_mixed_batch_penalizes_only_bad_candidates(self, state_noise, obs_variance):
+    def test_mixed_batch_penalizes_only_bad_candidates(self, inflation, obs_variance):
         # P is indefinite: rows along u = (1, 1, 0)/sqrt2 and e3 see a
         # positive S, a row along (1, -1, 0)/sqrt2 a negative one. With no
         # measurement noise the visible S are singular (repeated rows) and
         # pass on the jitter retry.
-        cov = np.array([[1.0, 2.0, 0.0], [2.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
+        cov = (np.array([[1.0, 2.0, 0.0], [2.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
+               + inflation * np.eye(3))
         u = np.array([1.0, 1.0, 0.0]) / np.sqrt(2.0)
         w = np.array([1.0, -1.0, 0.0]) / np.sqrt(2.0)
         e3 = np.array([0.0, 0.0, 1.0])
@@ -159,13 +163,13 @@ class TestLookaheadCosts:
                 np.stack([0.5 * u, u, e3])]    # visible
         problem = SelectionProblem(
             EstimatorState(e3, cov), LinearModel(*rows),
-            NoiseConfig(obs_variance=obs_variance, state_noise_variance=state_noise),
+            NoiseConfig(obs_variance=obs_variance),
             [[0.0, 3.0]],
             fov=FovConfig(camera_position=[0.0, 0.0, 0.0], axis=e3, half_angle=np.pi / 4))
         configs = np.array([[0.0], [1.0], [2.0], [3.0], [0.0]])
         costs = lookahead_costs(problem, configs)
 
-        penalty = 2 * np.trace(cov)             # the prior before inflation
+        penalty = 2 * np.trace(cov)
         np.testing.assert_array_equal(costs[[1, 2]], [penalty, penalty])
         with pytest.raises(DegenerateUpdateError):
             joseph_trace(problem, configs[2])

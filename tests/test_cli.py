@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -12,7 +13,7 @@ from kincal.cli import (ConfigError, ExperimentRecord, _quantile, config_from_di
                         config_to_meta, iterations_to_threshold, load_config, main,
                         read_records, resolve_ground_truth, run_experiment,
                         summarize, write_records)
-from kincal.estimator import NoiseConfig
+from kincal.estimator import NoiseConfig, apply_stabilizing_noise
 from kincal.kinematics import save_chain
 from kincal.sim import builtin_chain
 
@@ -92,6 +93,21 @@ class TestRunExperiment:
         with pytest.raises(TypeError, match="broken measure"):
             run_experiment(config_from_dict(base_config()), failures=[])
 
+    @pytest.mark.parametrize("variance, calls", [(1e-3, 2), (0.0, 0)])
+    def test_stabilizing_noise_every_tenth_update(self, monkeypatch, variance, calls):
+        seen = []
+
+        def counted(state, noise):
+            seen.append(noise.stabilizing_variance)
+            return apply_stabilizing_noise(state, noise)
+
+        monkeypatch.setattr("kincal.cli.apply_stabilizing_noise", counted)
+        cfg = config_from_dict(base_config(
+            iterations=25, seeds=[0],
+            noise={"obs_variance": 1e-4, "stabilizing_variance": variance}))
+        assert len(run_experiment(cfg)) == 25
+        assert seen == [variance] * calls
+
     def test_chain_file_input(self, tmp_path):
         path = tmp_path / "chain.json"
         save_chain(builtin_chain("planar3").params, path)
@@ -162,9 +178,20 @@ class TestConfigParsing:
             config_from_dict(base_config(seeds=[]))
         with pytest.raises(ConfigError):
             config_from_dict(base_config(noise={"obs_variance": -1.0}))
+        for key, value in (("state_noise_variance", 0.0), ("stabilizing_period", 10)):
+            with pytest.raises(ConfigError):
+                config_from_dict(base_config(noise={"obs_variance": 1e-4, key: value}))
         with pytest.raises(ConfigError):
             config_from_dict(base_config(strategy="active_rls",
                                          optimizer={"bounds": [[0.0, 1.0]] * 3}))
+
+    def test_readme_example_config_is_accepted(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        blocks = re.findall(r"```json\n(.*?)```", readme, re.DOTALL)
+        assert len(blocks) == 1
+        doc = json.loads(blocks[0])
+        cfg = config_from_dict(doc)
+        assert config_to_meta(cfg)["noise"] == doc["noise"]
 
     def test_overrides(self, tmp_path):
         path = write_config(tmp_path)

@@ -80,14 +80,6 @@ class TestRlsUpdate:
         np.testing.assert_array_equal(out.mean, state.mean)
         np.testing.assert_allclose(out.covariance, state.covariance, atol=1e-12)
 
-    def test_state_noise_added_before_update(self):
-        rng = np.random.default_rng(1)
-        state = EstimatorState(rng.normal(size=4), random_spd(rng, 4))
-        noise = NoiseConfig(obs_variance=1.0, state_noise_variance=0.03)
-        out = rls_update(state, 0, np.zeros(3), noise, ZeroModel(4))
-        np.testing.assert_allclose(out.covariance,
-                                   state.covariance + 0.03 * np.eye(4), atol=1e-12)
-
     def test_scalar_running_average(self):
         # nearly flat prior: the posterior mean tracks the sample mean
         rng = np.random.default_rng(2)
@@ -157,7 +149,7 @@ class TestRlsUpdate:
         rng = np.random.default_rng(7)
         chain, model = small_chain_model(rng)
         state = EstimatorState(chain.to_vector() + rng.normal(0, 0.2, 6), np.eye(6))
-        noise = NoiseConfig(obs_variance=1e-3, state_noise_variance=1e-6)
+        noise = NoiseConfig(obs_variance=1e-3)
         for _ in range(500):
             q = rng.uniform(-0.7, 0.7, 1)
             y = model.predict(chain.to_vector(), q) + rng.normal(0, 0.03, 3)
@@ -266,7 +258,7 @@ class TestStateAndConfigs:
         with pytest.raises(ValueError):
             NoiseConfig(obs_variance=-1.0)
         with pytest.raises(ValueError):
-            NoiseConfig(stabilizing_period=0)
+            NoiseConfig(stabilizing_variance=-1.0)
 
     def test_gradient_config_validation(self):
         with pytest.raises(ValueError):
