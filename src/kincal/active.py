@@ -5,7 +5,7 @@ that a measurement there would leave. Only the covariance changes, so
 no update is run: with H the observation Jacobian at the current mean,
 the posterior trace is the closed form
     tr(P) - sum((H P) * S^-1 (H P)),    S = H P H^T + R,
-whose terms come from estimator._kalman_terms, the innovation algebra
+whose terms come from estimator.kalman_terms, the innovation algebra
 rls_update applies. Each DIRECT sweep lists its candidates first, so a
 whole sweep is scored in one call: one kernel call for the predicted
 points and Jacobians, then one stacked Kalman-terms call. A candidate
@@ -25,9 +25,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import direct, estimator
+from . import direct
 # rls_update is unused here; the benchmark's --trace 1 mode looks it up on this module
-from .estimator import EstimatorState, NoiseConfig, rls_update  # noqa: F401
+from .estimator import EstimatorState, NoiseConfig, kalman_terms, rls_update  # noqa: F401
 from .fov import FovConfig
 
 
@@ -81,7 +81,7 @@ def lookahead_costs(problem: SelectionProblem, configs) -> np.ndarray:
     visible = np.arange(len(configs))
     if problem.fov is not None:
         visible = np.flatnonzero(problem.fov.contains_points(predicted))
-    hp, solved, ok = estimator._kalman_terms(cov, jac[visible], problem.noise.obs_variance)
+    hp, solved, ok = kalman_terms(cov, jac[visible], problem.noise.obs_variance)
     with np.errstate(over="ignore", invalid="ignore"):
         posterior = prior_trace - np.einsum("kij,kij->k", hp, solved)
     ok &= np.isfinite(posterior)

@@ -4,7 +4,7 @@ Two updates over the same observation model:
 
   * rls_update: extended recursive least squares. Linearizes h at the
     current mean, then applies a Kalman step with Joseph-form covariance
-    propagation. Its innovation algebra (_kalman_terms) works on a stack
+    propagation. Its innovation algebra (kalman_terms) works on a stack
     of Jacobians, so active selection scores a whole sweep of
     hypothetical measurements with the same code.
   * gradient_update: plain stochastic gradient on the squared residual,
@@ -118,7 +118,7 @@ def _solve_innovation(s, rhs):
     return x, ok
 
 
-def _kalman_terms(cov, jac, obs_variance):
+def kalman_terms(cov, jac, obs_variance):
     """(H P, S^-1 H P, ok mask of _solve_innovation) for a (k, m, d) stack
     of Jacobians H and one covariance P, with S = H P H^T + obs_variance I
     symmetrized. Products are taken per stack entry, so an entry's terms
@@ -147,7 +147,7 @@ def rls_update(state: EstimatorState, q, y, noise: NoiseConfig, model) -> Estima
     if y.shape != (m,):
         raise ValueError(f"observation shape {y.shape} does not match model output ({m},)")
 
-    _, solved, ok = _kalman_terms(cov, jac[None], noise.obs_variance)
+    _, solved, ok = kalman_terms(cov, jac[None], noise.obs_variance)
     if not ok[0]:
         raise DegenerateUpdateError("innovation covariance is non-finite or numerically singular")
     gain = solved[0].T

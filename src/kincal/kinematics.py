@@ -226,16 +226,13 @@ def _chain_terms(terms: _TwistTerms, zero_translation, Q, jacobian=False):
     translation v_i q_i when |w_i| < _ZERO_AXIS_TOL; this is twist_exp,
     computed for all joints and configurations at once. With s_i the
     end-effector position in the input frame of joint i and P_i the
-    rotation of the joints before it, the blocks of a rotating joint i are
+    rotation of the joints before it, the blocks of joint i are
         d/dw_i = P_i (D(s_{i+1} - w x v) + (R - I) skew(v) + q ((w . v) I + w v^T))
         d/dv_i = P_i ((I - R) skew(w) + q w w^T)
     where D(z), with columns dR/dw_j z, is the rotation-vector partial of
     Gallego and Yezzi (2015) contracted with z:
         D(z) = (q (w x Rz) w^T - w (Rz - z)^T + (w . z)(I - R)) / |w|^2.
     It carries no division by the angle, so it needs no small-angle series.
-    A zero-axis joint has d/dv_i = P_i q I and, as the limit of the
-    rotational form at w = 0, d/dw_i = -P_i q skew(s_{i+1}); so any step
-    in w leaves the axis, as finite differences do.
     """
     t = terms
     Q = np.asarray(Q, dtype=float)
@@ -254,10 +251,9 @@ def _chain_terms(terms: _TwistTerms, zero_translation, Q, jacobian=False):
     vers = 1.0 - cos
     r_minus_i = sin[..., None] * t.kx + vers[..., None] * t.kx2
     rot = _EYE3 + r_minus_i
-    trans = Q[..., None] * t.w_wv - sin * t.kx_wxv - vers * t.kx2_wxv
-    still = ~t.rotates
-    if still.any():
-        trans = np.where(still[:, None], Q[..., None] * t.v, trans)
+    trans = np.where(t.rotates[:, None],
+                     Q[..., None] * t.w_wv - sin * t.kx_wxv - vers * t.kx2_wxv,
+                     Q[..., None] * t.v)
 
     # suffix[:, i] is the end effector in the input frame of joint i
     suffix = np.empty((m, n + 1, 3))
@@ -286,10 +282,8 @@ def _chain_terms(terms: _TwistTerms, zero_translation, Q, jacobian=False):
     # (I - R) skew(w) = |w| (vers K - sin K^2), again by K^3 = -K
     d_v = (t.norm[:, None, None] * (vers[..., None] * t.kx - sin[..., None] * t.kx2)
            + q * t.wwt)
-    if still.any():
-        # z is s_{i+1} on a zero axis, since w x v vanishes there
-        d_w = np.where(still[:, None, None], -q * skew(z), d_w)
-        d_v = np.where(still[:, None, None], q * _EYE3, d_v)
+    d_w = np.where(t.rotates[:, None, None], d_w, 0.0)
+    d_v = np.where(t.rotates[:, None, None], d_v, q * _EYE3)
     blocks = prefix @ np.concatenate([d_w, d_v], axis=-1)     # (m, n, 3, 6)
     return suffix[:, 0], blocks.transpose(0, 2, 1, 3).reshape(m, 3, 6 * n)
 
