@@ -9,7 +9,9 @@ plus-then-minus order, cut to the budget left; split each rectangle
 along the dimensions whose two offsets both got a value, the best new
 values keeping the largest children. One sweep is one objective call:
 minimize_batch hands the whole point list to a batch objective, and
-minimize wraps a scalar objective as one. The direct_l variant
+minimize wraps a scalar objective as one. The box center needs no call
+of its own: the lone first rectangle is always selected, so the center
+leads the first sweep's point list. The direct_l variant
 subdivides at most one rectangle per measure class per sweep
 (Gablonsky's locally biased rule).
 
@@ -246,8 +248,8 @@ def minimize_batch(f_batch, cfg: DirectConfig, on_iteration=None,
     """Minimize over cfg.bounds with at most cfg.max_evaluations evaluations.
 
     f_batch maps a (k, dim) array of points to k values. It is called
-    once for the box center and then once per sweep, with that sweep's
-    offset centers in evaluation order, never more than the budget has
+    once per sweep, with that sweep's offset centers in evaluation order,
+    the first call led by the box center, never more than the budget has
     left. Deterministic: identical configs and a deterministic f_batch
     reproduce the identical evaluation trace. on_iteration(iteration,
     rects, selected) is called with HyperRect views before each sweep's
@@ -276,28 +278,36 @@ def minimize_batch(f_batch, cfg: DirectConfig, on_iteration=None,
             trace.append((x, values[i]))
         return values
 
-    # the rectangles, as parallel lists of records
-    centers = [np.full(dim, 0.5)]
-    depths = [(0,) * dim]
-    keys = [(0,) * dim]
-    values = evaluate(centers)
+    # the rectangles, as parallel lists of records; the lone first
+    # rectangle is always selected, so its center is evaluated in one
+    # call with the first sweep's offsets
+    center = np.full(dim, 0.5)
+    centers, depths, keys = [center], [(0,) * dim], [(0,) * dim]
+    selected = [0]
+    offsets = {0: _offset_centers(center, depths[0])}
+    new_values = iter(evaluate([center] + _unit_points(offsets[0])))
+    values = [next(new_values)]
 
     iteration = 0
-    while len(trace) < cfg.max_evaluations:
-        f_min = min(value for _, value in trace)
-        selected = _select(depths, keys, values, f_min, cfg.epsilon, cfg.variant)
+    swept = 1               # evaluations made before the current sweep
+    while swept < cfg.max_evaluations:
+        if iteration:
+            f_min = min(value for _, value in trace)
+            selected = _select(depths, keys, values, f_min, cfg.epsilon, cfg.variant)
         if on_iteration is not None:
             on_iteration(iteration, _views(zip(centers, depths, keys, values)), selected)
         if not selected:
             break
-        offsets = {idx: _offset_centers(centers[idx], depths[idx]) for idx in selected}
-        new_values = iter(evaluate([p for o in offsets.values() for p in _unit_points(o)]))
+        if iteration:
+            offsets = {idx: _offset_centers(centers[idx], depths[idx]) for idx in selected}
+            new_values = iter(evaluate([p for o in offsets.values() for p in _unit_points(o)]))
         children = {idx: split for idx, o in offsets.items()
                     if (split := _split(centers[idx], depths[idx], values[idx], o, new_values))}
         records = ([(centers[i], depths[i], keys[i], values[i])
                     for i in range(len(values)) if i not in children]
                    + [child for split in children.values() for child in split])
         centers, depths, keys, values = (list(column) for column in zip(*records))
+        swept = len(trace)
         iteration += 1
 
     if on_iteration is not None:

@@ -11,8 +11,10 @@ Two updates over the same observation model:
     kept as a baseline. No covariance.
 
 Models are duck-typed: anything with predict(x, q) and jacobian(x, q);
-prediction_error also needs predict_batch(x, configs). Observations may
-have any dimension; the chain model returns 3-vectors.
+prediction_error also needs predict_batch(x, configs). Both updates ask
+for the Jacobian first and then the prediction at the same (x, q), so a
+model can answer the second from the linearization behind the first.
+Observations may have any dimension; the chain model returns 3-vectors.
 """
 
 from __future__ import annotations
@@ -141,8 +143,8 @@ def rls_update(state: EstimatorState, q, y, noise: NoiseConfig, model) -> Estima
     y = np.asarray(y, dtype=float)
     mean = state.mean
     cov = state.covariance
-    predicted = model.predict(mean, q)
     jac = np.atleast_2d(np.asarray(model.jacobian(mean, q), dtype=float))
+    predicted = model.predict(mean, q)
     m = jac.shape[0]
     if y.shape != (m,):
         raise ValueError(f"observation shape {y.shape} does not match model output ({m},)")
@@ -175,8 +177,8 @@ def gradient_update(mean, q, y, cfg: GradientConfig, model, step: int = 0) -> np
     """One gradient step x + rate * H^T (y - h(x, q)) on the residual."""
     mean = np.asarray(mean, dtype=float)
     y = np.asarray(y, dtype=float)
-    residual = y - model.predict(mean, q)
     jac = np.atleast_2d(np.asarray(model.jacobian(mean, q), dtype=float))
+    residual = y - model.predict(mean, q)
     with np.errstate(over="ignore", invalid="ignore"):
         new_mean = mean + cfg.rate_at(step) * (jac.T @ residual)
     if not np.isfinite(new_mean).all():

@@ -167,23 +167,28 @@ def _row_dot(a, b):
 
 
 class _TwistTerms(NamedTuple):
-    """Kernel arrays that depend on the parameters only, one row per joint."""
+    """Kernel arrays that depend on the parameters only, one row per joint.
+
+    A pure translation (|w| < _ZERO_AXIS_TOL) has zero k, so every
+    rotational term of _chain_terms vanishes for it; the rows marked
+    below hold its limit form instead, so the kernel needs no branch:
+    translation q v, zero w-partials and v-partial q I.
+    """
 
     n: int                  # joints
     v: np.ndarray           # moments (n, 3)
     norm: np.ndarray        # |w| (n,)
-    rotates: np.ndarray     # |w| >= _ZERO_AXIS_TOL (n,)
     inv_norm: np.ndarray    # 1/|w|, 0 for pure translations (n,)
     k: np.ndarray           # unit axes, zero rows for pure translations (n, 3)
     kx: np.ndarray          # skew(k) (n, 3, 3)
     kx2: np.ndarray         # skew(k)^2 (n, 3, 3)
     wxv: np.ndarray         # w x v (n, 3)
-    w_wv: np.ndarray        # w (w . v) (n, 3)
+    w_wv: np.ndarray        # w (w . v); v for pure translations (n, 3)
     kx_wxv: np.ndarray      # K (w x v) (n, 3)
     kx2_wxv: np.ndarray     # K^2 (w x v) (n, 3)
-    wv_eye: np.ndarray      # (w . v) I (n, 3, 3)
-    wvt: np.ndarray         # w v^T (n, 3, 3)
-    wwt: np.ndarray         # w w^T (n, 3, 3)
+    wv_eye: np.ndarray      # (w . v) I; 0 for pure translations (n, 3, 3)
+    wvt: np.ndarray         # w v^T; 0 for pure translations (n, 3, 3)
+    wwt: np.ndarray         # w w^T; I for pure translations (n, 3, 3)
     vx: np.ndarray          # skew(v) (n, 3, 3)
 
 
@@ -200,17 +205,24 @@ def _twist_terms(x) -> _TwistTerms:
     twists = x.reshape(n, 6)
     w, v = twists[:, :3], twists[:, 3:]
     norm = np.sqrt(np.einsum("ij,ij->i", w, w))
-    rotates = norm >= _ZERO_AXIS_TOL
-    inv_norm = np.divide(1.0, norm, out=np.zeros(n), where=rotates)
+    translates = norm < _ZERO_AXIS_TOL
+    inv_norm = np.divide(1.0, norm, out=np.zeros(n), where=~translates)
     k = w * inv_norm[:, None]
     kx = skew(k)
     kx2 = kx @ kx
     wxv = norm[:, None] * _matvec(kx, v)
     wv = np.einsum("ij,ij->i", w, v)
-    return _TwistTerms(n, v, norm, rotates, inv_norm, k, kx, kx2, wxv,
-                       w * wv[:, None], _matvec(kx, wxv), _matvec(kx2, wxv),
-                       wv[:, None, None] * _EYE3, w[:, :, None] * v[:, None, :],
-                       w[:, :, None] * w[:, None, :], skew(v))
+    w_wv = w * wv[:, None]
+    wv_eye = wv[:, None, None] * _EYE3
+    wvt = w[:, :, None] * v[:, None, :]
+    wwt = w[:, :, None] * w[:, None, :]
+    # pure translations hold their limit form (see _TwistTerms)
+    w_wv[translates] = v[translates]
+    wv_eye[translates] = 0.0
+    wvt[translates] = 0.0
+    wwt[translates] = _EYE3
+    return _TwistTerms(n, v, norm, inv_norm, k, kx, kx2, wxv, w_wv, _matvec(kx, wxv),
+                       _matvec(kx2, wxv), wv_eye, wvt, wwt, skew(v))
 
 
 def _chain_terms(terms: _TwistTerms, zero_translation, Q, jacobian=False):
@@ -224,9 +236,11 @@ def _chain_terms(terms: _TwistTerms, zero_translation, Q, jacobian=False):
     Joint i moves by R_i = exp(skew(w_i) q_i) and
     t_i = (I - R_i)(w_i x v_i) + q_i w_i (w_i . v_i), or by the pure
     translation v_i q_i when |w_i| < _ZERO_AXIS_TOL; this is twist_exp,
-    computed for all joints and configurations at once. With s_i the
-    end-effector position in the input frame of joint i and P_i the
-    rotation of the joints before it, the blocks of joint i are
+    computed for all joints and configurations at once. The terms of a
+    pure translation hold that limit form (see _TwistTerms), so one
+    expression serves both kinds of joint. With s_i the end-effector
+    position in the input frame of joint i and P_i the rotation of the
+    joints before it, the blocks of joint i are
         d/dw_i = P_i (D(s_{i+1} - w x v) + (R - I) skew(v) + q ((w . v) I + w v^T))
         d/dv_i = P_i ((I - R) skew(w) + q w w^T)
     where D(z), with columns dR/dw_j z, is the rotation-vector partial of
@@ -251,9 +265,7 @@ def _chain_terms(terms: _TwistTerms, zero_translation, Q, jacobian=False):
     vers = 1.0 - cos
     r_minus_i = sin[..., None] * t.kx + vers[..., None] * t.kx2
     rot = _EYE3 + r_minus_i
-    trans = np.where(t.rotates[:, None],
-                     Q[..., None] * t.w_wv - sin * t.kx_wxv - vers * t.kx2_wxv,
-                     Q[..., None] * t.v)
+    trans = Q[..., None] * t.w_wv - sin * t.kx_wxv - vers * t.kx2_wxv
 
     # suffix[:, i] is the end effector in the input frame of joint i
     suffix = np.empty((m, n + 1, 3))
@@ -282,8 +294,6 @@ def _chain_terms(terms: _TwistTerms, zero_translation, Q, jacobian=False):
     # (I - R) skew(w) = |w| (vers K - sin K^2), again by K^3 = -K
     d_v = (t.norm[:, None, None] * (vers[..., None] * t.kx - sin[..., None] * t.kx2)
            + q * t.wwt)
-    d_w = np.where(t.rotates[:, None, None], d_w, 0.0)
-    d_v = np.where(t.rotates[:, None, None], d_v, q * _EYE3)
     blocks = prefix @ np.concatenate([d_w, d_v], axis=-1)     # (m, n, 3, 6)
     return suffix[:, 0], blocks.transpose(0, 2, 1, 3).reshape(m, 3, 6 * n)
 
@@ -330,8 +340,11 @@ class ChainObservationModel:
     estimated. predict/jacobian is the interface the estimators expect;
     linearize is the batched form that selection scores candidates with.
     The model keeps the _twist_terms of the last x it saw, matched bit for
-    bit, so the sweeps of one selection and an update's predict/jacobian
-    pair, which all linearize about one mean, compute them once.
+    bit, so the sweeps of one selection and an update, which all
+    linearize about one mean, compute them once. It also keeps the
+    position its last jacobian call computed, so an update that asks for
+    the Jacobian and then the prediction at the same (x, q) makes one
+    kernel call.
     """
 
     def __init__(self, zero_pose: Pose, n_joints: int):
@@ -339,6 +352,7 @@ class ChainObservationModel:
         self.n_joints = n_joints
         self._key = None        # (shape, bytes) of the last x seen
         self._terms = None      # and its _twist_terms
+        self._position = (None, None)   # ((x key, q bytes), position) of the last jacobian
 
     @classmethod
     def from_chain(cls, params: ChainParams) -> "ChainObservationModel":
@@ -353,11 +367,18 @@ class ChainObservationModel:
         return self._terms
 
     def predict(self, x, q) -> np.ndarray:
-        return _chain_terms(self._terms_of(x), self.zero_pose.translation,
-                            _one_config(q, self.n_joints))[0]
+        terms = self._terms_of(x)
+        q = _one_config(q, self.n_joints)
+        key, position = self._position
+        if key == (self._key, q.tobytes()):
+            return position.copy()
+        return _chain_terms(terms, self.zero_pose.translation, q)[0]
 
     def jacobian(self, x, q) -> np.ndarray:
-        return self.linearize(x, _one_config(q, self.n_joints))[1][0]
+        q = _one_config(q, self.n_joints)
+        positions, jac = self.linearize(x, q)
+        self._position = ((self._key, q.tobytes()), positions[0])
+        return jac[0]
 
     def predict_batch(self, x, configs) -> np.ndarray:
         """Positions (m, 3) for an (m, n) block of configurations."""

@@ -26,7 +26,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .fov import FovConfig
-from .kinematics import ChainParams, Pose, Twist, _matvec, _row_dot, observe, skew
+from .kinematics import (ChainParams, Pose, Twist, _chain_terms, _matvec, _row_dot,
+                         _twist_terms, skew)
 
 logger = logging.getLogger(__name__)
 
@@ -48,13 +49,17 @@ def make_rng(seed) -> np.random.Generator:
 @dataclass
 class GroundTruth:
     """A canonical chain plus the measurement setup around it. The truth is
-    fixed once built: axis_lines holds its joint axes for metrics."""
+    fixed once built, so what depends on it alone is built once too:
+    axis_lines holds its joint axes for metrics, and twist_terms the
+    chain kernel's parameter-only terms (kinematics._twist_terms) that
+    measure evaluates the true position with."""
 
     params: ChainParams
     joint_limits: np.ndarray
     fov: FovConfig = None
     obs_variance: float = 1e-4
     axis_lines: tuple = field(init=False, repr=False, compare=False)
+    twist_terms: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.joint_limits = np.asarray(self.joint_limits, dtype=float)
@@ -68,7 +73,9 @@ class GroundTruth:
         for i, t in enumerate(self.params.twists):
             if abs(np.linalg.norm(t.w) - 1.0) > 1e-6:
                 raise ValueError(f"joint {i}: ground-truth axis must be unit norm")
-        self.axis_lines = _axis_lines(self.params.to_vector().reshape(n, 6))
+        x = self.params.to_vector()
+        self.axis_lines = _axis_lines(x.reshape(n, 6))
+        self.twist_terms = _twist_terms(x)
 
     @property
     def n_joints(self) -> int:
@@ -78,16 +85,17 @@ class GroundTruth:
 def measure(gt: GroundTruth, q, rng: np.random.Generator):
     """Noisy end-effector position, or None when out of view.
 
-    Visibility is decided on the true position. The noise draw happens
-    only for visible measurements, so a fixed seed and query sequence
-    reproduce the identical observation stream.
+    Visibility is decided on the true position, which is
+    observe(gt.params, q) computed from the truth's kept twist_terms. The
+    noise draw happens only for visible measurements, so a fixed seed and
+    query sequence reproduce the identical observation stream.
     """
     q = np.asarray(q, dtype=float)
     if q.shape != (gt.n_joints,):
         raise ValueError(f"expected {gt.n_joints} joint angles")
     if (q < gt.joint_limits[:, 0]).any() or (q > gt.joint_limits[:, 1]).any():
         raise ValueError("configuration violates joint limits")
-    true_pos = observe(gt.params, q)
+    true_pos = _chain_terms(gt.twist_terms, gt.params.zero_pose.translation, q[None])[0]
     if gt.fov is not None and not gt.fov.contains(true_pos):
         return None
     return true_pos + rng.normal(0.0, math.sqrt(gt.obs_variance), 3)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from kincal import active, direct
 from kincal.active import SelectionProblem, lookahead_cost, lookahead_costs, select_next
 from kincal.direct import DirectConfig
 from kincal.estimator import (DegenerateUpdateError, EstimatorState, NoiseConfig,
@@ -220,6 +221,47 @@ class TestSelectNext:
         np.testing.assert_allclose(result.config, [0.2, 0.5, -0.75])
         prior = float(np.trace(problem.state.covariance))
         assert result.cost == pytest.approx(2 * prior)
+
+    @pytest.mark.parametrize("chain, fov", [
+        ("arm6", None),
+        ("planar3", FovConfig(camera_position=[0.35, 0.0, 1.0], axis=[0.0, 0.0, -1.0],
+                              half_angle=0.5)),
+    ])
+    def test_one_lookahead_call_per_sweep(self, monkeypatch, chain, fov):
+        # the box center needs no call of its own: it rides in the first
+        # sweep's, so a 30-evaluation selection makes one call per sweep
+        gt = builtin_chain(chain)
+        dim = 6 * gt.n_joints
+        rng = np.random.default_rng(13)
+        state = EstimatorState(gt.params.to_vector() + 0.1 * rng.normal(size=dim),
+                               0.01 * np.eye(dim))
+        limits = np.array([[-3.14, 3.14]] * gt.n_joints)
+        problem = SelectionProblem(state, ChainObservationModel.from_chain(gt.params),
+                                   NoiseConfig(), limits, fov=fov,
+                                   optimizer=DirectConfig(max_evaluations=30,
+                                                          variant="direct_l"))
+        calls, sweeps = [], []
+        costs, minimize_batch = active.lookahead_costs, direct.minimize_batch
+
+        def counted(problem, configs):
+            calls.append(np.array(configs))
+            return costs(problem, configs)
+
+        def on_iteration(_, rects, selected):
+            if selected:
+                sweeps.append(sum(2 * int((rects[i].depth == rects[i].depth.min()).sum())
+                                  for i in selected))
+
+        monkeypatch.setattr(active, "lookahead_costs", counted)
+        monkeypatch.setattr(direct, "minimize_batch",
+                            lambda f, cfg: minimize_batch(f, cfg, on_iteration=on_iteration))
+        result = select_next(problem)
+        assert len(calls) == len(sweeps) > 1
+        np.testing.assert_array_equal(calls[0][0], limits.mean(axis=1))
+        sizes = [len(c) for c in calls]
+        assert sizes[0] == 1 + sweeps[0] and sizes[1:-1] == sweeps[1:-1]
+        assert sizes[-1] <= sweeps[-1]
+        assert sum(sizes) == result.evaluations == 30
 
     def test_limit_validation(self):
         state = EstimatorState(np.zeros(1), np.eye(1))

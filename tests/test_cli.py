@@ -9,6 +9,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import kincal.active
+import kincal.cli
 from kincal.cli import (ConfigError, ExperimentRecord, _quantile, config_from_dict,
                         config_to_meta, iterations_to_threshold, load_config, main,
                         read_records, resolve_ground_truth, run_experiment,
@@ -107,6 +109,37 @@ class TestRunExperiment:
             noise={"obs_variance": 1e-4, "stabilizing_variance": variance}))
         assert len(run_experiment(cfg)) == 25
         assert seen == [variance] * calls
+
+    @pytest.mark.parametrize("strategy", ["active_rls", "random_rls"])
+    def test_benchmark_hooks_once_per_seed_iteration(self, monkeypatch, strategy):
+        # bench/child.py times iterations by wrapping these module
+        # attributes: an iteration starts at the first select_next or
+        # measure, and measure is stamped once per seed-iteration. A driver
+        # that batches seeds must change this test and the benchmark.
+        events = []
+        select_next, measure = kincal.cli.select_next, kincal.cli.measure
+        lookahead_costs = kincal.active.lookahead_costs
+
+        def recorded(name, original):
+            def wrapper(*args, **kwargs):
+                events.append(name)
+                return original(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(kincal.cli, "select_next", recorded("select", select_next))
+        monkeypatch.setattr(kincal.cli, "measure", recorded("measure", measure))
+        monkeypatch.setattr(kincal.active, "lookahead_costs",
+                            recorded("lookahead", lookahead_costs))
+        cfg = config_from_dict(base_config(
+            strategy=strategy, iterations=3, seeds=[0, 1],
+            optimizer={"max_evaluations": 15, "variant": "direct_l"}))
+        assert len(run_experiment(cfg)) == 6
+        # runs of lookahead calls collapse to one entry
+        steps = [e for e, before in zip(events, [None] + events)
+                 if not e == before == "lookahead"]
+        per_iteration = ["select", "lookahead", "measure"] if strategy == "active_rls" \
+            else ["measure"]
+        assert steps == per_iteration * 6
 
     def test_chain_file_input(self, tmp_path):
         path = tmp_path / "chain.json"

@@ -370,9 +370,10 @@ class TestMinimizeBatch:
 
         batch = minimize_batch(sphere_batch, cfg, on_iteration=on_iteration,
                                collect_trace=True)
+        # the box center rides in the first sweep's call
         sweeps = [n for n in planned if n]
-        assert len(calls) == 1 + len(sweeps)
-        assert calls[0] == 1 and calls[1:-1] == sweeps[:-1]
+        assert len(calls) == len(sweeps)
+        assert calls[0] == 1 + sweeps[0] and calls[1:-1] == sweeps[1:-1]
         assert calls[-1] < sweeps[-1] and sum(calls) == budget
 
         scalar = minimize(sphere, cfg, collect_trace=True)
@@ -382,6 +383,30 @@ class TestMinimizeBatch:
             assert v_b == v_s
         np.testing.assert_array_equal(batch.best_point, scalar.best_point)
         assert batch.best_value == scalar.best_value
+
+    @pytest.mark.parametrize("budget, splits, depths", [
+        (1, [], [(0, 0)]),                      # the center alone, no sweep
+        (4, [[0]], [(1, 0)] * 3),               # second dimension cut short
+        (5, [[0]], [(1, 0)] * 2 + [(1, 1)] * 3),  # the whole first sweep
+    ])
+    def test_first_call_carries_center_and_first_sweep(self, budget, splits, depths):
+        cfg = DirectConfig(bounds=[(0.0, 1.0)] * 2, max_evaluations=budget)
+        calls, snapshots = [], []
+
+        def sphere_batch(points):
+            calls.append(points.copy())
+            return ((points - 0.3) ** 2).sum(axis=1)
+
+        def on_iteration(i, rects, selected):
+            snapshots.append((i, sorted(tuple(r.depth.tolist()) for r in rects), selected))
+
+        result = minimize_batch(sphere_batch, cfg, on_iteration=on_iteration)
+        assert len(calls) == 1 and len(calls[0]) == budget
+        np.testing.assert_array_equal(calls[0][0], [0.5, 0.5])
+        # on_iteration sees the center alone before the first split
+        assert snapshots[:-1] == [(0, [(0, 0)], s) for s in splits]
+        assert snapshots[-1] == (len(splits), depths, [])
+        assert result.evaluations_used == budget
 
     def test_rejects_wrong_number_of_values(self):
         cfg = DirectConfig(bounds=[(0.0, 1.0)] * 2, max_evaluations=9)

@@ -180,6 +180,29 @@ class TestObservationJacobian:
         np.testing.assert_allclose(jac[:, 6:12], 0.0, atol=1e-14)
         np.testing.assert_allclose(jac[:, 12:18], 0.0, atol=1e-14)
 
+    def test_mixed_rotating_and_pure_translation_joints(self):
+        # _twist_terms holds a pure translation's limit form in its rows,
+        # so _chain_terms has no branch; its positions and v-columns must
+        # still follow twist_exp's pure-translation branch
+        rng = np.random.default_rng(61)
+        chain = random_chain(rng, 5)
+        chain.twists[1] = Twist(np.zeros(3), rng.normal(size=3))
+        chain.twists[3] = Twist(1e-13 * unit(rng.normal(size=3)), rng.normal(size=3))
+        configs = rng.uniform(-1.5, 1.5, size=(6, 5))
+        positions, jacs = _chain_terms(_twist_terms(chain.to_vector()),
+                                       chain.zero_pose.translation, configs, jacobian=True)
+        columns = np.arange(30).reshape(5, 6)
+        smooth = np.concatenate([columns[:, 3:].ravel(), columns[[0, 2, 4], :3].ravel()])
+        for q, position, jac in zip(configs, positions, jacs):
+            stepwise = Pose.identity()
+            for xi, angle in zip(chain.twists, q):
+                stepwise = stepwise.compose(twist_exp(xi, angle))
+            np.testing.assert_allclose(position, stepwise.compose(chain.zero_pose).translation,
+                                       rtol=0, atol=1e-12)
+            ref = observation_jacobian_fd(chain, q)
+            np.testing.assert_allclose(jac[:, smooth], ref[:, smooth], rtol=1e-5, atol=1e-8)
+            np.testing.assert_array_equal(jac[:, columns[[1, 3], :3].ravel()], 0.0)
+
     def test_zero_axis_branch(self):
         chain = ChainParams([Twist([0, 0, 0], [0.2, 0, 0.4])],
                             Pose(np.eye(3), [0.5, 0, 0]))
@@ -274,6 +297,32 @@ class TestObservationModel:
             model.linearize(np.full(24, np.nan), configs)
         with pytest.raises(ValueError):
             model.linearize(x[:18], configs)
+
+    def test_predict_after_jacobian_reuses_its_positions(self, monkeypatch):
+        # an update asks for jacobian, then predict, at one (x, q): one
+        # kernel call, and the same bits as a fresh model's predict
+        rng = np.random.default_rng(67)
+        chain = random_chain(rng, 4)
+        model = ChainObservationModel.from_chain(chain)
+        x = rng.normal(size=24)
+        q = rng.uniform(-1.0, 1.0, 4)
+        kernel_calls = []
+
+        def counted(*args, **kwargs):
+            kernel_calls.append(kwargs.get("jacobian", False))
+            return _chain_terms(*args, **kwargs)
+
+        monkeypatch.setattr("kincal.kinematics._chain_terms", counted)
+        model.jacobian(x, q)
+        first = model.predict(x, q)
+        first[:] = np.nan                       # callers get a copy
+        np.testing.assert_array_equal(model.predict(x, q),
+                                      ChainObservationModel.from_chain(chain).predict(x, q))
+        assert kernel_calls == [True, False]    # the jacobian and the fresh model
+        # another configuration or parameter vector runs the kernel again
+        model.predict(x, q + 0.1)
+        model.predict(x + 0.1, q)
+        assert kernel_calls == [True, False, False, False]
 
     def test_predict_batch_matches_loop(self):
         rng = np.random.default_rng(53)

@@ -155,6 +155,28 @@ class TestMeasure:
             expected = fov.contains(observe(gt.params, np.array([q])))
             assert (got is not None) == expected
 
+    @pytest.mark.parametrize("name", FIXTURE_NAMES)
+    @pytest.mark.parametrize("cone", [False, True])
+    def test_matches_observe_plus_noise(self, name, cone):
+        # measure runs the kernel on the truth's kept terms; it must give
+        # observe() plus the same noise draw, bit for bit
+        fixture = builtin_chain(name)
+        fov = FovConfig([0.6, 0.0, 1.3], [0.0, 0.0, -1.0], 0.15) if cone else None
+        gt = GroundTruth(fixture.params, fixture.joint_limits, fov=fov, obs_variance=1e-4)
+        configs, rng, reference = make_rng(3), make_rng(5), make_rng(5)
+        seen = 0
+        for _ in range(40):
+            q = random_config(gt, configs)
+            true_pos = observe(gt.params, q)
+            got = measure(gt, q, rng)
+            if fov is not None and not fov.contains(true_pos):
+                assert got is None
+                continue
+            seen += 1
+            np.testing.assert_array_equal(
+                got, true_pos + reference.normal(0.0, math.sqrt(gt.obs_variance), 3))
+        assert 0 < seen < 40 if cone else seen == 40
+
     def test_input_validation(self):
         gt = single_z_joint(limit=0.5)
         with pytest.raises(ValueError):
