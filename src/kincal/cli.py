@@ -21,8 +21,10 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import itertools
 import json
 import logging
+import numbers
 import os
 import sys
 from dataclasses import dataclass
@@ -54,6 +56,11 @@ class ConfigError(Exception):
     """Bad experiment configuration or unresolvable inputs."""
 
 
+def _check_integer(name: str, value, low: int) -> None:
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < low:
+        raise ConfigError(f"{name} must be an integer >= {low}, got {value!r}")
+
+
 @dataclass
 class ExperimentConfig:
     chain: str
@@ -74,15 +81,16 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.strategy not in STRATEGIES:
             raise ConfigError(f"strategy must be one of {STRATEGIES}")
-        if self.iterations < 1:
-            raise ConfigError("iterations must be a positive integer")
+        _check_integer("iterations", self.iterations, 1)
         if not self.seeds:
             raise ConfigError("seeds must be a non-empty list of integers")
+        for seed in self.seeds:
+            _check_integer("seeds", seed, 0)
         self.seeds = [int(s) for s in self.seeds]
         if self.init_variance <= 0:
             raise ConfigError("init_variance must be positive")
-        if self.probe_set_size < 1:
-            raise ConfigError("probe_set_size must be a positive integer")
+        _check_integer("probe_set_size", self.probe_set_size, 1)
+        _check_integer("probe_seed", self.probe_seed, 0)
         if self.optimizer is not None and self.optimizer.bounds is not None:
             raise ConfigError("optimizer.bounds is not allowed; the search box is joint_limits")
         if self.strategy == "active_rls" and self.optimizer is None:
@@ -95,6 +103,10 @@ class ExperimentConfig:
 
 @dataclass
 class ExperimentRecord:
+    """One (seed, iteration) of a run. The _WALL_CLOCK_FIELDS go to the
+    .timing sidecar; every other field is deterministic and goes to the
+    record and CSV files."""
+
     seed: int
     iteration: int
     orientation_error: float
@@ -103,6 +115,12 @@ class ExperimentRecord:
     cost: float = None
     selection_seconds: float = None
     fov_rejections: int = 0
+
+
+_WALL_CLOCK_FIELDS = ("selection_seconds",)
+_RECORD_FIELDS = tuple(f.name for f in dataclasses.fields(ExperimentRecord)
+                       if f.name not in _WALL_CLOCK_FIELDS)
+_TIMING_FIELDS = ("seed", "iteration") + _WALL_CLOCK_FIELDS
 
 
 def _resolve_limits(spec, n: int) -> np.ndarray:
@@ -275,50 +293,39 @@ def config_to_meta(cfg: ExperimentConfig) -> dict:
     return meta
 
 
-_RECORD_FIELDS = ("seed", "iteration", "orientation_error", "location_error",
-                  "prediction_error", "cost", "fov_rejections")
+def _write_jsonl(path: str, docs) -> None:
+    """One sorted-key JSON document per line, streamed from an iterable."""
+    with open(path, "w") as fh:
+        for doc in docs:
+            fh.write(json.dumps(doc, sort_keys=True))
+            fh.write("\n")
 
 
-def record_to_dict(rec: ExperimentRecord) -> dict:
-    return {name: getattr(rec, name) for name in _RECORD_FIELDS}
+def _pick(rec: ExperimentRecord, names) -> dict:
+    return {name: getattr(rec, name) for name in names}
 
 
 def write_records(records, meta: dict, path: str, failures=None) -> None:
     """JSONL with a leading meta line, then a CSV projection next to it.
 
-    selection_seconds is wall clock and goes to <path>.timing instead,
-    keeping the record files byte-identical across re-runs.
+    The wall-clock fields go to <path>.timing instead, keeping the record
+    files byte-identical across re-runs.
     """
-    with open(path, "w") as fh:
-        fh.write(json.dumps({"type": "meta", "config": meta}, sort_keys=True))
-        fh.write("\n")
-        for rec in records:
-            doc = {"type": "record"}
-            doc.update(record_to_dict(rec))
-            fh.write(json.dumps(doc, sort_keys=True))
-            fh.write("\n")
-        for failure in failures or []:
-            doc = {"type": "failure"}
-            doc.update(failure)
-            fh.write(json.dumps(doc, sort_keys=True))
-            fh.write("\n")
+    _write_jsonl(path, itertools.chain(
+        [{"type": "meta", "config": meta}],
+        ({"type": "record", **_pick(rec, _RECORD_FIELDS)} for rec in records),
+        ({"type": "failure", **failure} for failure in failures or [])))
 
     csv_path = os.path.splitext(path)[0] + ".csv"
     with open(csv_path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(_RECORD_FIELDS)
         for rec in records:
-            row = [getattr(rec, name) for name in _RECORD_FIELDS]
-            writer.writerow(["" if v is None else v for v in row])
+            writer.writerow(["" if v is None else v for v in _pick(rec, _RECORD_FIELDS).values()])
 
-    timings = [(r.seed, r.iteration, r.selection_seconds)
-               for r in records if r.selection_seconds is not None]
-    if timings:
-        with open(path + ".timing", "w") as fh:
-            for seed, iteration, seconds in timings:
-                fh.write(json.dumps({"seed": seed, "iteration": iteration,
-                                     "selection_seconds": seconds}, sort_keys=True))
-                fh.write("\n")
+    timed = [rec for rec in records if rec.selection_seconds is not None]
+    if timed:
+        _write_jsonl(path + ".timing", (_pick(rec, _TIMING_FIELDS) for rec in timed))
 
 
 def read_records(path: str):
@@ -361,22 +368,22 @@ def _stats(values) -> dict:
             "iqr": [_quantile(values, 0.25), _quantile(values, 0.75)]}
 
 
-def iterations_to_threshold(records, field: str, threshold: float) -> dict:
-    """Per seed, the first iteration whose error drops below threshold
-    (inf when it never does)."""
+def _by_seed(records) -> dict:
+    """seed -> its records in iteration order; seeds in first-appearance order."""
     by_seed = {}
     for rec in records:
         by_seed.setdefault(rec.seed, []).append(rec)
-    out = {}
-    for seed, recs in by_seed.items():
+    for recs in by_seed.values():
         recs.sort(key=lambda r: r.iteration)
-        hit = float("inf")
-        for rec in recs:
-            if getattr(rec, field) < threshold:
-                hit = rec.iteration
-                break
-        out[seed] = hit
-    return out
+    return by_seed
+
+
+def iterations_to_threshold(records, field: str, threshold: float) -> dict:
+    """Per seed, the first iteration whose error drops below threshold
+    (inf when it never does)."""
+    return {seed: next((rec.iteration for rec in recs if getattr(rec, field) < threshold),
+                       float("inf"))
+            for seed, recs in _by_seed(records).items()}
 
 
 def summarize(records, orientation_threshold: float = ORIENTATION_THRESHOLD,
@@ -387,17 +394,11 @@ def summarize(records, orientation_threshold: float = ORIENTATION_THRESHOLD,
     to_orientation = iterations_to_threshold(records, "orientation_error",
                                              orientation_threshold)
     to_location = iterations_to_threshold(records, "location_error", location_threshold)
-
-    by_seed = {}
-    for rec in records:
-        prev = by_seed.get(rec.seed)
-        if prev is None or rec.iteration > prev.iteration:
-            by_seed[rec.seed] = rec
-    finals = list(by_seed.values())
+    finals = [recs[-1] for recs in _by_seed(records).values()]
 
     orient_iters = list(to_orientation.values())
     summary = {
-        "seeds": len(by_seed),
+        "seeds": len(finals),
         "orientation_threshold": orientation_threshold,
         "location_threshold": location_threshold,
         "iterations_to_orientation_threshold": _stats(orient_iters),
@@ -410,7 +411,8 @@ def summarize(records, orientation_threshold: float = ORIENTATION_THRESHOLD,
     return summary
 
 
-def _parse_override(text: str):
+def _apply_override(doc: dict, text: str) -> None:
+    """Set doc's dotted KEY from KEY=VALUE, VALUE parsed as JSON if it parses."""
     if "=" not in text:
         raise ConfigError(f"override {text!r} must look like key=value")
     key, raw = text.split("=", 1)
@@ -418,17 +420,13 @@ def _parse_override(text: str):
         value = json.loads(raw)
     except json.JSONDecodeError:
         value = raw
-    return key, value
-
-
-def _apply_override(doc: dict, key: str, value) -> None:
-    parts = key.split(".")
+    *parents, last = key.split(".")
     node = doc
-    for part in parts[:-1]:
+    for part in parents:
         node = node.setdefault(part, {})
         if not isinstance(node, dict):
             raise ConfigError(f"cannot override through non-object key {part!r}")
-    node[parts[-1]] = value
+    node[last] = value
 
 
 def config_from_dict(doc: dict) -> ExperimentConfig:
@@ -463,24 +461,23 @@ def load_config(path: str, overrides=()) -> ExperimentConfig:
     if not isinstance(doc, dict):
         raise ConfigError("config file must hold a JSON object")
     for text in overrides:
-        key, value = _parse_override(text)
-        _apply_override(doc, key, value)
+        _apply_override(doc, text)
     return config_from_dict(doc)
 
 
 def _cmd_run(args) -> int:
     overrides = list(args.override or [])
-    cfg = load_config(args.config, overrides)
-    if args.strategy:
-        cfg = dataclasses.replace(cfg, strategy=args.strategy)
-    if args.seeds:
+    if args.strategy is not None:
+        overrides.append(f"strategy={json.dumps(args.strategy)}")
+    if args.seeds is not None:
         try:
             seeds = [int(s) for s in args.seeds.split(",") if s.strip() != ""]
         except ValueError as exc:
             raise ConfigError(f"bad --seeds value {args.seeds!r}") from exc
-        cfg = dataclasses.replace(cfg, seeds=seeds)
-    if args.iterations:
-        cfg = dataclasses.replace(cfg, iterations=args.iterations)
+        overrides.append(f"seeds={json.dumps(seeds)}")
+    if args.iterations is not None:
+        overrides.append(f"iterations={args.iterations}")
+    cfg = load_config(args.config, overrides)
     out = args.out or cfg.output
     if not out:
         raise ConfigError("no output path: pass --out or set 'output' in the config")
@@ -490,27 +487,28 @@ def _cmd_run(args) -> int:
     records = run_experiment(cfg, failures=failures, observations=observations)
     write_records(records, config_to_meta(cfg), out, failures=failures)
     if args.observations:
-        with open(args.observations, "w") as fh:
-            for doc in observations:
-                fh.write(json.dumps(doc, sort_keys=True))
-                fh.write("\n")
+        _write_jsonl(args.observations, observations)
     print(f"wrote {len(records)} records to {out}"
           + (f" ({len(failures)} failed seeds)" if failures else ""))
     return 1 if failures else 0
 
 
-def _format_stats(label: str, stats: dict) -> str:
-    return (f"  {label}: median {stats['median']:.6g}  "
-            f"iqr [{stats['iqr'][0]:.6g}, {stats['iqr'][1]:.6g}]")
+_STATS_PRINTED = ("iterations_to_orientation_threshold", "iterations_to_location_threshold",
+                  "final_orientation_error", "final_location_error", "final_prediction_error")
 
 
 def _cmd_summarize(args) -> int:
     outputs = {}
+    paths = {}
     for path in args.inputs:
         meta, records, failures = read_records(path)
         if not records:
             raise ConfigError(f"{path!r} holds no records")
         label = (meta or {}).get("strategy", path)
+        if args.json and label in paths:
+            raise ConfigError(f"{paths[label]!r} and {path!r} share the label {label!r}, "
+                              "which keys the --json summaries")
+        paths[label] = path
         summary = summarize(records,
                             orientation_threshold=args.orientation_threshold,
                             location_threshold=args.location_threshold)
@@ -520,13 +518,10 @@ def _cmd_summarize(args) -> int:
         print(f"  seeds: {summary['seeds']}   "
               f"converged: {summary['converged_orientation']}   "
               f"failures: {summary['failures']}")
-        print(_format_stats("iterations to orientation threshold",
-                            summary["iterations_to_orientation_threshold"]))
-        print(_format_stats("iterations to location threshold",
-                            summary["iterations_to_location_threshold"]))
-        print(_format_stats("final orientation error", summary["final_orientation_error"]))
-        print(_format_stats("final location error", summary["final_location_error"]))
-        print(_format_stats("final prediction error", summary["final_prediction_error"]))
+        for key in _STATS_PRINTED:
+            stats = summary[key]
+            print(f"  {key.replace('_', ' ')}: median {stats['median']:.6g}  "
+                  f"iqr [{stats['iqr'][0]:.6g}, {stats['iqr'][1]:.6g}]")
     if args.json:
         with open(args.json, "w") as fh:
             json.dump(outputs, fh, indent=2, sort_keys=True)

@@ -20,9 +20,9 @@ depths, so measure classes group exactly with no float comparisons.
 During a run the rectangles are plain records in parallel lists: center
 array, depth tuple, class key (the sorted depths) and value, with each
 depth tuple's measure computed once. HyperRect objects exist only at the
-edges: the views handed to on_iteration, and the arguments and results
-of potentially_optimal and trisect, which adapt them to the same record
-code, so there is one selection rule and one split.
+edges: the views handed to on_iteration, and the arguments of
+potentially_optimal, which adapts them to the same record code, so there
+is one selection rule.
 """
 
 from __future__ import annotations
@@ -30,6 +30,7 @@ from __future__ import annotations
 import functools
 import logging
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -84,8 +85,9 @@ class DirectConfig:
     variant: str = "direct"
 
     def __post_init__(self):
-        if self.max_evaluations < 1:
-            raise ValueError("max_evaluations must be a positive integer")
+        evals = self.max_evaluations
+        if isinstance(evals, bool) or not isinstance(evals, numbers.Integral) or evals < 1:
+            raise ValueError(f"max_evaluations must be a positive integer, got {evals!r}")
         if self.epsilon < 0:
             raise ValueError("epsilon must be non-negative")
         if self.variant not in VARIANTS:
@@ -226,15 +228,6 @@ def _unit_points(offsets: list) -> list:
 def _views(records) -> list:
     """HyperRect views of (center, depth, class key, value) records."""
     return [HyperRect(center, np.array(depth), value) for center, depth, _, value in records]
-
-
-def trisect(rect: HyperRect, f):
-    """Subdivide rect, evaluating f at the new unit-cube centers."""
-    depth = tuple(rect.depth.tolist())
-    offsets = _offset_centers(rect.center, depth)
-    children = _split(rect.center.copy(), depth, rect.value, offsets,
-                      [float(f(p)) for p in _unit_points(offsets)])
-    return _views(children)
 
 
 def minimize(f, cfg: DirectConfig, on_iteration=None, collect_trace: bool = False) -> DirectResult:

@@ -176,7 +176,6 @@ class _TwistTerms(NamedTuple):
     """
 
     n: int                  # joints
-    v: np.ndarray           # moments (n, 3)
     norm: np.ndarray        # |w| (n,)
     inv_norm: np.ndarray    # 1/|w|, 0 for pure translations (n,)
     k: np.ndarray           # unit axes, zero rows for pure translations (n, 3)
@@ -196,7 +195,7 @@ def _twist_terms(x) -> _TwistTerms:
     """Check the raw parameter vector x = [w_1, v_1, ..., w_n, v_n] and
     compute every array of _chain_terms that does not depend on the
     configurations, so callers that hold x fixed can reuse them."""
-    x = np.array(x, dtype=float)            # a copy, since v below is a view of it
+    x = np.asarray(x, dtype=float)
     if x.ndim != 1 or x.size % 6:
         raise ValueError(f"parameter vector length must be a multiple of 6, got shape {x.shape}")
     if not np.isfinite(x).all():
@@ -221,7 +220,7 @@ def _twist_terms(x) -> _TwistTerms:
     wv_eye[translates] = 0.0
     wvt[translates] = 0.0
     wwt[translates] = _EYE3
-    return _TwistTerms(n, v, norm, inv_norm, k, kx, kx2, wxv, w_wv, _matvec(kx, wxv),
+    return _TwistTerms(n, norm, inv_norm, k, kx, kx2, wxv, w_wv, _matvec(kx, wxv),
                        _matvec(kx2, wxv), wv_eye, wvt, wwt, skew(v))
 
 

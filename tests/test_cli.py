@@ -218,6 +218,24 @@ class TestConfigParsing:
             config_from_dict(base_config(strategy="active_rls",
                                          optimizer={"bounds": [[0.0, 1.0]] * 3}))
 
+    @pytest.mark.parametrize("extra", [
+        {"iterations": 2.0},
+        {"probe_set_size": 5.0},
+        {"strategy": "active_rls", "optimizer": {"max_evaluations": 10.0}},
+        {"iterations": True},
+        {"seeds": [0.5]},
+        {"seeds": [-1]},
+        {"probe_seed": -3},
+    ])
+    def test_rejects_non_integer_and_negative_counts(self, tmp_path, capsys, extra):
+        with pytest.raises(ConfigError):
+            config_from_dict(base_config(**extra))
+        out = tmp_path / "r.jsonl"
+        assert main(["run", "--config", write_config(tmp_path, **extra),
+                     "--out", str(out)]) == 1
+        assert "error:" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_readme_example_config_is_accepted(self):
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
         blocks = re.findall(r"```json\n(.*?)```", readme, re.DOTALL)
@@ -266,6 +284,31 @@ class TestRecordsIO:
         lines = (tmp_path / "out.csv").read_text().splitlines()
         assert lines[0].startswith("seed,iteration,orientation_error")
         assert len(lines) == 1 + len(records)
+
+    def test_golden_bytes(self, tmp_path):
+        # pins the on-disk format: sorted JSON keys, no wall clock in the
+        # records or the CSV, one .timing line per timed record
+        records = [ExperimentRecord(3, 1, 0.5, 0.25, 0.1),
+                   ExperimentRecord(3, 2, 0.375, 0.125, 0.0625, cost=1.5,
+                                    selection_seconds=0.75, fov_rejections=1)]
+        path = tmp_path / "golden.jsonl"
+        write_records(records, {"chain": "planar3", "seeds": [3, 4]}, str(path),
+                      failures=[{"seed": 4, "error": "boom"}])
+        assert path.read_bytes() == (
+            b'{"config": {"chain": "planar3", "seeds": [3, 4]}, "type": "meta"}\n'
+            b'{"cost": null, "fov_rejections": 0, "iteration": 1, "location_error": 0.25, '
+            b'"orientation_error": 0.5, "prediction_error": 0.1, "seed": 3, "type": "record"}\n'
+            b'{"cost": 1.5, "fov_rejections": 1, "iteration": 2, "location_error": 0.125, '
+            b'"orientation_error": 0.375, "prediction_error": 0.0625, "seed": 3, '
+            b'"type": "record"}\n'
+            b'{"error": "boom", "seed": 4, "type": "failure"}\n')
+        assert (tmp_path / "golden.csv").read_bytes() == (
+            b"seed,iteration,orientation_error,location_error,prediction_error,cost,"
+            b"fov_rejections\r\n"
+            b"3,1,0.5,0.25,0.1,,0\r\n"
+            b"3,2,0.375,0.125,0.0625,1.5,1\r\n")
+        assert (tmp_path / "golden.jsonl.timing").read_bytes() == (
+            b'{"iteration": 2, "seed": 3, "selection_seconds": 0.75}\n')
 
 
 class TestSummaries:
@@ -335,6 +378,37 @@ class TestCommandLine:
         assert len(records) == 2
         assert len(open(obs).read().splitlines()) == 2
 
+    def test_run_flags_are_overrides(self, tmp_path):
+        # --strategy is an override applied before validation, so the
+        # active default optimizer is never echoed for a random run
+        doc = base_config(strategy="active_rls", iterations=2, seeds=[0])
+        path = tmp_path / "active.json"
+        path.write_text(json.dumps(doc))
+        runs = {"flag": ["--strategy", "random_rls", "--seeds", "0", "--iterations", "2"],
+                "override": ["--override", "strategy=random_rls", "--override", "seeds=[0]",
+                             "--override", "iterations=2"]}
+        for name, flags in runs.items():
+            assert main(["run", "--config", str(path), "--out",
+                         str(tmp_path / f"{name}.jsonl"), *flags]) == 0
+        assert (tmp_path / "flag.jsonl").read_bytes() == (tmp_path / "override.jsonl").read_bytes()
+        assert (tmp_path / "flag.csv").read_bytes() == (tmp_path / "override.csv").read_bytes()
+        meta, _, _ = read_records(str(tmp_path / "flag.jsonl"))
+        assert "optimizer" not in meta
+
+    def test_summarize_json_rejects_shared_labels(self, tmp_path, capsys):
+        path = write_config(tmp_path, iterations=2)
+        outs = [str(tmp_path / "a.jsonl"), str(tmp_path / "b.jsonl")]
+        for out in outs:
+            assert main(["run", "--config", path, "--out", out]) == 0
+        capsys.readouterr()
+        json_out = tmp_path / "summary.json"
+        assert main(["summarize", "--in", outs[0], "--in", outs[1],
+                     "--json", str(json_out)]) == 1
+        err = capsys.readouterr().err
+        assert "error:" in err and outs[0] in err and outs[1] in err
+        assert not json_out.exists()
+        assert main(["summarize", "--in", outs[0], "--in", outs[1]]) == 0
+
     def test_summarize_command(self, tmp_path, capsys):
         path = write_config(tmp_path)
         out = str(tmp_path / "r.jsonl")
@@ -371,3 +445,8 @@ class TestCommandLine:
 
         path = write_config(tmp_path)
         assert main(["run", "--config", path]) == 1  # no output path anywhere
+        # a zero or empty flag value is an error, not a missing flag
+        for flag, value in (("--iterations", "0"), ("--seeds", "")):
+            assert main(["run", "--config", path, "--out", str(tmp_path / "r.jsonl"),
+                         flag, value]) == 1
+        assert not (tmp_path / "r.jsonl").exists()

@@ -3,14 +3,23 @@ import logging
 import numpy as np
 import pytest
 
-from kincal.direct import (DirectConfig, HyperRect, minimize, minimize_batch, potentially_optimal,
-                           trisect)
+from kincal.direct import (DirectConfig, HyperRect, _offset_centers, _split, _unit_points, _views,
+                           minimize, minimize_batch, potentially_optimal)
 
 
 def rect1(depth, value):
     """1-D rect at a valid center for the given depth (leftmost cell)."""
     side = 3.0 ** (-depth)
     return HyperRect(np.array([side / 2.0]), np.array([depth]), value)
+
+
+def trisect(rect, f):
+    """HyperRect views of rect's children, split as minimize_batch
+    splits a rectangle once f has valued every offset center."""
+    depth = tuple(rect.depth.tolist())
+    offsets = _offset_centers(rect.center, depth)
+    return _views(_split(rect.center.copy(), depth, rect.value, offsets,
+                         [float(f(p)) for p in _unit_points(offsets)]))
 
 
 def po_bruteforce(rects, f_min, epsilon):

@@ -203,6 +203,20 @@ class TestObservationJacobian:
             np.testing.assert_allclose(jac[:, smooth], ref[:, smooth], rtol=1e-5, atol=1e-8)
             np.testing.assert_array_equal(jac[:, columns[[1, 3], :3].ravel()], 0.0)
 
+    def test_terms_keep_no_view_of_x(self):
+        # the model caches _twist_terms per x, so they must not alias the
+        # caller's array
+        rng = np.random.default_rng(67)
+        chain = random_chain(rng, 4)
+        x = chain.to_vector()
+        configs = rng.uniform(-1.5, 1.5, size=(3, 4))
+        terms = _twist_terms(x)
+        before = _chain_terms(terms, chain.zero_pose.translation, configs, jacobian=True)
+        x[:] = rng.normal(size=x.size)
+        after = _chain_terms(terms, chain.zero_pose.translation, configs, jacobian=True)
+        for a, b in zip(before, after):
+            np.testing.assert_array_equal(a, b)
+
     def test_zero_axis_branch(self):
         chain = ChainParams([Twist([0, 0, 0], [0.2, 0, 0.4])],
                             Pose(np.eye(3), [0.5, 0, 0]))
