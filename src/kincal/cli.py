@@ -50,6 +50,9 @@ LOCATION_THRESHOLD = 0.02      # m
 
 _PROBE_ATTEMPT_FACTOR = 1000
 _STABILIZING_PERIOD = 10       # accepted RLS updates between stabilizing inflations
+# Iterations scored per metrics and prediction_error call: their cost is
+# per call, not per mean, and a block of 10 keeps the stacked arrays small.
+_SCORE_BLOCK = 10
 
 
 class ConfigError(Exception):
@@ -59,6 +62,13 @@ class ConfigError(Exception):
 def _check_integer(name: str, value, low: int) -> None:
     if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < low:
         raise ConfigError(f"{name} must be an integer >= {low}, got {value!r}")
+
+
+def _check_number(name: str, value) -> None:
+    """Reject what a float field would silently take as a number: JSON
+    true and false are Python ints."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ConfigError(f"{name} must be a number, got {value!r}")
 
 
 @dataclass
@@ -87,6 +97,14 @@ class ExperimentConfig:
         for seed in self.seeds:
             _check_integer("seeds", seed, 0)
         self.seeds = [int(s) for s in self.seeds]
+        _check_number("init_variance", self.init_variance)
+        _check_number("noise.obs_variance", self.noise.obs_variance)
+        _check_number("noise.stabilizing_variance", self.noise.stabilizing_variance)
+        if self.optimizer is not None:
+            _check_number("optimizer.epsilon", self.optimizer.epsilon)
+        if self.gradient is not None:
+            _check_number("gradient.learning_rate", self.gradient.learning_rate)
+            _check_number("gradient.decay", self.gradient.decay)
         if self.init_variance <= 0:
             raise ConfigError("init_variance must be positive")
         _check_integer("probe_set_size", self.probe_set_size, 1)
@@ -180,9 +198,23 @@ def _probe_set(gt: GroundTruth, size: int, probe_seed: int):
     raise ConfigError("field of view rejects almost every probe configuration")
 
 
+def _score(records, means, gt: GroundTruth, model, probes) -> None:
+    """Fill in the errors of records from their means, one stacked call each."""
+    means = np.stack(means)
+    orientation, location = metrics(means, gt)
+    predict_rms = prediction_error(means, *probes, model)
+    for rec, *errors in zip(records, orientation.tolist(), location.tolist(),
+                            predict_rms.tolist()):
+        rec.orientation_error, rec.location_error, rec.prediction_error = errors
+
+
 def _run_seed(cfg: ExperimentConfig, gt: GroundTruth, model, probes, box, seed: int,
               keep_observations: bool):
-    """(records, observation dicts or None) of one seed."""
+    """(records, observation dicts or None) of one seed.
+
+    Scoring reads the means and feeds nothing back, so the records are
+    scored in blocks of _SCORE_BLOCK iterations, and the last block at
+    the last iteration."""
     dim = 6 * gt.n_joints
     init_rng, config_rng, noise_rng = (make_rng(ss)
                                        for ss in np.random.SeedSequence(seed).spawn(3))
@@ -193,6 +225,7 @@ def _run_seed(cfg: ExperimentConfig, gt: GroundTruth, model, probes, box, seed: 
         state = EstimatorState(mean, cfg.init_variance * np.eye(dim))
 
     records = []
+    block_means = []
     observations = [] if keep_observations else None
     rejections = 0
     updates = 0
@@ -227,10 +260,12 @@ def _run_seed(cfg: ExperimentConfig, gt: GroundTruth, model, probes, box, seed: 
                                    seed, iteration)
                 mean = state.mean
 
-        orientation, location = metrics(mean, gt)
-        predict_rms = prediction_error(mean, *probes, model)
-        records.append(ExperimentRecord(seed, iteration, orientation, location,
-                                        predict_rms, cost, seconds, rejections))
+        records.append(ExperimentRecord(seed, iteration, None, None, None,
+                                        cost, seconds, rejections))
+        block_means.append(mean)
+        if len(block_means) == _SCORE_BLOCK or iteration == cfg.iterations:
+            _score(records[-len(block_means):], block_means, gt, model, probes)
+            block_means = []
         if keep_observations:
             observations.append({"seed": seed, "iteration": iteration,
                                  "q": [float(a) for a in q],

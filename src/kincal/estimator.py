@@ -11,9 +11,11 @@ Two updates over the same observation model:
     kept as a baseline. No covariance.
 
 Models are duck-typed: anything with predict(x, q) and jacobian(x, q);
-prediction_error also needs predict_batch(x, configs). Both updates ask
-for the Jacobian first and then the prediction at the same (x, q), so a
-model can answer the second from the linearization behind the first.
+prediction_error also needs predict_batch(x, configs), which takes a
+stack of parameter vectors when prediction_error is given one. Both
+updates ask for the Jacobian first and then the prediction at the same
+(x, q), so a model can answer the second from the linearization behind
+the first.
 Observations may have any dimension; the chain model returns 3-vectors.
 """
 
@@ -186,11 +188,16 @@ def gradient_update(mean, q, y, cfg: GradientConfig, model, step: int = 0) -> np
     return new_mean
 
 
-def prediction_error(mean, configs, targets, model) -> float:
-    """RMS residual norm of the model at mean over a probe set: a (k, n)
-    array of configurations and the (k, m) array of their targets."""
+def prediction_error(means, configs, targets, model):
+    """RMS residual norm of the model at a mean over a probe set: a (k, n)
+    array of configurations and the (k, m) array of their targets. For a
+    (T, d) stack of means, the (T,) array of their RMS errors, each
+    bit-identical to its own call; the model's predict_batch then takes
+    the stack and returns (T, k, m)."""
     if len(configs) == 0:
         raise ValueError("prediction_error needs a non-empty probe set")
-    residuals = targets - model.predict_batch(np.asarray(mean, dtype=float), configs)
-    total = float(np.sum(residuals * residuals))
-    return float(np.sqrt(total / len(configs)))
+    means = np.asarray(means, dtype=float)
+    residuals = targets - model.predict_batch(means, configs)
+    totals = np.sum(residuals * residuals, axis=(-2, -1))
+    rms = np.sqrt(totals / len(configs))
+    return float(rms) if means.ndim == 1 else rms

@@ -13,7 +13,9 @@ entries). Nothing here constrains the parameters to unit axis norm: the
 estimators operate on the raw vector. Positions and Jacobians for any
 block of configurations come from one vectorized kernel in two parts:
 _twist_terms holds the input checks and every array that depends on the
-parameters only, and _chain_terms the work per configuration.
+parameters only, and _chain_terms the work per configuration. Positions
+also take a stack of parameter vectors, one block of configurations for
+each; every row gives the same bits as the row alone.
 ChainObservationModel keeps the first part for the last parameter vector
 it saw. twist_exp is the scalar reference the kernel is checked against.
 
@@ -169,6 +171,8 @@ def _row_dot(a, b):
 class _TwistTerms(NamedTuple):
     """Kernel arrays that depend on the parameters only, one row per joint.
 
+    The shapes below are those of one parameter vector; the terms of a
+    stack of vectors (..., 6n) carry the same leading axes.
     A pure translation (|w| < _ZERO_AXIS_TOL) has zero k, so every
     rotational term of _chain_terms vanishes for it; the rows marked
     below hold its limit form instead, so the kernel needs no branch:
@@ -192,29 +196,31 @@ class _TwistTerms(NamedTuple):
 
 
 def _twist_terms(x) -> _TwistTerms:
-    """Check the raw parameter vector x = [w_1, v_1, ..., w_n, v_n] and
-    compute every array of _chain_terms that does not depend on the
-    configurations, so callers that hold x fixed can reuse them."""
+    """Check the raw parameter vector x = [w_1, v_1, ..., w_n, v_n], or a
+    stack (..., 6n) of them, and compute every array of _chain_terms that
+    does not depend on the configurations, so callers that hold x fixed
+    can reuse them. Each term is computed row by row, so a vector's terms
+    are bit-identical whether it comes alone or in a stack."""
     x = np.asarray(x, dtype=float)
-    if x.ndim != 1 or x.size % 6:
+    if x.ndim == 0 or x.shape[-1] % 6:
         raise ValueError(f"parameter vector length must be a multiple of 6, got shape {x.shape}")
     if not np.isfinite(x).all():
         raise ValueError("parameters must be finite")
-    n = x.size // 6
-    twists = x.reshape(n, 6)
-    w, v = twists[:, :3], twists[:, 3:]
-    norm = np.sqrt(np.einsum("ij,ij->i", w, w))
+    n = x.shape[-1] // 6
+    twists = x.reshape(x.shape[:-1] + (n, 6))
+    w, v = twists[..., :3], twists[..., 3:]
+    norm = np.sqrt(np.einsum("...j,...j->...", w, w))
     translates = norm < _ZERO_AXIS_TOL
-    inv_norm = np.divide(1.0, norm, out=np.zeros(n), where=~translates)
-    k = w * inv_norm[:, None]
+    inv_norm = np.divide(1.0, norm, out=np.zeros(norm.shape), where=~translates)
+    k = w * inv_norm[..., None]
     kx = skew(k)
     kx2 = kx @ kx
-    wxv = norm[:, None] * _matvec(kx, v)
-    wv = np.einsum("ij,ij->i", w, v)
-    w_wv = w * wv[:, None]
-    wv_eye = wv[:, None, None] * _EYE3
-    wvt = w[:, :, None] * v[:, None, :]
-    wwt = w[:, :, None] * w[:, None, :]
+    wxv = norm[..., None] * _matvec(kx, v)
+    wv = np.einsum("...j,...j->...", w, v)
+    w_wv = w * wv[..., None]
+    wv_eye = wv[..., None, None] * _EYE3
+    wvt = w[..., :, None] * v[..., None, :]
+    wwt = w[..., :, None] * w[..., None, :]
     # pure translations hold their limit form (see _TwistTerms)
     w_wv[translates] = v[translates]
     wv_eye[translates] = 0.0
@@ -231,6 +237,9 @@ def _chain_terms(terms: _TwistTerms, zero_translation, Q, jacobian=False):
     block of joint angles and zero_translation the end-effector position
     at the all-zero configuration. Returns the positions (m, 3); with
     jacobian=True returns (positions, Jacobians (m, 3, 6n) w.r.t. x).
+    Positions also take the terms of a stack (..., 6n) of parameter
+    vectors and return (..., m, 3), the block Q for every vector; the
+    Jacobians take one vector and raise ValueError on a stack.
 
     Joint i moves by R_i = exp(skew(w_i) q_i) and
     t_i = (I - R_i)(w_i x v_i) + q_i w_i (w_i . v_i), or by the pure
@@ -256,23 +265,28 @@ def _chain_terms(terms: _TwistTerms, zero_translation, Q, jacobian=False):
         raise ValueError(f"expected {6 * n} parameters for {n} joints, got {6 * t.n}")
     if not np.isfinite(Q).all():
         raise ValueError("joint angles must be finite")
+    if jacobian and t.norm.ndim != 1:
+        raise ValueError("Jacobians take one parameter vector, not a stack")
 
-    # Rodrigues: R = I + sin K + vers K^2 for the rotation angle |w| q
-    angle = Q * t.norm
-    sin = np.sin(angle)[..., None]          # (m, n, 1), broadcasts over 3-vectors
+    # Rodrigues: R = I + sin K + vers K^2 for the rotation angle |w| q;
+    # the terms of a stack get an axis for the configurations, [..., None, :]
+    angle = Q * t.norm[..., None, :]        # (..., m, n)
+    sin = np.sin(angle)[..., None]          # (..., m, n, 1), broadcasts over 3-vectors
     cos = np.cos(angle)[..., None]
     vers = 1.0 - cos
-    r_minus_i = sin[..., None] * t.kx + vers[..., None] * t.kx2
+    r_minus_i = sin[..., None] * t.kx[..., None, :, :, :]
+    r_minus_i += vers[..., None] * t.kx2[..., None, :, :, :]
     rot = _EYE3 + r_minus_i
-    trans = Q[..., None] * t.w_wv - sin * t.kx_wxv - vers * t.kx2_wxv
+    trans = (Q[..., None] * t.w_wv[..., None, :, :] - sin * t.kx_wxv[..., None, :, :]
+             - vers * t.kx2_wxv[..., None, :, :])
 
-    # suffix[:, i] is the end effector in the input frame of joint i
-    suffix = np.empty((m, n + 1, 3))
-    suffix[:, n] = zero_translation
+    # suffix[..., i, :] is the end effector in the input frame of joint i
+    suffix = np.empty(angle.shape[:-1] + (n + 1, 3))
+    suffix[..., n, :] = zero_translation
     for i in range(n - 1, -1, -1):
-        suffix[:, i] = _matvec(rot[:, i], suffix[:, i + 1]) + trans[:, i]
+        suffix[..., i, :] = _matvec(rot[..., i, :, :], suffix[..., i + 1, :]) + trans[..., i, :]
     if not jacobian:
-        return suffix[:, 0]
+        return suffix[..., 0, :]
 
     prefix = np.empty((m, n, 3, 3))
     prefix[:, 0] = _EYE3
@@ -340,10 +354,11 @@ class ChainObservationModel:
     linearize is the batched form that selection scores candidates with.
     The model keeps the _twist_terms of the last x it saw, matched bit for
     bit, so the sweeps of one selection and an update, which all
-    linearize about one mean, compute them once. It also keeps the
-    position its last jacobian call computed, so an update that asks for
-    the Jacobian and then the prediction at the same (x, q) makes one
-    kernel call.
+    linearize about one mean, compute them once. A stack of parameter
+    vectors (predict_batch only) gets fresh terms and leaves the kept
+    ones in place. The model also keeps the position its last jacobian
+    call computed, so an update that asks for the Jacobian and then the
+    prediction at the same (x, q) makes one kernel call.
     """
 
     def __init__(self, zero_pose: Pose, n_joints: int):
@@ -359,6 +374,8 @@ class ChainObservationModel:
 
     def _terms_of(self, x) -> _TwistTerms:
         x = np.asarray(x, dtype=float)
+        if x.ndim > 1:
+            return _twist_terms(x)
         key = (x.shape, x.tobytes())
         if key != self._key:
             self._terms = _twist_terms(x)
@@ -380,7 +397,8 @@ class ChainObservationModel:
         return jac[0]
 
     def predict_batch(self, x, configs) -> np.ndarray:
-        """Positions (m, 3) for an (m, n) block of configurations."""
+        """Positions (m, 3) for an (m, n) block of configurations; for a
+        stack (..., 6n) of parameter vectors, (..., m, 3)."""
         return _chain_terms(self._terms_of(x), self.zero_pose.translation, configs)
 
     def linearize(self, x, configs):

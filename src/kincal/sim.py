@@ -5,8 +5,9 @@ through; the moment vectors follow as v = p x w. All randomness flows
 through numpy PCG64 generators built by make_rng, so a seed pins the
 exact stream on any platform.
 
-Metrics compare a raw estimated parameter vector against the truth,
-all joints and joint pairs at once in array operations:
+Metrics compare a raw estimated parameter vector, or a stack of them,
+against the truth, all joints and joint pairs at once in array
+operations:
 
   * orientation error: mean absolute difference, over joint pairs i < j,
     between the estimated and true inter-axis angles arccos(d_i . d_j).
@@ -50,15 +51,19 @@ def make_rng(seed) -> np.random.Generator:
 class GroundTruth:
     """A canonical chain plus the measurement setup around it. The truth is
     fixed once built, so what depends on it alone is built once too:
-    axis_lines holds its joint axes for metrics, and twist_terms the
-    chain kernel's parameter-only terms (kinematics._twist_terms) that
-    measure evaluates the true position with."""
+    axis_lines holds its joint axes, axis_pairs the joint pairs i < j
+    and pair_angles their inter-axis angles, all for metrics; twist_terms
+    holds the chain kernel's parameter-only terms
+    (kinematics._twist_terms) that measure evaluates the true position
+    with."""
 
     params: ChainParams
     joint_limits: np.ndarray
     fov: FovConfig = None
     obs_variance: float = 1e-4
     axis_lines: tuple = field(init=False, repr=False, compare=False)
+    axis_pairs: tuple = field(init=False, repr=False, compare=False)
+    pair_angles: np.ndarray = field(init=False, repr=False, compare=False)
     twist_terms: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -75,6 +80,8 @@ class GroundTruth:
                 raise ValueError(f"joint {i}: ground-truth axis must be unit norm")
         x = self.params.to_vector()
         self.axis_lines = _axis_lines(x.reshape(n, 6))
+        self.axis_pairs = np.triu_indices(n, 1)
+        self.pair_angles = _pair_angles(self.axis_lines[1], self.axis_pairs)
         self.twist_terms = _twist_terms(x)
 
     @property
@@ -167,33 +174,53 @@ def builtin_chain(name: str) -> GroundTruth:
 
 
 def _axis_lines(rows):
-    """(points w x v, unit directions, degenerate mask) of (n, 6) [w, v]
-    rows; a degenerate row keeps its raw w as direction."""
-    w, v = rows[:, :3], rows[:, 3:]
+    """(points w x v, unit directions, degenerate mask) of (..., n, 6)
+    [w, v] rows; a degenerate row keeps its raw w as direction."""
+    w, v = rows[..., :3], rows[..., 3:]
     norms = np.sqrt(_row_dot(w, w))
     degenerate = norms < _DEGENERATE_AXIS_TOL
-    directions = w / np.where(degenerate, 1.0, norms)[:, None]
+    directions = w / np.where(degenerate, 1.0, norms)[..., None]
     return _matvec(skew(w), v), directions, degenerate
 
 
-def metrics(estimate, gt: GroundTruth):
-    """(orientation_error, location_error) of a raw parameter vector."""
-    estimate = np.asarray(estimate, dtype=float)
-    n = gt.n_joints
-    if estimate.shape != (6 * n,):
-        raise ValueError(f"estimate must have {6 * n} entries")
-    est_points, est_dirs, degenerate = _axis_lines(estimate.reshape(n, 6))
-    true_points, true_dirs, _ = gt.axis_lines
-    if degenerate.any():
-        logger.warning("degenerate estimated axes at joints %s",
-                       np.flatnonzero(degenerate).tolist())
+def _pair_angles(directions, pairs):
+    """Angles arccos(d_i . d_j) (..., p) between the (..., n, 3) directions
+    of each joint pair (i, j) in pairs."""
+    i, j = pairs
+    dots = _row_dot(directions[..., i, :], directions[..., j, :])
+    return np.arccos(np.clip(dots, -1.0, 1.0))
 
-    i, j = np.triu_indices(n, 1)
-    est_angles, true_angles = (np.arccos(np.clip(_row_dot(d[i], d[j]), -1.0, 1.0))
-                               for d in (est_dirs, true_dirs))
-    angle_terms = np.where(degenerate[i] | degenerate[j], math.pi / 2.0,
-                           np.abs(est_angles - true_angles))
-    orientation_error = float(np.mean(angle_terms)) if angle_terms.size else 0.0
+
+def _row_means(a):
+    """Means over the last axis. Taken on a C-ordered copy, so each row is
+    summed pairwise, as np.mean sums it alone: the pair angles of a stack
+    come out F-ordered (from directions[..., i, :]), and over an F-ordered
+    array the row sums run sequentially."""
+    return np.mean(np.ascontiguousarray(a), axis=-1)
+
+
+def metrics(estimates, gt: GroundTruth):
+    """(orientation_error, location_error) of a raw parameter vector; for a
+    (T, 6n) stack of them, a pair of (T,) arrays, each row bit-identical
+    to its own call."""
+    estimates = np.asarray(estimates, dtype=float)
+    n = gt.n_joints
+    if estimates.ndim not in (1, 2) or estimates.shape[-1] != 6 * n:
+        raise ValueError(f"estimate must have {6 * n} entries, or be a stack of such rows")
+    rows = estimates.reshape(estimates.shape[:-1] + (n, 6))
+    est_points, est_dirs, degenerate = _axis_lines(rows)
+    true_points, true_dirs, _ = gt.axis_lines
+    flat = degenerate.reshape(-1, n)
+    for row in flat[flat.any(axis=1)]:
+        logger.warning("degenerate estimated axes at joints %s", np.flatnonzero(row).tolist())
+
+    i, j = gt.axis_pairs
+    angle_terms = np.where(degenerate[..., i] | degenerate[..., j], math.pi / 2.0,
+                           np.abs(_pair_angles(est_dirs, gt.axis_pairs) - gt.pair_angles))
+    if angle_terms.shape[-1]:
+        orientation_error = _row_means(angle_terms)
+    else:
+        orientation_error = np.zeros(angle_terms.shape[:-1])
 
     # near-parallel lines and degenerate estimates keep |gap|
     gap = est_points - true_points
@@ -203,4 +230,7 @@ def metrics(estimate, gt: GroundTruth):
     skew_lines = ~degenerate & (sin_angle >= _PARALLEL_TOL)
     distances[skew_lines] = (np.abs(_row_dot(gap, cross)[skew_lines])
                              / sin_angle[skew_lines])
-    return orientation_error, float(np.mean(distances))
+    location_error = _row_means(distances)
+    if estimates.ndim == 1:
+        return float(orientation_error), float(location_error)
+    return orientation_error, location_error

@@ -141,6 +141,18 @@ class TestRunExperiment:
             else ["measure"]
         assert steps == per_iteration * 6
 
+    @pytest.mark.parametrize("iterations", [1, 9, 10, 11, 23])
+    def test_scoring_blocks_leave_records_unchanged(self, iterations):
+        # records are scored in blocks of iterations; a run that stops
+        # anywhere in a block gives the leading records of a longer run
+        longer = run_experiment(config_from_dict(base_config(iterations=30)))
+        records = run_experiment(config_from_dict(base_config(iterations=iterations)))
+        assert [(r.seed, r.iteration) for r in records] == [
+            (s, i) for s in (0, 1) for i in range(1, iterations + 1)]
+        assert records == [r for r in longer if r.iteration <= iterations]
+        assert all(type(getattr(r, field)) is float for r in longer
+                   for field in ("orientation_error", "location_error", "prediction_error"))
+
     def test_chain_file_input(self, tmp_path):
         path = tmp_path / "chain.json"
         save_chain(builtin_chain("planar3").params, path)
@@ -234,6 +246,23 @@ class TestConfigParsing:
         assert main(["run", "--config", write_config(tmp_path, **extra),
                      "--out", str(out)]) == 1
         assert "error:" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("extra", [
+        {"init_variance": True},
+        {"noise": {"obs_variance": True}},
+        {"noise": {"obs_variance": 1e-4, "stabilizing_variance": True}},
+        {"strategy": "active_rls", "optimizer": {"epsilon": True}},
+        {"strategy": "random_gradient", "gradient": {"learning_rate": True}},
+        {"strategy": "random_gradient", "gradient": {"learning_rate": 0.05, "decay": False}},
+    ])
+    def test_rejects_booleans_in_float_fields(self, tmp_path, capsys, extra):
+        with pytest.raises(ConfigError, match="must be a number"):
+            config_from_dict(base_config(**extra))
+        out = tmp_path / "r.jsonl"
+        assert main(["run", "--config", write_config(tmp_path, **extra),
+                     "--out", str(out)]) == 1
+        assert "must be a number" in capsys.readouterr().err
         assert not out.exists()
 
     def test_readme_example_config_is_accepted(self):

@@ -5,6 +5,7 @@ from kincal.estimator import (DegenerateUpdateError, EstimatorState, GradientCon
                               NoiseConfig, apply_stabilizing_noise, gradient_update,
                               prediction_error, rls_update)
 from kincal.kinematics import ChainObservationModel, ChainParams, Pose, Twist
+from kincal.sim import FIXTURE_NAMES, builtin_chain
 
 
 class LinearModel:
@@ -251,6 +252,25 @@ class TestPredictionError:
     def test_empty_dataset_rejected(self):
         with pytest.raises(ValueError):
             prediction_error(np.zeros(2), np.zeros((0, 1)), np.zeros((0, 3)), ZeroModel(2))
+
+    @pytest.mark.parametrize("name", FIXTURE_NAMES + ("random",))
+    def test_stack_matches_single_calls(self, name, perturbed_stack):
+        rng = np.random.default_rng(89)
+        if name == "random":
+            twists = [Twist(rng.normal(size=3), rng.normal(size=3)) for _ in range(5)]
+            chain = ChainParams(twists, Pose(np.eye(3), rng.normal(size=3)))
+        else:
+            chain = builtin_chain(name).params
+        model = ChainObservationModel.from_chain(chain)
+        x = chain.to_vector()
+        configs = rng.uniform(-1.5, 1.5, size=(20, chain.n_joints))
+        targets = model.predict_batch(x, configs) + rng.normal(scale=0.01, size=(20, 3))
+        stack = perturbed_stack(rng, x)
+        rms = prediction_error(stack, configs, targets, model)
+        assert rms.shape == (len(stack),)
+        for row, mean in enumerate(stack):
+            single = prediction_error(mean, configs, targets, model)
+            assert type(single) is float and single == rms[row]
 
 
 class TestStateAndConfigs:

@@ -8,6 +8,7 @@ from kincal.kinematics import (ChainObservationModel, ChainParams, Pose, Twist,
                                _chain_terms, _twist_terms, chain_from_dict, chain_to_dict,
                                load_chain, observation_jacobian, observation_jacobian_fd,
                                observe, save_chain, skew, twist_exp)
+from kincal.sim import FIXTURE_NAMES, builtin_chain
 
 
 def unit(v):
@@ -351,3 +352,59 @@ class TestObservationModel:
                                     jacobian=True)
         jac_single = np.array([model.jacobian(x, q) for q in configs])
         np.testing.assert_allclose(jac_batch, jac_single, atol=1e-12)
+
+
+class TestStackedParameters:
+    """A stack of parameter vectors gives each row the bits of its own call."""
+
+    @pytest.mark.parametrize("name", FIXTURE_NAMES + ("random",))
+    def test_terms_and_positions_match_single_vectors(self, name, perturbed_stack):
+        rng = np.random.default_rng(71)
+        chain = random_chain(rng, 5) if name == "random" else builtin_chain(name).params
+        stack = perturbed_stack(rng, chain.to_vector())
+        configs = rng.uniform(-2.0, 2.0, size=(9, chain.n_joints))
+        zero = chain.zero_pose.translation
+        terms = _twist_terms(stack)
+        positions = _chain_terms(terms, zero, configs)
+        assert terms.n == chain.n_joints and positions.shape == (len(stack), 9, 3)
+        for row, x in enumerate(stack):
+            single = _twist_terms(x)
+            for field, stacked, alone in zip(single._fields[1:], terms[1:], single[1:]):
+                np.testing.assert_array_equal(stacked[row], alone, err_msg=field)
+            np.testing.assert_array_equal(positions[row], _chain_terms(single, zero, configs))
+        deeper = _chain_terms(_twist_terms(stack.reshape(2, -1, stack.shape[1])), zero, configs)
+        np.testing.assert_array_equal(deeper.reshape(positions.shape), positions)
+
+    def test_jacobians_refuse_a_stack(self):
+        chain = random_chain(np.random.default_rng(73), 3)
+        stack = np.tile(chain.to_vector(), (2, 1))
+        with pytest.raises(ValueError, match="stack"):
+            _chain_terms(_twist_terms(stack), chain.zero_pose.translation,
+                         np.zeros((1, 3)), jacobian=True)
+        with pytest.raises(ValueError, match="stack"):
+            ChainObservationModel.from_chain(chain).linearize(stack, np.zeros((1, 3)))
+        with pytest.raises(ValueError, match="multiple of 6"):
+            _twist_terms(np.zeros((2, 17)))
+
+    def test_model_stack_keeps_the_current_terms(self, monkeypatch, perturbed_stack):
+        rng = np.random.default_rng(79)
+        chain = random_chain(rng, 4)
+        model = ChainObservationModel.from_chain(chain)
+        x = chain.to_vector()
+        q = rng.uniform(-1.0, 1.0, 4)
+        configs = rng.uniform(-1.0, 1.0, size=(6, 4))
+        stack = perturbed_stack(rng, x)
+        before = model.predict(x, q)
+        term_calls = []
+
+        def counted(*args):
+            term_calls.append(np.shape(args[0]))
+            return _twist_terms(*args)
+
+        monkeypatch.setattr("kincal.kinematics._twist_terms", counted)
+        positions = model.predict_batch(stack, configs)
+        np.testing.assert_array_equal(model.predict(x, q), before)
+        assert term_calls == [stack.shape]     # fresh stack terms; x's were kept
+        for row, xr in enumerate(stack):
+            np.testing.assert_array_equal(
+                positions[row], ChainObservationModel.from_chain(chain).predict_batch(xr, configs))

@@ -18,6 +18,15 @@ def single_z_joint(obs_variance=0.0, fov=None, limit=np.pi):
                        obs_variance=obs_variance)
 
 
+def random_truth(rng, n):
+    """Ground truth with n random unit axes through random points."""
+    axes = rng.normal(size=(n, 3))
+    axes /= np.linalg.norm(axes, axis=1)[:, None]
+    twists = [Twist(w, np.cross(rng.normal(size=3), w)) for w in axes]
+    return GroundTruth(ChainParams(twists, Pose(np.eye(3), rng.normal(size=3))),
+                       np.tile([-1.0, 1.0], (n, 1)))
+
+
 class TestFov:
     def test_boundaries(self):
         fov = FovConfig([0.0, 0.0, 0.0], [1.0, 0.0, 0.0], np.pi / 4,
@@ -59,10 +68,19 @@ class TestFov:
             fov = FovConfig(camera, [1.0, 2.0, -0.5], half_angle, near=near, far=far)
             dirs = rng.normal(size=(20, 3))
             dirs /= np.linalg.norm(dirs, axis=1)[:, None]
+            # points on the cone surface and their neighbours 1 ulp off in
+            # each coordinate (np.nextafter toward +-axis and +-side), where
+            # the angle test turns on the last bit
+            side = np.cross(fov.axis, dirs)
+            side /= np.linalg.norm(side, axis=1)[:, None]
+            surface = camera + rng.uniform(0.5, 2.5, size=(20, 1)) * (
+                math.cos(half_angle) * fov.axis + math.sin(half_angle) * side)
+            off_surface = [np.nextafter(surface, surface + sign * offset)
+                           for sign in (1.0, -1.0) for offset in (fov.axis, side)]
             points = np.vstack([camera + rng.normal(scale=2.0, size=(200, 3)),
                                 camera + near * dirs,
                                 camera + (far if math.isfinite(far) else 3.0) * dirs,
-                                camera[None]])
+                                camera[None], surface, *off_surface])
             mask = fov.contains_points(points)
             assert mask.shape == (len(points),) and mask.dtype == bool
             expected = [reference(fov, p) for p in points]
@@ -310,8 +328,37 @@ class TestMetrics:
 
     def test_shape_check(self):
         gt = builtin_chain("planar3")
-        with pytest.raises(ValueError):
-            metrics(np.zeros(17), gt)
+        for bad in (np.zeros(17), np.zeros((2, 17)), np.zeros((1, 2, 18)), np.float64(0.0)):
+            with pytest.raises(ValueError):
+                metrics(bad, gt)
+
+    @pytest.mark.parametrize("name", FIXTURE_NAMES + ("random",))
+    def test_stack_matches_single_calls(self, name, perturbed_stack):
+        rng = np.random.default_rng(83)
+        gt = random_truth(rng, 7) if name == "random" else builtin_chain(name)
+        stack = perturbed_stack(rng, gt.params.to_vector())
+        orientation, location = metrics(stack, gt)
+        assert orientation.shape == location.shape == (len(stack),)
+        for row, x in enumerate(stack):
+            single = metrics(x, gt)
+            assert all(type(value) is float for value in single)
+            assert single == (orientation[row], location[row])
+        np.testing.assert_array_equal(metrics(stack[:1], gt), (orientation[:1], location[:1]))
+
+    def test_single_joint_stack_scores_zero_orientation(self):
+        gt = single_z_joint()
+        orientation, _ = metrics(np.tile(gt.params.to_vector(), (3, 1)), gt)
+        np.testing.assert_array_equal(orientation, np.zeros(3))
+
+    def test_degenerate_rows_of_a_stack_warn_once_each(self, caplog):
+        gt = builtin_chain("planar3")
+        stack = np.tile(gt.params.to_vector(), (4, 1))
+        stack[1, 6:9] = 0.0
+        stack[3, 0:3] = stack[3, 12:15] = 0.0
+        with caplog.at_level(logging.WARNING, logger="kincal.sim"):
+            metrics(stack, gt)
+        assert caplog.messages == ["degenerate estimated axes at joints [1]",
+                                   "degenerate estimated axes at joints [0, 2]"]
 
 
 class TestGroundTruthValidation:
