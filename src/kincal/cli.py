@@ -24,7 +24,7 @@ import dataclasses
 import itertools
 import json
 import logging
-import numbers
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .active import SelectionProblem, select_next
-from .direct import DirectConfig
+from .direct import VARIANTS, DirectConfig
 from .estimator import (DegenerateUpdateError, EstimatorState, GradientConfig,
                         NoiseConfig, apply_stabilizing_noise, gradient_update,
                         prediction_error, rls_update)
@@ -59,18 +59,6 @@ class ConfigError(Exception):
     """Bad experiment configuration or unresolvable inputs."""
 
 
-def _check_integer(name: str, value, low: int) -> None:
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < low:
-        raise ConfigError(f"{name} must be an integer >= {low}, got {value!r}")
-
-
-def _check_number(name: str, value) -> None:
-    """Reject what a float field would silently take as a number: JSON
-    true and false are Python ints."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise ConfigError(f"{name} must be a number, got {value!r}")
-
-
 @dataclass
 class ExperimentConfig:
     chain: str
@@ -89,28 +77,6 @@ class ExperimentConfig:
     output: str = None
 
     def __post_init__(self):
-        if self.strategy not in STRATEGIES:
-            raise ConfigError(f"strategy must be one of {STRATEGIES}")
-        _check_integer("iterations", self.iterations, 1)
-        if not self.seeds:
-            raise ConfigError("seeds must be a non-empty list of integers")
-        for seed in self.seeds:
-            _check_integer("seeds", seed, 0)
-        self.seeds = [int(s) for s in self.seeds]
-        _check_number("init_variance", self.init_variance)
-        _check_number("noise.obs_variance", self.noise.obs_variance)
-        _check_number("noise.stabilizing_variance", self.noise.stabilizing_variance)
-        if self.optimizer is not None:
-            _check_number("optimizer.epsilon", self.optimizer.epsilon)
-        if self.gradient is not None:
-            _check_number("gradient.learning_rate", self.gradient.learning_rate)
-            _check_number("gradient.decay", self.gradient.decay)
-        if self.init_variance <= 0:
-            raise ConfigError("init_variance must be positive")
-        _check_integer("probe_set_size", self.probe_set_size, 1)
-        _check_integer("probe_seed", self.probe_seed, 0)
-        if self.optimizer is not None and self.optimizer.bounds is not None:
-            raise ConfigError("optimizer.bounds is not allowed; the search box is joint_limits")
         if self.strategy == "active_rls" and self.optimizer is None:
             self.optimizer = DirectConfig(max_evaluations=60, variant="direct_l")
         if self.strategy == "random_gradient" and self.gradient is None:
@@ -141,43 +107,29 @@ _RECORD_FIELDS = tuple(f.name for f in dataclasses.fields(ExperimentRecord)
 _TIMING_FIELDS = ("seed", "iteration") + _WALL_CLOCK_FIELDS
 
 
-def _resolve_limits(spec, n: int) -> np.ndarray:
-    if spec is None:
-        return np.tile([-DEFAULT_JOINT_LIMIT, DEFAULT_JOINT_LIMIT], (n, 1))
+def _resolve_box(spec, rows: int, key: str) -> np.ndarray:
+    """The (rows, 2) box of a checked half-width, [lo, hi] pair or rows."""
     arr = np.asarray(spec, dtype=float)
     if arr.ndim == 0:
-        if not arr > 0:
-            raise ConfigError("scalar joint_limits must be a positive half-width")
-        return np.tile([-float(arr), float(arr)], (n, 1))
-    if arr.shape != (n, 2):
-        raise ConfigError(f"joint_limits must be a scalar half-width or an ({n}, 2) array")
-    if not (arr[:, 0] <= arr[:, 1]).all():
-        raise ConfigError("joint_limits pairs need low <= high")
-    return arr
-
-
-def _resolve_init_box(spec, dim: int) -> np.ndarray:
-    arr = np.asarray(spec, dtype=float)
-    if arr.shape == (2,):
-        arr = np.tile(arr, (dim, 1))
-    if arr.shape != (dim, 2) or not (arr[:, 0] <= arr[:, 1]).all():
-        raise ConfigError("init_hypercube must be [lo, hi] or per-parameter pairs with lo <= hi")
+        arr = np.array([-arr, arr])
+    if arr.ndim == 1:
+        arr = np.tile(arr, (rows, 1))
+    if arr.shape != (rows, 2):
+        raise ConfigError(f"{key} must have {rows} [lo, hi] rows, got shape {arr.shape}")
     return arr
 
 
 def resolve_ground_truth(cfg: ExperimentConfig) -> GroundTruth:
     """Builtin fixture by name, or a chain document by path."""
     if cfg.chain in FIXTURE_NAMES:
-        base = builtin_chain(cfg.chain)
-        params = base.params
+        params = builtin_chain(cfg.chain).params
     else:
-        if not os.path.exists(cfg.chain):
-            raise ConfigError(f"chain {cfg.chain!r} is neither a fixture nor a file")
         try:
             params = load_chain(cfg.chain)
-        except (ValueError, json.JSONDecodeError) as exc:
-            raise ConfigError(f"bad chain file {cfg.chain!r}: {exc}") from exc
-    limits = _resolve_limits(cfg.joint_limits, params.n_joints)
+        except (OSError, ValueError) as exc:  # ValueError covers bad JSON
+            raise ConfigError(f"chain {cfg.chain!r} is not a fixture or chain file: {exc}") from exc
+    limits = _resolve_box(DEFAULT_JOINT_LIMIT if cfg.joint_limits is None else cfg.joint_limits,
+                          params.n_joints, "joint_limits")
     if cfg.strategy == "active_rls" and not (limits[:, 0] < limits[:, 1]).all():
         raise ConfigError("active_rls needs joint_limits with low < high on every joint")
     return GroundTruth(params, limits, fov=cfg.fov, obs_variance=cfg.noise.obs_variance)
@@ -285,7 +237,7 @@ def run_experiment(cfg: ExperimentConfig, failures: list = None,
     gt = resolve_ground_truth(cfg)
     model = ChainObservationModel.from_chain(gt.params)
     probes = _probe_set(gt, cfg.probe_set_size, cfg.probe_seed)
-    box = _resolve_init_box(cfg.init_hypercube, 6 * gt.n_joints)
+    box = _resolve_box(cfg.init_hypercube, 6 * gt.n_joints, "init_hypercube")
     records = []
     for seed in cfg.seeds:
         try:
@@ -303,28 +255,19 @@ def run_experiment(cfg: ExperimentConfig, failures: list = None,
 
 
 def config_to_meta(cfg: ExperimentConfig) -> dict:
-    """Deterministic echo of the resolved configuration."""
-    meta = {
-        "chain": cfg.chain,
-        "strategy": cfg.strategy,
-        "iterations": cfg.iterations,
-        "seeds": list(cfg.seeds),
-        "noise": dataclasses.asdict(cfg.noise),
-        "init_hypercube": np.asarray(cfg.init_hypercube, dtype=float).tolist(),
-        "init_variance": cfg.init_variance,
-        "probe_set_size": cfg.probe_set_size,
-        "probe_seed": cfg.probe_seed,
-    }
-    if cfg.optimizer is not None:
-        meta["optimizer"] = {"max_evaluations": cfg.optimizer.max_evaluations,
-                             "epsilon": cfg.optimizer.epsilon,
-                             "variant": cfg.optimizer.variant}
-    if cfg.gradient is not None:
-        meta["gradient"] = dataclasses.asdict(cfg.gradient)
-    if cfg.joint_limits is not None:
-        meta["joint_limits"] = np.asarray(cfg.joint_limits, dtype=float).tolist()
-    if cfg.fov is not None:
-        meta["fov"] = cfg.fov.to_dict()
+    """Deterministic echo of the resolved configuration: every _CONFIG key but output."""
+    meta = {}
+    for key, kind in _CONFIG.items():
+        value = getattr(cfg, key)
+        if value is None or key == "output":
+            continue
+        if key == "fov":
+            value = value.to_dict()
+        elif isinstance(kind, dict):
+            value = {name: getattr(value, name) for name in kind}
+        elif key in ("init_hypercube", "joint_limits"):
+            value = np.asarray(value, dtype=float).tolist()
+        meta[key] = value
     return meta
 
 
@@ -369,18 +312,21 @@ def read_records(path: str):
     records = []
     failures = []
     with open(path) as fh:
-        for line in fh:
+        for number, line in enumerate(fh, 1):
             line = line.strip()
             if not line:
                 continue
-            doc = json.loads(line)
-            kind = doc.pop("type", "record")
-            if kind == "meta":
-                meta = doc.get("config", doc)
-            elif kind == "failure":
-                failures.append(doc)
-            else:
-                records.append(ExperimentRecord(**doc))
+            try:
+                doc = json.loads(line)
+                kind = doc.pop("type", "record")
+                if kind == "meta":
+                    meta = doc.get("config", doc)
+                elif kind == "failure":
+                    failures.append(doc)
+                else:
+                    records.append(ExperimentRecord(**doc))
+            except (ValueError, TypeError, AttributeError) as exc:
+                raise ConfigError(f"{path}:{number}: not a record file line: {exc}") from exc
     return meta, records, failures
 
 
@@ -464,24 +410,81 @@ def _apply_override(doc: dict, text: str) -> None:
     node[last] = value
 
 
+def _is_number(value) -> bool:
+    """A finite number: JSON parsing takes NaN and Infinity, and true/false are ints."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
+
+
+def _pairs(value) -> bool:
+    """value is a non-empty list of [lo, hi] rows of numbers with lo <= hi."""
+    return isinstance(value, (list, tuple)) and len(value) > 0 and all(
+        isinstance(row, (list, tuple)) and len(row) == 2 and all(map(_is_number, row))
+        and row[0] <= row[1] for row in value)
+
+
+_COUNT = ("an integer >= 1", lambda v: type(v) is int and v >= 1)
+_NATURAL = ("an integer >= 0", lambda v: type(v) is int and v >= 0)
+_POSITIVE = ("a number in (0, inf)", lambda v: _is_number(v) and v > 0)
+_NON_NEGATIVE = ("a number in [0, inf)", lambda v: _is_number(v) and v >= 0)
+_VECTOR = ("a list of 3 numbers",
+           lambda v: isinstance(v, (list, tuple)) and len(v) == 3 and all(map(_is_number, v)))
+_PAIRS = "a list of [lo, hi] rows of numbers with lo <= hi"
+
+# The config document: key -> (what a value must be, its test), or the
+# table of a section. The dotted _REQUIRED keys must be present.
+_CONFIG = {
+    "chain": ("a string", lambda v: isinstance(v, str)),
+    "strategy": (f"one of {STRATEGIES}", lambda v: v in STRATEGIES),
+    "iterations": _COUNT,
+    "seeds": ("a non-empty list of distinct integers >= 0",
+              lambda v: isinstance(v, (list, tuple)) and len(v) > 0
+              and all(map(_NATURAL[1], v)) and len(set(v)) == len(v)),
+    "noise": {"obs_variance": _NON_NEGATIVE, "stabilizing_variance": _NON_NEGATIVE},
+    "optimizer": {"max_evaluations": _COUNT, "epsilon": _NON_NEGATIVE,
+                  "variant": (f"one of {VARIANTS}", lambda v: v in VARIANTS)},
+    "gradient": {"learning_rate": _POSITIVE, "decay": _NON_NEGATIVE},
+    "init_hypercube": (f"one [lo, hi] pair or {_PAIRS}", lambda v: _pairs([v]) or _pairs(v)),
+    "init_variance": _POSITIVE,
+    "probe_set_size": _COUNT,
+    "probe_seed": _NATURAL,
+    "joint_limits": (f"a half-width in (0, inf) or {_PAIRS}",
+                     lambda v: _POSITIVE[1](v) or _pairs(v)),
+    "fov": {"camera_position": _VECTOR, "axis": _VECTOR,
+            "half_angle": ("a number in [0, pi]", lambda v: _is_number(v) and 0 <= v <= math.pi),
+            "near": _NON_NEGATIVE,
+            "far": ("null or a number in [0, inf)", lambda v: v is None or _NON_NEGATIVE[1](v))},
+    "output": ("a string", lambda v: isinstance(v, str)),
+}
+_REQUIRED = {"chain", "strategy", "iterations", "seeds", "gradient.learning_rate",
+             "fov.camera_position", "fov.axis", "fov.half_angle"}
+_SECTIONS = {"noise": NoiseConfig, "optimizer": DirectConfig, "gradient": GradientConfig,
+             "fov": FovConfig}
+
+
+def _check(doc, table: dict = _CONFIG, prefix: str = "") -> None:
+    """Walk a JSON object against its table; the ConfigError names the dotted key."""
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{prefix[:-1] or 'config'} must be an object, got {doc!r}")
+    problems = [f"unknown key {prefix}{key}" for key in doc if key not in table]
+    problems += [f"missing key {prefix}{key}" for key in table
+                 if prefix + key in _REQUIRED and key not in doc]
+    if problems:
+        raise ConfigError("; ".join(problems))
+    for key, value in doc.items():
+        if isinstance(table[key], dict):
+            _check(value, table[key], f"{prefix}{key}.")
+        elif not table[key][1](value):
+            raise ConfigError(f"{prefix}{key} must be {table[key][0]}, got {value!r}")
+
+
 def config_from_dict(doc: dict) -> ExperimentConfig:
-    doc = dict(doc)
+    """The experiment config of a JSON document, checked whole before any dataclass is built."""
+    _check(doc)
+    doc = {"noise": {}, **doc}
     try:
-        noise = NoiseConfig(**doc.pop("noise", {}))
-        optimizer = doc.pop("optimizer", None)
-        if optimizer is not None:
-            optimizer = DirectConfig(**optimizer)
-        gradient = doc.pop("gradient", None)
-        if gradient is not None:
-            gradient = GradientConfig(**gradient)
-        fov = doc.pop("fov", None)
-        if fov is not None:
-            fov = FovConfig.from_dict(fov)
-        return ExperimentConfig(noise=noise, optimizer=optimizer, gradient=gradient,
-                                fov=fov, **doc)
-    except ConfigError:
-        raise
-    except (TypeError, ValueError, KeyError) as exc:
+        return ExperimentConfig(**{key: _SECTIONS[key](**value) if key in _SECTIONS else value
+                                   for key, value in doc.items()})
+    except ValueError as exc:  # from FovConfig: a zero axis, or far < near
         raise ConfigError(f"bad experiment config: {exc}") from exc
 
 
@@ -489,10 +492,8 @@ def load_config(path: str, overrides=()) -> ExperimentConfig:
     try:
         with open(path) as fh:
             doc = json.load(fh)
-    except OSError as exc:
+    except (OSError, ValueError) as exc:  # ValueError covers bad JSON
         raise ConfigError(f"cannot read config {path!r}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config {path!r} is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ConfigError("config file must hold a JSON object")
     for text in overrides:
@@ -505,11 +506,7 @@ def _cmd_run(args) -> int:
     if args.strategy is not None:
         overrides.append(f"strategy={json.dumps(args.strategy)}")
     if args.seeds is not None:
-        try:
-            seeds = [int(s) for s in args.seeds.split(",") if s.strip() != ""]
-        except ValueError as exc:
-            raise ConfigError(f"bad --seeds value {args.seeds!r}") from exc
-        overrides.append(f"seeds={json.dumps(seeds)}")
+        overrides.append(f"seeds=[{args.seeds}]")
     if args.iterations is not None:
         overrides.append(f"iterations={args.iterations}")
     cfg = load_config(args.config, overrides)
@@ -533,6 +530,9 @@ _STATS_PRINTED = ("iterations_to_orientation_threshold", "iterations_to_location
 
 
 def _cmd_summarize(args) -> int:
+    thresholds = {"--orientation-threshold": args.orientation_threshold,
+                  "--location-threshold": args.location_threshold}
+    _check(thresholds, dict.fromkeys(thresholds, _POSITIVE))
     outputs = {}
     paths = {}
     for path in args.inputs:
@@ -544,9 +544,7 @@ def _cmd_summarize(args) -> int:
             raise ConfigError(f"{paths[label]!r} and {path!r} share the label {label!r}, "
                               "which keys the --json summaries")
         paths[label] = path
-        summary = summarize(records,
-                            orientation_threshold=args.orientation_threshold,
-                            location_threshold=args.location_threshold)
+        summary = summarize(records, args.orientation_threshold, args.location_threshold)
         summary["failures"] = len(failures)
         outputs[label] = summary
         print(f"{label} ({path})")

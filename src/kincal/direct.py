@@ -88,7 +88,7 @@ class DirectConfig:
         evals = self.max_evaluations
         if isinstance(evals, bool) or not isinstance(evals, numbers.Integral) or evals < 1:
             raise ValueError(f"max_evaluations must be a positive integer, got {evals!r}")
-        if self.epsilon < 0:
+        if not self.epsilon >= 0:
             raise ValueError("epsilon must be non-negative")
         if self.variant not in VARIANTS:
             raise ValueError(f"variant must be one of {VARIANTS}")

@@ -67,7 +67,7 @@ class NoiseConfig:
     stabilizing_variance: float = 0.0
 
     def __post_init__(self):
-        if self.obs_variance < 0 or self.stabilizing_variance < 0:
+        if not (self.obs_variance >= 0 and self.stabilizing_variance >= 0):
             raise ValueError("variances must be non-negative")
 
 
@@ -77,9 +77,9 @@ class GradientConfig:
     decay: float = 0.0
 
     def __post_init__(self):
-        if self.learning_rate <= 0:
+        if not self.learning_rate > 0:
             raise ValueError("learning_rate must be positive")
-        if self.decay < 0:
+        if not self.decay >= 0:
             raise ValueError("decay must be non-negative")
 
     def rate_at(self, step: int) -> float:

@@ -15,7 +15,7 @@ candidate configurations during selection in one call.
 from __future__ import annotations
 
 import math
-from dataclasses import MISSING, dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,6 +31,8 @@ class FovConfig:
     far: float = math.inf
 
     def __post_init__(self):
+        if self.far is None:  # no far limit, as to_dict writes it
+            self.far = math.inf
         self.camera_position = np.asarray(self.camera_position, dtype=float)
         axis = np.asarray(self.axis, dtype=float)
         norm = np.linalg.norm(axis)
@@ -39,7 +41,7 @@ class FovConfig:
         self.axis = axis / norm
         if not 0.0 <= self.half_angle <= math.pi:
             raise ValueError("half_angle must lie in [0, pi]")
-        if self.near < 0.0 or self.far < self.near:
+        if not 0.0 <= self.near <= self.far:
             raise ValueError("need 0 <= near <= far")
 
     def contains(self, point) -> bool:
@@ -70,22 +72,7 @@ class FovConfig:
         return {
             "camera_position": self.camera_position.tolist(),
             "axis": self.axis.tolist(),
-            "half_angle": self.half_angle,
-            "near": self.near,
-            "far": None if math.isinf(self.far) else self.far,
+            "half_angle": float(self.half_angle),
+            "near": float(self.near),
+            "far": None if math.isinf(self.far) else float(self.far),
         }
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "FovConfig":
-        names = [f.name for f in fields(cls)]
-        unknown = sorted(set(doc) - set(names))
-        missing = [f.name for f in fields(cls) if f.default is MISSING and f.name not in doc]
-        if unknown or missing:
-            raise ValueError(f"fov keys: unknown {unknown}, missing {missing}; "
-                             f"expected {names}")
-        far = doc.get("far")
-        return cls(np.asarray(doc["camera_position"], dtype=float),
-                   np.asarray(doc["axis"], dtype=float),
-                   float(doc["half_angle"]),
-                   float(doc.get("near", 0.0)),
-                   math.inf if far is None else float(far))

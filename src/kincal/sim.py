@@ -73,7 +73,7 @@ class GroundTruth:
             raise ValueError(f"joint_limits must be ({n}, 2)")
         if not (self.joint_limits[:, 0] <= self.joint_limits[:, 1]).all():
             raise ValueError("joint limits need low <= high")
-        if self.obs_variance < 0:
+        if not self.obs_variance >= 0:
             raise ValueError("obs_variance must be non-negative")
         for i, t in enumerate(self.params.twists):
             if abs(np.linalg.norm(t.w) - 1.0) > 1e-6:

@@ -28,6 +28,79 @@ def base_config(**extra):
     return doc
 
 
+def full_config(**extra):
+    """A config that sets every numeric key of the document."""
+    return base_config(
+        init_hypercube=[-1.0, 1.0], init_variance=1.0, probe_seed=0, joint_limits=0.5,
+        optimizer={"max_evaluations": 15, "epsilon": 1e-4, "variant": "direct_l"},
+        gradient={"learning_rate": 0.05, "decay": 0.0},
+        fov={"camera_position": [1.0, 0.0, -2.0], "axis": [0.0, 1.0, 0.0],
+             "half_angle": 0.7, "near": 0.2, "far": 3.0},
+        noise={"obs_variance": 1e-4, "stabilizing_variance": 1e-3}, **extra)
+
+
+_MISSING = object()
+
+
+def set_key(doc, dotted, value):
+    """doc with its dotted key set to value, or removed for _MISSING."""
+    *parents, last = dotted.split(".")
+    node = doc
+    for part in parents:
+        node = node[part]
+    if value is _MISSING:
+        del node[last]
+    else:
+        node[last] = value
+    return doc
+
+
+# every numeric leaf of the document, and where a bad number goes in it
+_NUMERIC_LEAVES = [
+    ("iterations", lambda bad: bad),
+    ("seeds", lambda bad: [0, bad]),
+    ("init_hypercube", lambda bad: [bad, 1.0]),
+    ("init_variance", lambda bad: bad),
+    ("probe_set_size", lambda bad: bad),
+    ("probe_seed", lambda bad: bad),
+    ("joint_limits", lambda bad: bad),
+    ("joint_limits", lambda bad: [[bad, 1.0]] * 3),
+    ("noise.obs_variance", lambda bad: bad),
+    ("noise.stabilizing_variance", lambda bad: bad),
+    ("optimizer.max_evaluations", lambda bad: bad),
+    ("optimizer.epsilon", lambda bad: bad),
+    ("gradient.learning_rate", lambda bad: bad),
+    ("gradient.decay", lambda bad: bad),
+    ("fov.camera_position", lambda bad: [1.0, bad, -2.0]),
+    ("fov.axis", lambda bad: [0.0, 1.0, bad]),
+    ("fov.half_angle", lambda bad: bad),
+    ("fov.near", lambda bad: bad),
+    ("fov.far", lambda bad: bad),
+]
+_BAD_CONFIG_VALUES = [(key, place(bad)) for key, place in _NUMERIC_LEAVES
+                      for bad in (True, math.nan, math.inf, -math.inf)] + [
+    ("fov.camera_position", [1.0, 0.0]),
+    ("fov.camera_position", _MISSING),
+    ("fov.axis", [[0.0, 1.0, 0.0]]),
+    ("fov.half_angle", 4.0),
+    ("init_hypercube", [False, True]),
+    ("init_hypercube", [1.0, -1.0]),
+    ("init_hypercube", [[-1.0, 1.0, 0.0]]),
+    ("init_hypercube", [[-1.0, 1.0], [0.0]]),
+    ("joint_limits", [-0.5, 0.5]),
+    ("joint_limits", [[0.5, -0.5]] * 3),
+    ("joint_limits", 0.0),
+    ("seeds", [0, 0]),
+    ("seeds", 0),
+    ("iterations", "3"),
+    ("noise", 1e-4),
+    ("optimizer.variant", "newton"),
+    ("optimizer.bounds", [[0.0, 1.0]] * 3),
+    ("chain", 3),
+    ("output", 3),
+]
+
+
 def write_config(tmp_path, **extra):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(base_config(**extra)))
@@ -183,10 +256,10 @@ class TestRunExperiment:
         ("random_rls", float("nan")),
     ])
     def test_bad_joint_limits_fail_before_any_seed(self, tmp_path, capsys, strategy, limits):
-        cfg = config_from_dict(base_config(strategy=strategy, joint_limits=limits))
         failures = []
         with pytest.raises(ConfigError, match="joint"):
-            run_experiment(cfg, failures=failures)
+            run_experiment(config_from_dict(base_config(strategy=strategy, joint_limits=limits)),
+                           failures=failures)
         assert failures == []
         path = write_config(tmp_path, strategy=strategy, joint_limits=limits)
         assert main(["run", "--config", path, "--out", str(tmp_path / "r.jsonl")]) == 1
@@ -264,6 +337,37 @@ class TestConfigParsing:
                      "--out", str(out)]) == 1
         assert "must be a number" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("key, value", _BAD_CONFIG_VALUES, ids=[
+        f"{key}={'missing' if value is _MISSING else json.dumps(value)}"
+        for key, value in _BAD_CONFIG_VALUES])
+    def test_table_rejects_bad_values(self, tmp_path, capsys, key, value):
+        # booleans, NaN and infinities are never numbers, and every error
+        # names its dotted key before any seed runs
+        doc = set_key(full_config(), key, value)
+        failures = []
+        with pytest.raises(ConfigError, match=re.escape(key)):
+            run_experiment(config_from_dict(doc), failures=failures)
+        assert failures == []
+        path, out = tmp_path / "config.json", tmp_path / "r.jsonl"
+        path.write_text(json.dumps(doc))
+        assert main(["run", "--config", str(path), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "error:" in err and key in err
+        assert not out.exists()
+
+    def test_meta_round_trip(self):
+        for far in (3.0, None):
+            cfg = config_from_dict(set_key(full_config(), "fov.far", far))
+            again = config_from_dict(config_to_meta(cfg))
+            assert config_to_meta(again) == config_to_meta(cfg)
+            np.testing.assert_array_equal(again.fov.camera_position, [1.0, 0.0, -2.0])
+            np.testing.assert_array_equal(again.fov.axis, [0.0, 1.0, 0.0])
+            assert (again.fov.half_angle, again.fov.near) == (0.7, 0.2)
+            assert again.fov.far == (math.inf if far is None else far)
+        # numbers are echoed as given: an integer stays an integer
+        meta = config_to_meta(config_from_dict(base_config(init_variance=1)))
+        assert type(meta["init_variance"]) is int
 
     def test_readme_example_config_is_accepted(self):
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
@@ -437,6 +541,36 @@ class TestCommandLine:
         assert "error:" in err and outs[0] in err and outs[1] in err
         assert not json_out.exists()
         assert main(["summarize", "--in", outs[0], "--in", outs[1]]) == 0
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--orientation-threshold", "nan"), ("--orientation-threshold", "-0.1"),
+        ("--location-threshold", "inf"), ("--location-threshold", "0"),
+    ])
+    def test_summarize_rejects_bad_thresholds(self, tmp_path, capsys, flag, value):
+        out = str(tmp_path / "r.jsonl")
+        assert main(["run", "--config", write_config(tmp_path, iterations=2), "--out", out]) == 0
+        capsys.readouterr()
+        assert main(["summarize", "--in", out, flag, value]) == 1
+        captured = capsys.readouterr()
+        assert "error:" in captured.err and flag in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("line", [
+        "not json", '{"seed": 0, "iteration": 1, "mystery": 1}', '{"seed": 0}', "[1, 2]", "5",
+    ])
+    def test_summarize_rejects_malformed_record_files(self, tmp_path, capsys, line):
+        out = tmp_path / "r.jsonl"
+        assert main(["run", "--config", write_config(tmp_path, iterations=2),
+                     "--out", str(out)]) == 0
+        good_lines = len(out.read_text().splitlines())
+        with open(out, "a") as fh:
+            fh.write(line + "\n")
+        where = f"{out}:{good_lines + 1}"
+        with pytest.raises(ConfigError, match=re.escape(where)):
+            read_records(str(out))
+        capsys.readouterr()
+        assert main(["summarize", "--in", str(out)]) == 1
+        assert where in capsys.readouterr().err
 
     def test_summarize_command(self, tmp_path, capsys):
         path = write_config(tmp_path)
