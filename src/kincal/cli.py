@@ -150,23 +150,13 @@ def _probe_set(gt: GroundTruth, size: int, probe_seed: int):
     raise ConfigError("field of view rejects almost every probe configuration")
 
 
-def _score(records, means, gt: GroundTruth, model, probes) -> None:
-    """Fill in the errors of records from their means, one stacked call each."""
-    means = np.stack(means)
-    orientation, location = metrics(means, gt)
-    predict_rms = prediction_error(means, *probes, model)
-    for rec, *errors in zip(records, orientation.tolist(), location.tolist(),
-                            predict_rms.tolist()):
-        rec.orientation_error, rec.location_error, rec.prediction_error = errors
+def _run_seed(cfg: ExperimentConfig, gt: GroundTruth, model, probes, box, seed: int):
+    """One seed's (steps, errors): per iteration, (q, y or None,
+    SelectionResult or None) and (orientation, location, prediction).
 
-
-def _run_seed(cfg: ExperimentConfig, gt: GroundTruth, model, probes, box, seed: int,
-              keep_observations: bool):
-    """(records, observation dicts or None) of one seed.
-
-    Scoring reads the means and feeds nothing back, so the records are
-    scored in blocks of _SCORE_BLOCK iterations, and the last block at
-    the last iteration."""
+    Scoring feeds nothing back, so the errors come in blocks of
+    _SCORE_BLOCK iterations, one metrics and prediction_error call each;
+    it stays in the loop, where a run's iterations are timed."""
     dim = 6 * gt.n_joints
     init_rng, config_rng, noise_rng = (make_rng(ss)
                                        for ss in np.random.SeedSequence(seed).spawn(3))
@@ -176,27 +166,22 @@ def _run_seed(cfg: ExperimentConfig, gt: GroundTruth, model, probes, box, seed: 
     if cfg.strategy != "random_gradient":
         state = EstimatorState(mean, cfg.init_variance * np.eye(dim))
 
-    records = []
+    steps = []
+    errors = []
     block_means = []
-    observations = [] if keep_observations else None
-    rejections = 0
     updates = 0
     for iteration in range(1, cfg.iterations + 1):
-        cost = None
-        seconds = None
+        chosen = None
         if cfg.strategy == "active_rls":
             problem = SelectionProblem(state, model, cfg.noise, gt.joint_limits,
                                        fov=gt.fov, optimizer=cfg.optimizer)
             chosen = select_next(problem)
-            q, cost, seconds = chosen.config, chosen.cost, chosen.duration
+            q = chosen.config
         else:
             q = random_config(gt, config_rng)
 
         y = measure(gt, q, noise_rng)
-        accepted = y is not None
-        if not accepted:
-            rejections += 1
-        else:
+        if y is not None:
             if cfg.strategy == "random_gradient":
                 mean = gradient_update(mean, q, y, cfg.gradient, model, step=updates)
                 updates += 1
@@ -212,23 +197,21 @@ def _run_seed(cfg: ExperimentConfig, gt: GroundTruth, model, probes, box, seed: 
                                    seed, iteration)
                 mean = state.mean
 
-        records.append(ExperimentRecord(seed, iteration, None, None, None,
-                                        cost, seconds, rejections))
+        steps.append((q, y, chosen))
         block_means.append(mean)
         if len(block_means) == _SCORE_BLOCK or iteration == cfg.iterations:
-            _score(records[-len(block_means):], block_means, gt, model, probes)
+            means = np.stack(block_means)
+            orientation, location = metrics(means, gt)
+            errors += zip(orientation.tolist(), location.tolist(),
+                          prediction_error(means, *probes, model).tolist())
             block_means = []
-        if keep_observations:
-            observations.append({"seed": seed, "iteration": iteration,
-                                 "q": [float(a) for a in q],
-                                 "y": None if y is None else [float(a) for a in y],
-                                 "accepted": accepted})
-    return records, observations
+    return steps, errors
 
 
 def run_experiment(cfg: ExperimentConfig, failures: list = None,
                    observations: list = None) -> list:
-    """All seeds sequentially; numerical failures become failure entries.
+    """All seeds sequentially; a degenerate update fails its seed as a
+    failure entry. observations, if a list, gets (q, y, accepted) dicts.
 
     Seeds are independent of one another (records depend only on
     (config, seed)), so they could equally run in parallel and be merged
@@ -241,16 +224,22 @@ def run_experiment(cfg: ExperimentConfig, failures: list = None,
     records = []
     for seed in cfg.seeds:
         try:
-            seed_records, seed_obs = _run_seed(cfg, gt, model, probes, box, seed,
-                                               keep_observations=observations is not None)
-        except (DegenerateUpdateError, FloatingPointError, np.linalg.LinAlgError) as exc:
+            steps, errors = _run_seed(cfg, gt, model, probes, box, seed)
+        except DegenerateUpdateError as exc:
             logger.error("seed %d failed: %s", seed, exc)
             if failures is not None:
                 failures.append({"seed": seed, "error": str(exc)})
             continue
-        records.extend(seed_records)
-        if observations is not None:
-            observations.extend(seed_obs)
+        rejections = itertools.accumulate(int(y is None) for _, y, _ in steps)
+        for iteration, ((q, y, chosen), error, rejected) in enumerate(
+                zip(steps, errors, rejections), 1):
+            selection = (None, None) if chosen is None else (chosen.cost, chosen.duration)
+            records.append(ExperimentRecord(seed, iteration, *error, *selection, rejected))
+            if observations is not None:
+                observations.append({"seed": seed, "iteration": iteration,
+                                     "q": [float(a) for a in q],
+                                     "y": None if y is None else [float(a) for a in y],
+                                     "accepted": y is not None})
     return records
 
 
@@ -311,7 +300,11 @@ def read_records(path: str):
     meta = None
     records = []
     failures = []
-    with open(path) as fh:
+    try:
+        fh = open(path)
+    except OSError as exc:
+        raise ConfigError(f"cannot read record file {path!r}: {exc}") from exc
+    with fh:
         for number, line in enumerate(fh, 1):
             line = line.strip()
             if not line:
@@ -513,6 +506,9 @@ def _cmd_run(args) -> int:
     out = args.out or cfg.output
     if not out:
         raise ConfigError("no output path: pass --out or set 'output' in the config")
+    for path in (out, args.observations):
+        if path and (os.path.isdir(path) or not os.path.isdir(os.path.dirname(path) or ".")):
+            raise ConfigError(f"output path {path!r} is a directory or its directory is missing")
 
     failures = []
     observations = [] if args.observations else None

@@ -17,12 +17,12 @@ subdivides at most one rectangle per measure class per sweep
 
 Side lengths are exact powers of 1/3, tracked as integer trisection
 depths, so measure classes group exactly with no float comparisons.
-During a run the rectangles are plain records in parallel lists: center
-array, depth tuple, class key (the sorted depths) and value, with each
-depth tuple's measure computed once. HyperRect objects exist only at the
-edges: the views handed to on_iteration, and the arguments of
-potentially_optimal, which adapts them to the same record code, so there
-is one selection rule.
+During a run the rectangles are one list of (center array, depth tuple,
+class key, value) records, the class key being the sorted depths, with
+each depth tuple's measure computed once. HyperRect objects exist only
+at the edges: the views handed to on_iteration, and the arguments of
+potentially_optimal, which turns them into the same records, so there is
+one selection rule.
 """
 
 from __future__ import annotations
@@ -129,24 +129,23 @@ def potentially_optimal(rects, f_min: float, epsilon: float, variant: str = "dir
         return []
     if variant not in VARIANTS:
         raise ValueError(f"variant must be one of {VARIANTS}")
-    depths = [tuple(rect.depth.tolist()) for rect in rects]
-    return _select(depths, [tuple(sorted(depth)) for depth in depths],
-                   [rect.value for rect in rects], f_min, epsilon, variant)
+    depths = (tuple(rect.depth.tolist()) for rect in rects)
+    return _select([(rect.center, depth, tuple(sorted(depth)), rect.value)
+                    for rect, depth in zip(rects, depths)], f_min, epsilon, variant)
 
 
-def _select(depths, keys, values, f_min, epsilon, variant):
-    """potentially_optimal over records given as parallel lists of depth
-    tuples, class keys and values."""
+def _select(rects, f_min, epsilon, variant):
+    """potentially_optimal over (center, depth, class key, value) records."""
     classes = {}
-    for idx, key in enumerate(keys):
+    for idx, (_, depth, key, value) in enumerate(rects):
         entry = classes.get(key)
         if entry is None:
             # the first member's own depths, not the sorted key: the last
             # bit of a norm can depend on the order of its terms
-            classes[key] = [_measure(depths[idx]), values[idx], idx, [idx]]
+            classes[key] = [_measure(depth), value, idx, [idx]]
         else:
-            if values[idx] < entry[1]:
-                entry[1] = values[idx]
+            if value < entry[1]:
+                entry[1] = value
                 entry[2] = idx
             entry[3].append(idx)
 
@@ -171,7 +170,7 @@ def _select(depths, keys, values, f_min, epsilon, variant):
         if variant == "direct_l":
             selected.append(entry[2])
         else:
-            selected.extend(i for i in entry[3] if values[i] == f_k)
+            selected.extend(i for i in entry[3] if rects[i][3] == f_k)
     return sorted(selected)
 
 
@@ -191,9 +190,9 @@ def _offset_centers(center, depth) -> list:
     return offsets
 
 
-def _split(center, depth, value, offsets, values) -> list:
-    """Child records (center, depth, class key, value) of a rectangle
-    from its offset centers and their values.
+def _split(rect, offsets, values) -> list:
+    """Child records (center, depth, class key, value) of a rectangle's
+    record from its offset centers and their values.
 
     values yields plus, minus per entry of offsets and may stop short; an
     iterator is advanced past the values used, so rectangles can take
@@ -202,6 +201,7 @@ def _split(center, depth, value, offsets, values) -> list:
     returned. The last child is the rectangle itself, shrunk.
     """
     values = iter(values)
+    center, depth, _, value = rect
     completed = [(min(v_plus, v_minus), dim, plus, v_plus, minus, v_minus)
                  for (dim, plus, minus), v_plus, v_minus in zip(offsets, values, values)]
     if not completed:
@@ -271,40 +271,37 @@ def minimize_batch(f_batch, cfg: DirectConfig, on_iteration=None,
             trace.append((x, values[i]))
         return values
 
-    # the rectangles, as parallel lists of records; the lone first
-    # rectangle is always selected, so its center is evaluated in one
-    # call with the first sweep's offsets
-    center = np.full(dim, 0.5)
-    centers, depths, keys = [center], [(0,) * dim], [(0,) * dim]
+    # the rectangles, as (center, depth, class key, value) records; the
+    # lone first rectangle is always selected, so its center is evaluated
+    # in one call with the first sweep's offsets
+    center, depth = np.full(dim, 0.5), (0,) * dim
     selected = [0]
-    offsets = {0: _offset_centers(center, depths[0])}
+    offsets = {0: _offset_centers(center, depth)}
     new_values = iter(evaluate([center] + _unit_points(offsets[0])))
-    values = [next(new_values)]
+    rects = [(center, depth, depth, next(new_values))]
 
     iteration = 0
     swept = 1               # evaluations made before the current sweep
     while swept < cfg.max_evaluations:
         if iteration:
             f_min = min(value for _, value in trace)
-            selected = _select(depths, keys, values, f_min, cfg.epsilon, cfg.variant)
+            selected = _select(rects, f_min, cfg.epsilon, cfg.variant)
         if on_iteration is not None:
-            on_iteration(iteration, _views(zip(centers, depths, keys, values)), selected)
+            on_iteration(iteration, _views(rects), selected)
         if not selected:
             break
         if iteration:
-            offsets = {idx: _offset_centers(centers[idx], depths[idx]) for idx in selected}
+            offsets = {idx: _offset_centers(*rects[idx][:2]) for idx in selected}
             new_values = iter(evaluate([p for o in offsets.values() for p in _unit_points(o)]))
         children = {idx: split for idx, o in offsets.items()
-                    if (split := _split(centers[idx], depths[idx], values[idx], o, new_values))}
-        records = ([(centers[i], depths[i], keys[i], values[i])
-                    for i in range(len(values)) if i not in children]
-                   + [child for split in children.values() for child in split])
-        centers, depths, keys, values = (list(column) for column in zip(*records))
+                    if (split := _split(rects[idx], o, new_values))}
+        rects = ([rect for idx, rect in enumerate(rects) if idx not in children]
+                 + [child for split in children.values() for child in split])
         swept = len(trace)
         iteration += 1
 
     if on_iteration is not None:
-        on_iteration(iteration, _views(zip(centers, depths, keys, values)), [])
+        on_iteration(iteration, _views(rects), [])
     best_point, best_value = min(trace, key=lambda item: item[1])
     return DirectResult(best_point=best_point, best_value=best_value,
                         evaluations_used=len(trace), trace=trace if collect_trace else None)

@@ -135,6 +135,14 @@ def kalman_terms(cov, jac, obs_variance):
     return hp, solved, ok
 
 
+def _observation(y, jac) -> np.ndarray:
+    """y as a float array, checked against the rows of an (m, d) Jacobian."""
+    y = np.asarray(y, dtype=float)
+    if y.shape != jac.shape[:1]:
+        raise ValueError(f"observation shape {y.shape} does not match the model's {jac.shape[:1]}")
+    return y
+
+
 def rls_update(state: EstimatorState, q, y, noise: NoiseConfig, model) -> EstimatorState:
     """One recursive least-squares step on observation y at configuration q.
 
@@ -142,14 +150,11 @@ def rls_update(state: EstimatorState, q, y, noise: NoiseConfig, model) -> Estima
     propagated in Joseph form and re-symmetrized, which keeps it
     symmetric positive semidefinite over long update sequences.
     """
-    y = np.asarray(y, dtype=float)
     mean = state.mean
     cov = state.covariance
     jac = np.atleast_2d(np.asarray(model.jacobian(mean, q), dtype=float))
     predicted = model.predict(mean, q)
-    m = jac.shape[0]
-    if y.shape != (m,):
-        raise ValueError(f"observation shape {y.shape} does not match model output ({m},)")
+    y = _observation(y, jac)
 
     _, solved, ok = kalman_terms(cov, jac[None], noise.obs_variance)
     if not ok[0]:
@@ -178,9 +183,8 @@ def apply_stabilizing_noise(state: EstimatorState, noise: NoiseConfig) -> Estima
 def gradient_update(mean, q, y, cfg: GradientConfig, model, step: int = 0) -> np.ndarray:
     """One gradient step x + rate * H^T (y - h(x, q)) on the residual."""
     mean = np.asarray(mean, dtype=float)
-    y = np.asarray(y, dtype=float)
     jac = np.atleast_2d(np.asarray(model.jacobian(mean, q), dtype=float))
-    residual = y - model.predict(mean, q)
+    residual = _observation(y, jac) - model.predict(mean, q)
     with np.errstate(over="ignore", invalid="ignore"):
         new_mean = mean + cfg.rate_at(step) * (jac.T @ residual)
     if not np.isfinite(new_mean).all():

@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import os
@@ -160,13 +161,18 @@ class TestRunExperiment:
         assert len(failures) == 1 and failures[0]["seed"] == 0
         assert "non-finite" in failures[0]["error"]
 
-    def test_programming_error_in_seed_propagates(self, monkeypatch):
+    @pytest.mark.parametrize("error", [TypeError, np.linalg.LinAlgError, FloatingPointError])
+    def test_programming_error_in_seed_propagates(self, monkeypatch, error):
+        # only DegenerateUpdateError fails a seed; kincal's run path
+        # raises neither numpy error itself
         def broken_measure(gt, q, rng):
-            raise TypeError("broken measure")
+            raise error("broken measure")
 
         monkeypatch.setattr("kincal.cli.measure", broken_measure)
-        with pytest.raises(TypeError, match="broken measure"):
-            run_experiment(config_from_dict(base_config()), failures=[])
+        failures = []
+        with pytest.raises(error, match="broken measure"):
+            run_experiment(config_from_dict(base_config()), failures=failures)
+        assert failures == []
 
     @pytest.mark.parametrize("variance, calls", [(1e-3, 2), (0.0, 0)])
     def test_stabilizing_noise_every_tenth_update(self, monkeypatch, variance, calls):
@@ -571,6 +577,33 @@ class TestCommandLine:
         capsys.readouterr()
         assert main(["summarize", "--in", str(out)]) == 1
         assert where in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag, bad", [("--out", "missing/x.jsonl"),
+                                           ("--observations", "missing/x.jsonl"),
+                                           ("--out", "")])
+    def test_bad_output_path_fails_before_any_seed(self, tmp_path, capsys, monkeypatch,
+                                                   flag, bad):
+        def unexpected_measure(gt, q, rng):
+            raise AssertionError("a seed ran")
+
+        monkeypatch.setattr(kincal.cli, "measure", unexpected_measure)
+        path = write_config(tmp_path)
+        bad = str(tmp_path / bad)  # a missing directory, or an existing one
+        paths = {"--out": str(tmp_path / "r.jsonl"),
+                 "--observations": str(tmp_path / "obs.jsonl"), flag: bad}
+        assert main(["run", "--config", path, *itertools.chain(*paths.items())]) == 1
+        err = capsys.readouterr().err
+        assert "error:" in err and bad in err
+        assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
+
+    def test_summarize_rejects_unreadable_record_files(self, tmp_path, capsys):
+        for path in (str(tmp_path / "missing.jsonl"), str(tmp_path)):
+            with pytest.raises(ConfigError, match=re.escape(repr(path))):
+                read_records(path)
+            assert main(["summarize", "--in", path]) == 1
+            captured = capsys.readouterr()
+            assert "error:" in captured.err and path in captured.err
+            assert captured.out == ""
 
     def test_summarize_command(self, tmp_path, capsys):
         path = write_config(tmp_path)

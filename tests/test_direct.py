@@ -18,8 +18,8 @@ def trisect(rect, f):
     splits a rectangle once f has valued every offset center."""
     depth = tuple(rect.depth.tolist())
     offsets = _offset_centers(rect.center, depth)
-    return _views(_split(rect.center.copy(), depth, rect.value, offsets,
-                         [float(f(p)) for p in _unit_points(offsets)]))
+    return _views(_split((rect.center.copy(), depth, tuple(sorted(depth)), rect.value),
+                         offsets, [float(f(p)) for p in _unit_points(offsets)]))
 
 
 def po_bruteforce(rects, f_min, epsilon):

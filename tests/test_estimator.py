@@ -236,6 +236,19 @@ class TestGradientUpdate:
         np.testing.assert_allclose(out, [0.5])
 
 
+@pytest.mark.parametrize("y", [np.zeros(1), 0.0, np.zeros(4), np.zeros((1, 3))],
+                         ids=["one", "scalar", "four", "row"])
+def test_both_updates_reject_mismatched_observations(y):
+    gt = builtin_chain("planar3")
+    model = ChainObservationModel.from_chain(gt.params)
+    x = gt.params.to_vector()
+    q = np.zeros(gt.n_joints)
+    with pytest.raises(ValueError, match="observation shape"):
+        rls_update(EstimatorState(x, np.eye(x.size)), q, y, NoiseConfig(), model)
+    with pytest.raises(ValueError, match="observation shape"):
+        gradient_update(x, q, y, GradientConfig(learning_rate=0.05), model)
+
+
 class TestPredictionError:
     def test_single_probe_is_residual_norm(self):
         model = ZeroModel(2)
