@@ -272,18 +272,24 @@ def _pick(rec: ExperimentRecord, names) -> dict:
     return {name: getattr(rec, name) for name in names}
 
 
+def _record_paths(path: str) -> tuple:
+    """The files write_records writes for record file path: the records,
+    their CSV projection and the .timing sidecar."""
+    return path, os.path.splitext(path)[0] + ".csv", path + ".timing"
+
+
 def write_records(records, meta: dict, path: str, failures=None) -> None:
     """JSONL with a leading meta line, then a CSV projection next to it.
 
     The wall-clock fields go to <path>.timing instead, keeping the record
     files byte-identical across re-runs.
     """
+    _, csv_path, timing_path = _record_paths(path)
     _write_jsonl(path, itertools.chain(
         [{"type": "meta", "config": meta}],
         ({"type": "record", **_pick(rec, _RECORD_FIELDS)} for rec in records),
         ({"type": "failure", **failure} for failure in failures or [])))
 
-    csv_path = os.path.splitext(path)[0] + ".csv"
     with open(csv_path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(_RECORD_FIELDS)
@@ -292,7 +298,7 @@ def write_records(records, meta: dict, path: str, failures=None) -> None:
 
     timed = [rec for rec in records if rec.selection_seconds is not None]
     if timed:
-        _write_jsonl(path + ".timing", (_pick(rec, _TIMING_FIELDS) for rec in timed))
+        _write_jsonl(timing_path, (_pick(rec, _TIMING_FIELDS) for rec in timed))
 
 
 def read_records(path: str):
@@ -509,6 +515,15 @@ def _cmd_run(args) -> int:
     for path in (out, args.observations):
         if path and (os.path.isdir(path) or not os.path.isdir(os.path.dirname(path) or ".")):
             raise ConfigError(f"output path {path!r} is a directory or its directory is missing")
+    outputs = dict(zip(("record file", "CSV projection", "timing sidecar"), _record_paths(out)))
+    if args.observations:
+        outputs["--observations"] = args.observations
+    seen = {}
+    for name, path in outputs.items():
+        real = os.path.realpath(path)
+        if real in seen:
+            raise ConfigError(f"the {seen[real]} and the {name} {path!r} are one file")
+        seen[real] = f"{name} {path!r}"
 
     failures = []
     observations = [] if args.observations else None

@@ -13,7 +13,11 @@ entries). Nothing here constrains the parameters to unit axis norm: the
 estimators operate on the raw vector. Positions and Jacobians for any
 block of configurations come from one vectorized kernel in two parts:
 _twist_terms holds the input checks and every array that depends on the
-parameters only, and _chain_terms the work per configuration. Positions
+parameters only, among them the generators of each joint's homogeneous
+4x4 block and of its Jacobian block, and _chain_terms the work per
+configuration: it builds the blocks and composes them with no loop over
+joints, by a strided tree for positions and by Hillis-Steele scans for
+Jacobians, so that positions have the same bits either way. Positions
 also take a stack of parameter vectors, one block of configurations for
 each; every row gives the same bits as the row alone.
 ChainObservationModel keeps the first part for the last parameter vector
@@ -40,6 +44,8 @@ _ZERO_AXIS_TOL = 1e-12
 _FD_STEP = 1e-6
 
 _EYE3 = np.eye(3)
+_EYE4 = np.eye(4)
+_SIGNS = np.array([-1.0, 1.0])[:, None, None]
 
 
 def skew(a):
@@ -173,34 +179,42 @@ class _TwistTerms(NamedTuple):
 
     The shapes below are those of one parameter vector; the terms of a
     stack of vectors (..., 6n) carry the same leading axes.
-    A pure translation (|w| < _ZERO_AXIS_TOL) has zero k, so every
-    rotational term of _chain_terms vanishes for it; the rows marked
-    below hold its limit form instead, so the kernel needs no branch:
-    translation q v, zero w-partials and v-partial q I.
+
+    For the joint angle q let sin, cos = sin(|w| q), cos(|w| q) and
+    vers = 1 - cos. With K = skew(w / |w|) and the Rodrigues rotation
+    R = I + sin K + vers K^2, twist_exp's motion [[R, t], [0, 1]],
+    t = (I - R)(w x v) + q w (w . v), is the homogeneous block
+        sin G_sin + vers G_vers + q G_q + I,
+        G_sin = [[K, -K (w x v)], [0, 0]], G_vers = [[K^2, -K^2 (w x v)], [0, 0]],
+        G_q = [[0, w (w . v)], [0, 0]].
+    gen holds G_sin, G_vers, G_q and I, each flattened to 16 numbers.
+    The joint's 3x6 Jacobian block before the prefix rotation (see
+    _chain_terms) is linear in 15 coefficients: q cos z_j, q sin z_j,
+    sin z_j and vers z_j for j = 0, 1, 2, then sin, vers and q, where
+    z = s_{i+1} - w x v. jac_gen holds its generators, one row of 18
+    numbers per coefficient; only Jacobians read it.
+
+    A pure translation (|w| < _ZERO_AXIS_TOL) has zero K, so every
+    rotational row vanishes for it; G_q and the q row of jac_gen hold its
+    limit form instead, so the kernel needs no branch: translation q v,
+    zero w-partials and v-partial q I.
     """
 
     n: int                  # joints
     norm: np.ndarray        # |w| (n,)
-    inv_norm: np.ndarray    # 1/|w|, 0 for pure translations (n,)
-    k: np.ndarray           # unit axes, zero rows for pure translations (n, 3)
-    kx: np.ndarray          # skew(k) (n, 3, 3)
-    kx2: np.ndarray         # skew(k)^2 (n, 3, 3)
     wxv: np.ndarray         # w x v (n, 3)
-    w_wv: np.ndarray        # w (w . v); v for pure translations (n, 3)
-    kx_wxv: np.ndarray      # K (w x v) (n, 3)
-    kx2_wxv: np.ndarray     # K^2 (w x v) (n, 3)
-    wv_eye: np.ndarray      # (w . v) I; 0 for pure translations (n, 3, 3)
-    wvt: np.ndarray         # w v^T; 0 for pure translations (n, 3, 3)
-    wwt: np.ndarray         # w w^T; I for pure translations (n, 3, 3)
-    vx: np.ndarray          # skew(v) (n, 3, 3)
+    gen: np.ndarray         # G_sin, G_vers, G_q, I (n, 4, 16)
+    jac_gen: np.ndarray     # Jacobian generators (n, 15, 18), or None (positions only)
 
 
-def _twist_terms(x) -> _TwistTerms:
+def _twist_terms(x, jacobian=True) -> _TwistTerms:
     """Check the raw parameter vector x = [w_1, v_1, ..., w_n, v_n], or a
     stack (..., 6n) of them, and compute every array of _chain_terms that
     does not depend on the configurations, so callers that hold x fixed
-    can reuse them. Each term is computed row by row, so a vector's terms
-    are bit-identical whether it comes alone or in a stack."""
+    can reuse them. jacobian=False leaves jac_gen None, for callers that
+    only ask for positions. Each term is computed row by row, so a
+    vector's terms are bit-identical whether it comes alone or in a
+    stack."""
     x = np.asarray(x, dtype=float)
     if x.ndim == 0 or x.shape[-1] % 6:
         raise ValueError(f"parameter vector length must be a multiple of 6, got shape {x.shape}")
@@ -213,21 +227,44 @@ def _twist_terms(x) -> _TwistTerms:
     translates = norm < _ZERO_AXIS_TOL
     inv_norm = np.divide(1.0, norm, out=np.zeros(norm.shape), where=~translates)
     k = w * inv_norm[..., None]
-    kx = skew(k)
-    kx2 = kx @ kx
-    wxv = norm[..., None] * _matvec(kx, v)
+    rot = np.empty(norm.shape + (2, 3, 3))         # K, K^2
+    rot[..., 0, :, :] = skew(k)
+    np.matmul(rot[..., 0, :, :], rot[..., 0, :, :], out=rot[..., 1, :, :])
+    wxv = norm[..., None] * _matvec(rot[..., 0, :, :], v)
     wv = np.einsum("...j,...j->...", w, v)
-    w_wv = w * wv[..., None]
-    wv_eye = wv[..., None, None] * _EYE3
-    wvt = w[..., :, None] * v[..., None, :]
-    wwt = w[..., :, None] * w[..., None, :]
-    # pure translations hold their limit form (see _TwistTerms)
-    w_wv[translates] = v[translates]
-    wv_eye[translates] = 0.0
-    wvt[translates] = 0.0
-    wwt[translates] = _EYE3
-    return _TwistTerms(n, norm, inv_norm, k, kx, kx2, wxv, w_wv, _matvec(kx, wxv),
-                       _matvec(kx2, wxv), wv_eye, wvt, wwt, skew(v))
+
+    gen = np.zeros(norm.shape + (4, 4, 4))
+    gen[..., :2, :3, :3] = rot
+    gen[..., :2, :3, 3] = -_matvec(rot, wxv[..., None, :])
+    np.multiply(w, wv[..., None], out=gen[..., 2, :3, 3])
+    gen[..., 3, :, :] = _EYE4
+    if translates.any():        # the limit form (see _TwistTerms)
+        gen[translates, 2, :3, 3] = v[translates]
+    gen = gen.reshape(norm.shape + (4, 16))
+    if not jacobian:
+        return _TwistTerms(n, norm, wxv, gen, None)
+
+    # jac_gen[..., c, j] is the 3x6 block [d/dw, d/dv] of one coefficient
+    # (see _TwistTerms); D(z) of _chain_terms expanded by K^3 = -K gives
+    #   z_j q cos:  [K e_j k^T, 0]      z_j sin:  -[k e_j^T K^T + k_j K, 0] / |w|
+    #   z_j q sin:  [K^2 e_j k^T, 0]    z_j vers: -[k e_j^T K^2 + k_j K^2, 0] / |w|
+    #   sin: [K skew(v), -|w| K^2]   vers: [K^2 skew(v), |w| K]   q: [(w . v) I + w v^T, w w^T]
+    jac_gen = np.zeros(norm.shape + (5, 3, 3, 6))
+    d_w, d_v = jac_gen[..., :3], jac_gen[..., 4, :, :, 3:]
+    rot_t = rot.swapaxes(-1, -2)                    # rot_t[..., c, j, a] = rot[..., c, a, j]
+    kn = -inv_norm[..., None] * k                   # -w / |w|^2
+    np.multiply(rot_t[..., :, :, :, None], k[..., None, None, None, :], out=d_w[..., :2, :, :, :])
+    np.multiply(kn[..., None, None, :, None], rot_t[..., :, :, None, :], out=d_w[..., 2:4, :, :, :])
+    d_w[..., 2:4, :, :, :] += kn[..., None, :, None, None] * rot[..., :, None, :, :]
+    np.matmul(rot, skew(v)[..., None, :, :], out=d_w[..., 4, :2, :, :])
+    np.multiply(w[..., :, None], v[..., None, :], out=d_w[..., 4, 2, :, :])
+    jac_gen.reshape(norm.shape + (5, 3, 18))[..., 4, 2, 0:15:7] += wv[..., None]   # + (w . v) I
+    np.multiply(norm[..., None, None, None] * _SIGNS, rot[..., ::-1, :, :], out=d_v[..., :2, :, :])
+    np.multiply(w[..., :, None], w[..., None, :], out=d_v[..., 2, :, :])
+    if translates.any():
+        d_w[translates, 4, 2] = 0.0
+        d_v[translates, 2] = _EYE3
+    return _TwistTerms(n, norm, wxv, gen, jac_gen.reshape(norm.shape + (15, 18)))
 
 
 def _chain_terms(terms: _TwistTerms, zero_translation, Q, jacobian=False):
@@ -243,18 +280,38 @@ def _chain_terms(terms: _TwistTerms, zero_translation, Q, jacobian=False):
 
     Joint i moves by R_i = exp(skew(w_i) q_i) and
     t_i = (I - R_i)(w_i x v_i) + q_i w_i (w_i . v_i), or by the pure
-    translation v_i q_i when |w_i| < _ZERO_AXIS_TOL; this is twist_exp,
-    computed for all joints and configurations at once. The terms of a
-    pure translation hold that limit form (see _TwistTerms), so one
-    expression serves both kinds of joint. With s_i the end-effector
-    position in the input frame of joint i and P_i the rotation of the
-    joints before it, the blocks of joint i are
+    translation v_i q_i when |w_i| < _ZERO_AXIS_TOL; this is twist_exp.
+    Every configuration gets n + 1 homogeneous 4x4 blocks: block i < n
+    is joint i's [[R_i, t_i], [0, 1]], the coefficients [sin, vers, q, 1]
+    times the generators in terms.gen (which hold the pure translation's
+    limit form, so one expression serves both kinds of joint), and block
+    n is the end effector [[I, p0], [0, 1]], p0 = zero_translation. The
+    product of blocks i..n has s_i, the end effector in the input frame
+    of joint i, as its translation, and s_0 is the position. No loop runs
+    over the joints:
+      * positions only: a strided tree. At step k = 1, 2, 4, ... blocks
+        0, 2k, 4k, ... take the product with the block k after them,
+        n products in ceil(log2(n + 1)) stacked matmul calls.
+      * with Jacobians: the Hillis-Steele suffix scan. At step k every
+        block i takes the product with block i + k, so block i ends as
+        the product of blocks i..n and every s_i is there. A Hillis-Steele prefix scan
+        of the rotations gives P_i = R_0 ... R_{i-1}.
+    Block 0 meets the same operands in the same order in the tree and
+    in the scan, so positions are bit-identical with and without
+    Jacobians. Every product is one 4x4 (or 3x3, or coefficient row)
+    product per entry, so a configuration's bits do not depend on the
+    block it comes in, and each row of a stack keeps the bits of its
+    own call.
+
+    The blocks of joint i are
         d/dw_i = P_i (D(s_{i+1} - w x v) + (R - I) skew(v) + q ((w . v) I + w v^T))
         d/dv_i = P_i ((I - R) skew(w) + q w w^T)
     where D(z), with columns dR/dw_j z, is the rotation-vector partial of
     Gallego and Yezzi (2015) contracted with z:
         D(z) = (q (w x Rz) w^T - w (Rz - z)^T + (w . z)(I - R)) / |w|^2.
-    It carries no division by the angle, so it needs no small-angle series.
+    It carries no division by the angle, so it needs no small-angle
+    series. Expanded by K^3 = -K, the block before P_i is linear in the
+    coefficients that terms.jac_gen lists, one product with them.
     """
     t = terms
     Q = np.asarray(Q, dtype=float)
@@ -267,48 +324,52 @@ def _chain_terms(terms: _TwistTerms, zero_translation, Q, jacobian=False):
         raise ValueError("joint angles must be finite")
     if jacobian and t.norm.ndim != 1:
         raise ValueError("Jacobians take one parameter vector, not a stack")
+    if jacobian and t.jac_gen is None:
+        raise ValueError("these terms were built for positions only")
 
-    # Rodrigues: R = I + sin K + vers K^2 for the rotation angle |w| q;
-    # the terms of a stack get an axis for the configurations, [..., None, :]
-    angle = Q * t.norm[..., None, :]        # (..., m, n)
-    sin = np.sin(angle)[..., None]          # (..., m, n, 1), broadcasts over 3-vectors
-    cos = np.cos(angle)[..., None]
-    vers = 1.0 - cos
-    r_minus_i = sin[..., None] * t.kx[..., None, :, :, :]
-    r_minus_i += vers[..., None] * t.kx2[..., None, :, :, :]
-    rot = _EYE3 + r_minus_i
-    trans = (Q[..., None] * t.w_wv[..., None, :, :] - sin * t.kx_wxv[..., None, :, :]
-             - vers * t.kx2_wxv[..., None, :, :])
+    # joints before configurations: (..., n, m), the terms of a stack
+    # adding their leading axes in front
+    angle = t.norm[..., None] * Q.T
+    # coefficients q cos, q sin (Jacobians only), then sin, vers, q and 1
+    coef = np.empty(angle.shape + (6,))
+    sin = np.sin(angle, out=coef[..., 2])
+    cos = np.cos(angle)
+    np.subtract(1.0, cos, out=coef[..., 3])
+    coef[..., 4] = Q.T
+    coef[..., 5] = 1.0
+    flat = np.empty(angle.shape[:-2] + (n + 1, m, 16))
+    np.matmul(coef[..., None, 2:], t.gen[..., None, :, :], out=flat[..., :n, :, None, :])
+    blocks = flat.reshape(flat.shape[:-1] + (4, 4))       # (..., n + 1, m, 4, 4)
+    blocks[..., n, :, :, :] = _EYE4
+    blocks[..., n, :, :3, 3] = zero_translation
+    if jacobian:
+        prefix = np.empty((n, m, 3, 3))
+        prefix[0] = _EYE3
+        prefix[1:] = blocks[:n - 1, :, :3, :3]
 
-    # suffix[..., i, :] is the end effector in the input frame of joint i
-    suffix = np.empty(angle.shape[:-1] + (n + 1, 3))
-    suffix[..., n, :] = zero_translation
-    for i in range(n - 1, -1, -1):
-        suffix[..., i, :] = _matvec(rot[..., i, :, :], suffix[..., i + 1, :]) + trans[..., i, :]
+    k = 1
+    while k <= n:
+        stride = 1 if jacobian else 2 * k
+        head = blocks[..., :n + 1 - k:stride, :, :, :]
+        head[...] = head @ blocks[..., k::stride, :, :, :]
+        k *= 2
     if not jacobian:
-        return suffix[..., 0, :]
+        return blocks[..., 0, :, :3, 3]
 
-    prefix = np.empty((m, n, 3, 3))
-    prefix[:, 0] = _EYE3
-    for i in range(1, n):
-        np.matmul(prefix[:, i - 1], rot[:, i - 1], out=prefix[:, i])
+    k = 1
+    while k < n:
+        prefix[k:] = prefix[:n - k] @ prefix[k:]
+        k *= 2
 
-    q = Q[..., None, None]
-    z = suffix[:, 1:] - t.wxv
-    kz = _matvec(t.kx, z)
-    k2z = _matvec(t.kx2, z)
-    rz_minus_z = sin * kz + vers * k2z
-    k_rz = cos * kz + sin * k2z             # K R z, since K^3 = -K
-    kz_dot = np.einsum("nj,mnj->mn", t.k, z)[..., None, None]
-    d_w = (q * (k_rz[..., :, None] * t.k[:, None, :] + t.wv_eye + t.wvt)
-           - t.inv_norm[:, None, None] * (t.k[:, :, None] * rz_minus_z[..., None, :]
-                                          + kz_dot * r_minus_i)
-           + r_minus_i @ t.vx)
-    # (I - R) skew(w) = |w| (vers K - sin K^2), again by K^3 = -K
-    d_v = (t.norm[:, None, None] * (vers[..., None] * t.kx - sin[..., None] * t.kx2)
-           + q * t.wwt)
-    blocks = prefix @ np.concatenate([d_w, d_v], axis=-1)     # (m, n, 3, 6)
-    return suffix[:, 0], blocks.transpose(0, 2, 1, 3).reshape(m, 3, 6 * n)
+    np.multiply(coef[..., 4], cos, out=coef[..., 0])
+    np.multiply(coef[..., 4], sin, out=coef[..., 1])
+    z = blocks[1:, :, :3, 3] - t.wxv[:, None, :]      # s_{i+1} - w x v (n, m, 3)
+    u = np.empty((n, m, 5, 3))                         # jac_gen's coefficients
+    np.multiply(coef[..., :4, None], z[..., None, :], out=u[..., :4, :])
+    u[..., 4, :] = coef[..., 2:5]
+    d = u.reshape(n, m, 1, 15) @ t.jac_gen[:, None, :, :]
+    jac = prefix @ d.reshape(n, m, 3, 6)                # (n, m, 3, 6)
+    return blocks[0, :, :3, 3], jac.transpose(1, 2, 0, 3).reshape(m, 3, 6 * n)
 
 
 def _one_config(q, n_joints):
@@ -320,7 +381,7 @@ def _one_config(q, n_joints):
 
 def observe(params: ChainParams, q) -> np.ndarray:
     """3D end-effector position at configuration q."""
-    return _chain_terms(_twist_terms(params.to_vector()), params.zero_pose.translation,
+    return _chain_terms(_twist_terms(params.to_vector(), False), params.zero_pose.translation,
                         _one_config(q, params.n_joints))[0]
 
 
@@ -375,7 +436,7 @@ class ChainObservationModel:
     def _terms_of(self, x) -> _TwistTerms:
         x = np.asarray(x, dtype=float)
         if x.ndim > 1:
-            return _twist_terms(x)
+            return _twist_terms(x, False)
         key = (x.shape, x.tobytes())
         if key != self._key:
             self._terms = _twist_terms(x)

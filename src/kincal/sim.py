@@ -53,7 +53,7 @@ class GroundTruth:
     fixed once built, so what depends on it alone is built once too:
     axis_lines holds its joint axes, axis_pairs the joint pairs i < j
     and pair_angles their inter-axis angles, all for metrics; twist_terms
-    holds the chain kernel's parameter-only terms
+    holds the chain kernel's parameter-only terms for positions
     (kinematics._twist_terms) that measure evaluates the true position
     with."""
 
@@ -82,7 +82,7 @@ class GroundTruth:
         self.axis_lines = _axis_lines(x.reshape(n, 6))
         self.axis_pairs = np.triu_indices(n, 1)
         self.pair_angles = _pair_angles(self.axis_lines[1], self.axis_pairs)
-        self.twist_terms = _twist_terms(x)
+        self.twist_terms = _twist_terms(x, False)
 
     @property
     def n_joints(self) -> int:
@@ -109,8 +109,10 @@ def measure(gt: GroundTruth, q, rng: np.random.Generator):
 
 
 def random_config(gt: GroundTruth, rng: np.random.Generator) -> np.ndarray:
-    """Uniform draw inside the joint-limit box."""
-    return rng.uniform(gt.joint_limits[:, 0], gt.joint_limits[:, 1])
+    """Uniform draw inside the joint-limit box: Generator.uniform's formula
+    low + (high - low) * u on the same stream, without its call overhead."""
+    low = gt.joint_limits[:, 0]
+    return low + (gt.joint_limits[:, 1] - low) * rng.random(gt.n_joints)
 
 
 # name -> (description, [(axis, point on axis), ...], end-effector point)

@@ -580,7 +580,11 @@ class TestCommandLine:
 
     @pytest.mark.parametrize("flag, bad", [("--out", "missing/x.jsonl"),
                                            ("--observations", "missing/x.jsonl"),
-                                           ("--out", "")])
+                                           ("--out", ""),
+                                           ("--out", "obs.csv"),
+                                           ("--observations", "r.jsonl"),
+                                           ("--observations", "r.csv"),
+                                           ("--observations", "r.jsonl.timing")])
     def test_bad_output_path_fails_before_any_seed(self, tmp_path, capsys, monkeypatch,
                                                    flag, bad):
         def unexpected_measure(gt, q, rng):
@@ -588,7 +592,10 @@ class TestCommandLine:
 
         monkeypatch.setattr(kincal.cli, "measure", unexpected_measure)
         path = write_config(tmp_path)
-        bad = str(tmp_path / bad)  # a missing directory, or an existing one
+        # a missing directory, an existing one, or a file that the run
+        # writes twice: records as their own CSV projection, or
+        # observations over the records, their CSV or their .timing
+        bad = str(tmp_path / bad)
         paths = {"--out": str(tmp_path / "r.jsonl"),
                  "--observations": str(tmp_path / "obs.jsonl"), flag: bad}
         assert main(["run", "--config", path, *itertools.chain(*paths.items())]) == 1

@@ -408,3 +408,53 @@ class TestStackedParameters:
         for row, xr in enumerate(stack):
             np.testing.assert_array_equal(
                 positions[row], ChainObservationModel.from_chain(chain).predict_batch(xr, configs))
+
+
+class TestChainLengthSweep:
+    """Every chain length from 1 to 17 joints: n + 1 blocks at and next to
+    powers of two, where the tree and the scans change shape."""
+
+    @staticmethod
+    def chains(rng, n):
+        """Random chains of n joints, together holding a zero axis and a
+        1e-13 axis (pure translations), with their joint indices."""
+        tiny = 1e-13 * unit(rng.normal(size=3))
+        rows = [0] if n == 1 else [n // 2, n - 1]
+        axes = [[np.zeros(3)], [tiny]] if n == 1 else [[np.zeros(3), tiny]]
+        for chosen in axes:
+            chain = random_chain(rng, n)
+            for row, w in zip(rows, chosen):
+                chain.twists[row] = Twist(w, rng.normal(size=3))
+            yield chain, rows[:len(chosen)]
+
+    @pytest.mark.parametrize("n", range(1, 18))
+    def test_kernel_matches_references(self, n, perturbed_stack):
+        rng = np.random.default_rng(300 + n)
+        for chain, translates in self.chains(rng, n):
+            x, zero = chain.to_vector(), chain.zero_pose.translation
+            configs = rng.uniform(-2.0, 2.0, size=(3, n))
+            terms = _twist_terms(x)
+            positions = _chain_terms(terms, zero, configs)
+            jac_positions, jacs = _chain_terms(terms, zero, configs, jacobian=True)
+            np.testing.assert_array_equal(jac_positions, positions)
+            columns = np.arange(6 * n).reshape(n, 6)
+            smooth = np.ones(6 * n, dtype=bool)
+            smooth[columns[translates, :3].ravel()] = False
+            for q, position, jac in zip(configs, positions, jacs):
+                # a configuration's bits do not depend on the block it is in
+                alone = _chain_terms(terms, zero, q[None], jacobian=True)
+                np.testing.assert_array_equal(alone[0][0], position)
+                np.testing.assert_array_equal(alone[1][0], jac)
+                stepwise = Pose.identity()
+                for xi, angle in zip(chain.twists, q):
+                    stepwise = stepwise.compose(twist_exp(xi, angle))
+                np.testing.assert_allclose(
+                    position, stepwise.compose(chain.zero_pose).translation, rtol=0, atol=1e-12)
+                ref = observation_jacobian_fd(chain, q)
+                np.testing.assert_allclose(jac[:, smooth], ref[:, smooth], rtol=1e-5, atol=1e-8)
+                np.testing.assert_array_equal(jac[:, ~smooth], 0.0)
+            stack = perturbed_stack(rng, x, rows=6)
+            stacked = _chain_terms(_twist_terms(stack, False), zero, configs)
+            for row, xr in enumerate(stack):
+                np.testing.assert_array_equal(stacked[row],
+                                              _chain_terms(_twist_terms(xr), zero, configs))

@@ -215,6 +215,20 @@ class TestRandomConfig:
         gt = GroundTruth(params, np.zeros((3, 2)))
         np.testing.assert_array_equal(random_config(gt, make_rng(0)), np.zeros(3))
 
+    def test_matches_generator_uniform_bit_for_bit(self):
+        # the same draws, and the stream left in the same state, as
+        # rng.uniform(low, high); a [a, a] row and an asymmetric box included
+        params = builtin_chain("arm6").params
+        limits = np.array([[-3.14, 3.14], [0.25, 0.25], [-0.1, 2.0],
+                           [-1e-3, 0.0], [1.5, 7.0], [-2.0, -1.0]])
+        gt = GroundTruth(params, limits)
+        ours, ref = make_rng(37), make_rng(37)
+        for _ in range(500):
+            np.testing.assert_array_equal(random_config(gt, ours),
+                                          ref.uniform(limits[:, 0], limits[:, 1]))
+        assert ours.bit_generator.state == ref.bit_generator.state
+        assert ours.random() == ref.random()
+
 
 class TestFixtures:
     def test_inventory(self):
