@@ -4,9 +4,12 @@ Two updates over the same observation model:
 
   * rls_update: extended recursive least squares. Linearizes h at the
     current mean, then applies a Kalman step with Joseph-form covariance
-    propagation. Its innovation algebra (kalman_terms) works on a stack
-    of Jacobians, so active selection scores a whole sweep of
-    hypothetical measurements with the same code.
+    propagation. The Joseph product (I - K H) P (I - K H)^T + r K K^T is
+    taken in rank-m form from the H P the innovation already needs, so
+    an update on d parameters and m observation rows costs O(d^2 m),
+    with no d x d x d product. Its innovation algebra (kalman_terms)
+    works on a stack of Jacobians, so active selection scores a whole
+    sweep of hypothetical measurements with the same code.
   * gradient_update: plain stochastic gradient on the squared residual,
     kept as a baseline. No covariance.
 
@@ -43,6 +46,8 @@ class EstimatorState:
     def __post_init__(self):
         self.mean = np.asarray(self.mean, dtype=float)
         self.covariance = np.asarray(self.covariance, dtype=float)
+        if self.mean.ndim != 1:
+            raise ValueError(f"mean must be a 1-D vector, not shape {self.mean.shape}")
         n = self.mean.size
         if self.covariance.shape != (n, n):
             raise ValueError("covariance shape must match mean")
@@ -148,7 +153,11 @@ def rls_update(state: EstimatorState, q, y, noise: NoiseConfig, model) -> Estima
 
     Returns a new state; the input is untouched. The covariance is
     propagated in Joseph form and re-symmetrized, which keeps it
-    symmetric positive semidefinite over long update sequences.
+    symmetric positive semidefinite over long update sequences. The
+    Joseph form is expanded in rank m: with A = P - K (H P),
+    (I - K H) P (I - K H)^T = A - (A H^T) K^T, so
+    P+ = A - (A H^T) K^T + r K K^T. Every product has m as one of its
+    dimensions, O(d^2 m) in all for d parameters.
     """
     mean = state.mean
     cov = state.covariance
@@ -156,15 +165,15 @@ def rls_update(state: EstimatorState, q, y, noise: NoiseConfig, model) -> Estima
     predicted = model.predict(mean, q)
     y = _observation(y, jac)
 
-    _, solved, ok = kalman_terms(cov, jac[None], noise.obs_variance)
+    hp, solved, ok = kalman_terms(cov, jac[None], noise.obs_variance)
     if not ok[0]:
         raise DegenerateUpdateError("innovation covariance is non-finite or numerically singular")
     gain = solved[0].T
 
     with np.errstate(over="ignore", invalid="ignore"):
         new_mean = mean + gain @ (y - predicted)
-        ikh = np.eye(cov.shape[0]) - gain @ jac
-        new_cov = ikh @ cov @ ikh.T + noise.obs_variance * (gain @ gain.T)
+        a = cov - gain @ hp[0]
+        new_cov = a - (a @ jac.T) @ gain.T + noise.obs_variance * (gain @ gain.T)
         new_cov = 0.5 * (new_cov + new_cov.T)
     # a runaway linearization can overflow without tripping the SPD gate;
     # refuse to hand back a poisoned state
@@ -175,9 +184,12 @@ def rls_update(state: EstimatorState, q, y, noise: NoiseConfig, model) -> Estima
 
 def apply_stabilizing_noise(state: EstimatorState, noise: NoiseConfig) -> EstimatorState:
     """Re-inflate the covariance diagonal to keep the filter plastic."""
-    n = state.covariance.shape[0]
-    return EstimatorState(state.mean.copy(),
-                          state.covariance + noise.stabilizing_variance * np.eye(n))
+    cov = state.covariance.copy()
+    # a copy is C-contiguous, so every (d+1)-th element of its flat view
+    # is the diagonal; a basic slice, unlike fancy indexing, allocates
+    # nothing
+    cov.reshape(-1)[::cov.shape[0] + 1] += noise.stabilizing_variance
+    return EstimatorState(state.mean.copy(), cov)
 
 
 def gradient_update(mean, q, y, cfg: GradientConfig, model, step: int = 0) -> np.ndarray:

@@ -3,9 +3,9 @@ import pytest
 
 from kincal.estimator import (DegenerateUpdateError, EstimatorState, GradientConfig,
                               NoiseConfig, apply_stabilizing_noise, gradient_update,
-                              prediction_error, rls_update)
+                              kalman_terms, prediction_error, rls_update)
 from kincal.kinematics import ChainObservationModel, ChainParams, Pose, Twist
-from kincal.sim import FIXTURE_NAMES, builtin_chain
+from kincal.sim import FIXTURE_NAMES, builtin_chain, make_rng, measure, random_config
 
 
 class LinearModel:
@@ -55,6 +55,20 @@ def information_form_update(cov, mat, obs_variance):
     mat = np.atleast_2d(mat)
     info = np.linalg.inv(cov) + mat.T @ mat / obs_variance
     return np.linalg.inv(info)
+
+
+def dense_joseph_update(state, q, y, noise, model):
+    """Slow reference for rls_update: the same gain from kalman_terms, with
+    the Joseph covariance (I - K H) P (I - K H)^T + r K K^T formed from
+    dense d x d products. Returns (mean, covariance)."""
+    jac = np.atleast_2d(np.asarray(model.jacobian(state.mean, q), dtype=float))
+    _, solved, ok = kalman_terms(state.covariance, jac[None], noise.obs_variance)
+    assert ok[0]
+    gain = solved[0].T
+    mean = state.mean + gain @ (np.asarray(y, dtype=float) - model.predict(state.mean, q))
+    ikh = np.eye(state.mean.size) - gain @ jac
+    cov = ikh @ state.covariance @ ikh.T + noise.obs_variance * (gain @ gain.T)
+    return mean, 0.5 * (cov + cov.T)
 
 
 def random_spd(rng, n, scale=1.0):
@@ -158,6 +172,35 @@ class TestRlsUpdate:
         assert state.symmetry_defect() <= 1e-10
         assert state.min_eigenvalue() >= -1e-9
 
+    @pytest.mark.parametrize("obs_variance", [0.0, 1e-8, 1e2])
+    @pytest.mark.parametrize("rows", [1, 2, 3])
+    @pytest.mark.parametrize("dim", [18, 36, 72])
+    def test_rank_m_joseph_matches_dense(self, dim, rows, obs_variance):
+        rng = np.random.default_rng(1000 * dim + 10 * rows + int(obs_variance > 0))
+        state = EstimatorState(rng.normal(size=dim), random_spd(rng, dim))
+        model = LinearModel([rng.normal(size=(rows, dim))])
+        y = rng.normal(size=rows)
+        noise = NoiseConfig(obs_variance=obs_variance)
+        out = rls_update(state, 0, y, noise, model)
+        mean_ref, cov_ref = dense_joseph_update(state, 0, y, noise, model)
+        np.testing.assert_array_equal(out.mean, mean_ref)
+        defect = np.abs(out.covariance - cov_ref).max()
+        assert defect <= 1e-12 * np.abs(cov_ref).max()
+
+    def test_covariance_stays_symmetric_psd_over_arm12_run(self):
+        gt = builtin_chain("arm12")
+        model = ChainObservationModel.from_chain(gt.params)
+        rng = make_rng(11)
+        truth = gt.params.to_vector()
+        state = EstimatorState(truth + rng.uniform(-0.2, 0.2, truth.size),
+                               0.0133 * np.eye(truth.size))
+        noise = NoiseConfig(obs_variance=gt.obs_variance)
+        for _ in range(1000):
+            q = random_config(gt, rng)
+            state = rls_update(state, q, measure(gt, q, rng), noise, model)
+        assert state.symmetry_defect() <= 1e-10
+        assert state.min_eigenvalue() >= -1e-9
+
     def test_mismatched_observation_rejected(self):
         state = EstimatorState(np.zeros(2), np.eye(2))
         with pytest.raises(ValueError):
@@ -188,12 +231,16 @@ class TestRlsUpdate:
 class TestStabilizingNoise:
     def test_adds_to_diagonal_only(self):
         rng = np.random.default_rng(8)
-        state = EstimatorState(rng.normal(size=4), random_spd(rng, 4))
+        cov = random_spd(rng, 4)
+        cov[0, 1] = cov[1, 0] = -0.0        # adding 0.0 would turn it into +0.0
+        state = EstimatorState(rng.normal(size=4), cov)
         noise = NoiseConfig(stabilizing_variance=0.25)
         out = apply_stabilizing_noise(state, noise)
         np.testing.assert_array_equal(out.mean, state.mean)
-        np.testing.assert_allclose(out.covariance - state.covariance,
-                                   0.25 * np.eye(4), atol=1e-15)
+        off = ~np.eye(4, dtype=bool)
+        assert out.covariance[off].tobytes() == state.covariance[off].tobytes()
+        np.testing.assert_array_equal(np.diag(out.covariance),
+                                      np.diag(state.covariance) + 0.25)
 
 
 class TestGradientUpdate:
@@ -302,3 +349,7 @@ class TestStateAndConfigs:
     def test_state_shape_validation(self):
         with pytest.raises(ValueError):
             EstimatorState(np.zeros(3), np.eye(2))
+        with pytest.raises(ValueError, match="1-D"):
+            EstimatorState(np.zeros((1, 18)), np.eye(18))
+        with pytest.raises(ValueError, match="1-D"):
+            EstimatorState(np.float64(0.0), np.eye(1))
