@@ -302,31 +302,32 @@ def write_records(records, meta: dict, path: str, failures=None) -> None:
 
 
 def read_records(path: str):
-    """(meta, records, failures) from a JSONL record file."""
+    """(meta, records, failures) from a JSONL record file as write_records
+    writes it: one meta line holding a config object, then record and
+    failure lines. Anything else is a ConfigError naming path:line."""
     meta = None
-    records = []
-    failures = []
+    kept = {"record": [], "failure": []}
     try:
         fh = open(path)
     except OSError as exc:
         raise ConfigError(f"cannot read record file {path!r}: {exc}") from exc
     with fh:
         for number, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line:
-                continue
             try:
                 doc = json.loads(line)
-                kind = doc.pop("type", "record")
-                if kind == "meta":
-                    meta = doc.get("config", doc)
-                elif kind == "failure":
-                    failures.append(doc)
+                kind = doc.pop("type", None)
+                if number == 1 and kind == "meta" and isinstance(doc.get("config"), dict):
+                    meta = doc["config"]
+                elif number > 1 and kind in kept:
+                    kept[kind].append(ExperimentRecord(**doc) if kind == "record" else doc)
                 else:
-                    records.append(ExperimentRecord(**doc))
+                    raise ValueError(f"a {kind!r} line where the file needs one leading meta "
+                                     "line with a config object, then records and failures")
             except (ValueError, TypeError, AttributeError) as exc:
                 raise ConfigError(f"{path}:{number}: not a record file line: {exc}") from exc
-    return meta, records, failures
+    if meta is None:
+        raise ConfigError(f"{path}:1: not a record file line: the file is empty")
+    return meta, kept["record"], kept["failure"]
 
 
 def _quantile(values, frac: float) -> float:
@@ -500,6 +501,19 @@ def load_config(path: str, overrides=()) -> ExperimentConfig:
     return config_from_dict(doc)
 
 
+def _check_outputs(outputs: dict, inputs=()) -> None:
+    """ConfigError unless every output (name -> path) is a file in an existing
+    directory, and no output is one file with another output or an input."""
+    seen = {os.path.realpath(path): f"--in file {path!r}" for path in inputs}
+    for name, path in outputs.items():
+        if os.path.isdir(path) or not os.path.isdir(os.path.dirname(path) or "."):
+            raise ConfigError(f"output path {path!r} is a directory or its directory is missing")
+        real = os.path.realpath(path)
+        if real in seen:
+            raise ConfigError(f"the {seen[real]} and the {name} {path!r} are one file")
+        seen[real] = f"{name} {path!r}"
+
+
 def _cmd_run(args) -> int:
     overrides = list(args.override or [])
     if args.strategy is not None:
@@ -512,18 +526,10 @@ def _cmd_run(args) -> int:
     out = args.out or cfg.output
     if not out:
         raise ConfigError("no output path: pass --out or set 'output' in the config")
-    for path in (out, args.observations):
-        if path and (os.path.isdir(path) or not os.path.isdir(os.path.dirname(path) or ".")):
-            raise ConfigError(f"output path {path!r} is a directory or its directory is missing")
     outputs = dict(zip(("record file", "CSV projection", "timing sidecar"), _record_paths(out)))
     if args.observations:
         outputs["--observations"] = args.observations
-    seen = {}
-    for name, path in outputs.items():
-        real = os.path.realpath(path)
-        if real in seen:
-            raise ConfigError(f"the {seen[real]} and the {name} {path!r} are one file")
-        seen[real] = f"{name} {path!r}"
+    _check_outputs(outputs)
 
     failures = []
     observations = [] if args.observations else None
@@ -544,13 +550,15 @@ def _cmd_summarize(args) -> int:
     thresholds = {"--orientation-threshold": args.orientation_threshold,
                   "--location-threshold": args.location_threshold}
     _check(thresholds, dict.fromkeys(thresholds, _POSITIVE))
+    if args.json:
+        _check_outputs({"--json file": args.json}, args.inputs)
     outputs = {}
     paths = {}
     for path in args.inputs:
         meta, records, failures = read_records(path)
         if not records:
             raise ConfigError(f"{path!r} holds no records")
-        label = (meta or {}).get("strategy", path)
+        label = meta.get("strategy", path)
         if args.json and label in paths:
             raise ConfigError(f"{paths[label]!r} and {path!r} share the label {label!r}, "
                               "which keys the --json summaries")

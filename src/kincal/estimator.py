@@ -5,11 +5,12 @@ Two updates over the same observation model:
   * rls_update: extended recursive least squares. Linearizes h at the
     current mean, then applies a Kalman step with Joseph-form covariance
     propagation. The Joseph product (I - K H) P (I - K H)^T + r K K^T is
-    taken in rank-m form from the H P the innovation already needs, so
-    an update on d parameters and m observation rows costs O(d^2 m),
-    with no d x d x d product. Its innovation algebra (kalman_terms)
-    works on a stack of Jacobians, so active selection scores a whole
-    sweep of hypothetical measurements with the same code.
+    taken in rank-m form, A + (r K - A H^T) K^T with A = P - K (H P) from
+    the H P the innovation already needs, so an update on d parameters
+    and m observation rows costs O(d^2 m), with no d x d x d product. Its
+    innovation algebra (kalman_terms) works on a stack of Jacobians, so
+    active selection scores a whole sweep of hypothetical measurements
+    with the same code.
   * gradient_update: plain stochastic gradient on the squared residual,
     kept as a baseline. No covariance.
 
@@ -156,8 +157,8 @@ def rls_update(state: EstimatorState, q, y, noise: NoiseConfig, model) -> Estima
     symmetric positive semidefinite over long update sequences. The
     Joseph form is expanded in rank m: with A = P - K (H P),
     (I - K H) P (I - K H)^T = A - (A H^T) K^T, so
-    P+ = A - (A H^T) K^T + r K K^T. Every product has m as one of its
-    dimensions, O(d^2 m) in all for d parameters.
+    P+ = A - (A H^T) K^T + r K K^T = A + (r K - A H^T) K^T. Every product
+    has m as one of its dimensions, O(d^2 m) in all for d parameters.
     """
     mean = state.mean
     cov = state.covariance
@@ -173,7 +174,7 @@ def rls_update(state: EstimatorState, q, y, noise: NoiseConfig, model) -> Estima
     with np.errstate(over="ignore", invalid="ignore"):
         new_mean = mean + gain @ (y - predicted)
         a = cov - gain @ hp[0]
-        new_cov = a - (a @ jac.T) @ gain.T + noise.obs_variance * (gain @ gain.T)
+        new_cov = a + (noise.obs_variance * gain - a @ jac.T) @ gain.T
         new_cov = 0.5 * (new_cov + new_cov.T)
     # a runaway linearization can overflow without tripping the SPD gate;
     # refuse to hand back a poisoned state

@@ -16,10 +16,11 @@ _twist_terms holds the input checks and every array that depends on the
 parameters only, among them the generators of each joint's homogeneous
 4x4 block and of its Jacobian block, and _chain_terms the work per
 configuration: it builds the blocks and composes them with no loop over
-joints, by a strided tree for positions and by Hillis-Steele scans for
-Jacobians, so that positions have the same bits either way. Positions
-also take a stack of parameter vectors, one block of configurations for
-each; every row gives the same bits as the row alone.
+joints, by a strided tree for positions and by one Hillis-Steele scan for
+Jacobians, which also gives every joint's prefix rotation, so that
+positions have the same bits either way. Positions also take a stack of
+parameter vectors, one block of configurations for each; every row gives
+the same bits as the row alone.
 ChainObservationModel keeps the first part for the last parameter vector
 it saw. twist_exp is the scalar reference the kernel is checked against.
 
@@ -294,8 +295,9 @@ def _chain_terms(terms: _TwistTerms, zero_translation, Q, jacobian=False):
         n products in ceil(log2(n + 1)) stacked matmul calls.
       * with Jacobians: the Hillis-Steele suffix scan. At step k every
         block i takes the product with block i + k, so block i ends as
-        the product of blocks i..n and every s_i is there. A Hillis-Steele prefix scan
-        of the rotations gives P_i = R_0 ... R_{i-1}.
+        the product of blocks i..n: it holds s_i and the rotation
+        R_i ... R_{n-1}, so P_i = R_0 ... R_{i-1} is one stacked
+        product, block 0's rotation times the transpose of block i's.
     Block 0 meets the same operands in the same order in the tree and
     in the scan, so positions are bit-identical with and without
     Jacobians. Every product is one 4x4 (or 3x3, or coefficient row)
@@ -342,10 +344,6 @@ def _chain_terms(terms: _TwistTerms, zero_translation, Q, jacobian=False):
     blocks = flat.reshape(flat.shape[:-1] + (4, 4))       # (..., n + 1, m, 4, 4)
     blocks[..., n, :, :, :] = _EYE4
     blocks[..., n, :, :3, 3] = zero_translation
-    if jacobian:
-        prefix = np.empty((n, m, 3, 3))
-        prefix[0] = _EYE3
-        prefix[1:] = blocks[:n - 1, :, :3, :3]
 
     k = 1
     while k <= n:
@@ -356,11 +354,8 @@ def _chain_terms(terms: _TwistTerms, zero_translation, Q, jacobian=False):
     if not jacobian:
         return blocks[..., 0, :, :3, 3]
 
-    k = 1
-    while k < n:
-        prefix[k:] = prefix[:n - k] @ prefix[k:]
-        k *= 2
-
+    rot = blocks[:n, :, :3, :3]                         # R_i ... R_{n-1}
+    prefix = rot[0] @ rot.swapaxes(-1, -2)              # P_i (n, m, 3, 3)
     np.multiply(coef[..., 4], cos, out=coef[..., 0])
     np.multiply(coef[..., 4], sin, out=coef[..., 1])
     z = blocks[1:, :, :3, 3] - t.wxv[:, None, :]      # s_{i+1} - w x v (n, m, 3)
@@ -395,16 +390,10 @@ def observation_jacobian(params: ChainParams, q) -> np.ndarray:
 def observation_jacobian_fd(params: ChainParams, q) -> np.ndarray:
     """Central differences of observe(): the reference for the analytic Jacobian."""
     x0 = params.to_vector()
-    jac = np.empty((3, x0.size))
-    for k in range(x0.size):
-        xp = x0.copy()
-        xp[k] += _FD_STEP
-        xm = x0.copy()
-        xm[k] -= _FD_STEP
-        fp = observe(ChainParams.from_vector(xp, params.zero_pose), q)
-        fm = observe(ChainParams.from_vector(xm, params.zero_pose), q)
-        jac[:, k] = (fp - fm) / (2.0 * _FD_STEP)
-    return jac
+    columns = [observe(ChainParams.from_vector(x0 + step, params.zero_pose), q)
+               - observe(ChainParams.from_vector(x0 - step, params.zero_pose), q)
+               for step in _FD_STEP * np.eye(x0.size)]
+    return np.array(columns).T / (2.0 * _FD_STEP)
 
 
 class ChainObservationModel:

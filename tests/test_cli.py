@@ -563,6 +563,12 @@ class TestCommandLine:
 
     @pytest.mark.parametrize("line", [
         "not json", '{"seed": 0, "iteration": 1, "mystery": 1}', '{"seed": 0}', "[1, 2]", "5",
+        # a record without a type, one of an unknown type, and a second meta line
+        '{"seed": 0, "iteration": 3, "orientation_error": 0.1, "location_error": 0.1, '
+        '"prediction_error": 0.1}',
+        '{"type": "recrod", "seed": 0, "iteration": 3, "orientation_error": 0.1, '
+        '"location_error": 0.1, "prediction_error": 0.1}',
+        '{"type": "meta", "config": {"strategy": "active_rls"}}', '{"type": "meta"}',
     ])
     def test_summarize_rejects_malformed_record_files(self, tmp_path, capsys, line):
         out = tmp_path / "r.jsonl"
@@ -577,6 +583,34 @@ class TestCommandLine:
         capsys.readouterr()
         assert main(["summarize", "--in", str(out)]) == 1
         assert where in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text", ["", '{"type": "meta", "config": [1]}\n',
+                                      '{"type": "record", "seed": 0, "iteration": 1, '
+                                      '"orientation_error": 0.1, "location_error": 0.1, '
+                                      '"prediction_error": 0.1}\n'])
+    def test_read_records_needs_a_leading_meta_line(self, tmp_path, text):
+        path = tmp_path / "r.jsonl"
+        path.write_text(text)
+        with pytest.raises(ConfigError, match=re.escape(f"{path}:1")):
+            read_records(str(path))
+
+    @pytest.mark.parametrize("target", ["", "missing/s.json", "r.jsonl"])
+    def test_summarize_json_path_fails_before_any_input_is_read(self, tmp_path, capsys,
+                                                                target):
+        # a directory, a file in a missing directory, or a record file
+        # that the summary would overwrite (here spelt through ".")
+        out = tmp_path / "r.jsonl"
+        assert main(["run", "--config", write_config(tmp_path, iterations=2),
+                     "--out", str(out)]) == 0
+        before = out.read_bytes()
+        capsys.readouterr()
+        bad = os.path.join(tmp_path, ".", target)
+        assert main(["summarize", "--in", str(out), "--json", bad]) == 1
+        captured = capsys.readouterr()
+        assert "error:" in captured.err and bad in captured.err
+        assert captured.out == ""
+        assert out.read_bytes() == before and not (tmp_path / "missing").exists()
+        assert main(["summarize", "--in", str(out)]) == 0
 
     @pytest.mark.parametrize("flag, bad", [("--out", "missing/x.jsonl"),
                                            ("--observations", "missing/x.jsonl"),

@@ -453,6 +453,15 @@ class TestChainLengthSweep:
                 ref = observation_jacobian_fd(chain, q)
                 np.testing.assert_allclose(jac[:, smooth], ref[:, smooth], rtol=1e-5, atol=1e-8)
                 np.testing.assert_array_equal(jac[:, ~smooth], 0.0)
+                # joint i's block is its prefix rotation, composed by
+                # twist_exp, times the first block of the chain i..n-1
+                prefix = np.eye(3)
+                for i, (xi, angle) in enumerate(zip(chain.twists, q)):
+                    suffix = ChainParams(chain.twists[i:], chain.zero_pose)
+                    first = observation_jacobian(suffix, q[i:])[:, :6]
+                    np.testing.assert_allclose(jac[:, 6 * i:6 * i + 6], prefix @ first,
+                                               rtol=0, atol=1e-12)
+                    prefix = prefix @ twist_exp(xi, angle).rotation
             stack = perturbed_stack(rng, x, rows=6)
             stacked = _chain_terms(_twist_terms(stack, False), zero, configs)
             for row, xr in enumerate(stack):
