@@ -53,6 +53,9 @@ _STABILIZING_PERIOD = 10       # accepted RLS updates between stabilizing inflat
 # Iterations scored per metrics and prediction_error call: their cost is
 # per call, not per mean, and a block of 10 keeps the stacked arrays small.
 _SCORE_BLOCK = 10
+# The active_rls optimizer: a missing optimizer section is this one, and a
+# given section is filled from it.
+_ACTIVE_OPTIMIZER = {"max_evaluations": 60, "variant": "direct_l"}
 
 
 class ConfigError(Exception):
@@ -74,11 +77,10 @@ class ExperimentConfig:
     probe_seed: int = 0
     joint_limits: object = None
     fov: FovConfig = None
-    output: str = None
 
     def __post_init__(self):
         if self.strategy == "active_rls" and self.optimizer is None:
-            self.optimizer = DirectConfig(max_evaluations=60, variant="direct_l")
+            self.optimizer = DirectConfig(**_ACTIVE_OPTIMIZER)
         if self.strategy == "random_gradient" and self.gradient is None:
             # largest rate that stays stable on the bundled 12-joint chain;
             # 0.08 oscillates and 0.1+ blows up (see scripts/gradient_rate_sweep.py)
@@ -105,6 +107,8 @@ _WALL_CLOCK_FIELDS = ("selection_seconds",)
 _RECORD_FIELDS = tuple(f.name for f in dataclasses.fields(ExperimentRecord)
                        if f.name not in _WALL_CLOCK_FIELDS)
 _TIMING_FIELDS = ("seed", "iteration") + _WALL_CLOCK_FIELDS
+# The keys of each line type after the meta line, as write_records writes them.
+_LINE_KEYS = {"record": set(_RECORD_FIELDS), "failure": {"seed", "error"}}
 
 
 def _resolve_box(spec, rows: int, key: str) -> np.ndarray:
@@ -244,11 +248,11 @@ def run_experiment(cfg: ExperimentConfig, failures: list = None,
 
 
 def config_to_meta(cfg: ExperimentConfig) -> dict:
-    """Deterministic echo of the resolved configuration: every _CONFIG key but output."""
+    """Deterministic echo of the resolved configuration: every set _CONFIG key."""
     meta = {}
     for key, kind in _CONFIG.items():
         value = getattr(cfg, key)
-        if value is None or key == "output":
+        if value is None:
             continue
         if key == "fov":
             value = value.to_dict()
@@ -304,7 +308,8 @@ def write_records(records, meta: dict, path: str, failures=None) -> None:
 def read_records(path: str):
     """(meta, records, failures) from a JSONL record file as write_records
     writes it: one meta line holding a config object, then record and
-    failure lines. Anything else is a ConfigError naming path:line."""
+    failure lines with exactly their _LINE_KEYS. Anything else is a
+    ConfigError naming path:line."""
     meta = None
     kept = {"record": [], "failure": []}
     try:
@@ -318,11 +323,12 @@ def read_records(path: str):
                 kind = doc.pop("type", None)
                 if number == 1 and kind == "meta" and isinstance(doc.get("config"), dict):
                     meta = doc["config"]
-                elif number > 1 and kind in kept:
+                elif number > 1 and kind in kept and doc.keys() == _LINE_KEYS[kind]:
                     kept[kind].append(ExperimentRecord(**doc) if kind == "record" else doc)
                 else:
-                    raise ValueError(f"a {kind!r} line where the file needs one leading meta "
-                                     "line with a config object, then records and failures")
+                    raise ValueError(f"a {kind!r} line with keys {sorted(doc)} where the file "
+                                     "needs one leading meta line with a config object, then "
+                                     "records and failures with exactly their fields")
             except (ValueError, TypeError, AttributeError) as exc:
                 raise ConfigError(f"{path}:{number}: not a record file line: {exc}") from exc
     if meta is None:
@@ -440,7 +446,7 @@ _CONFIG = {
               lambda v: isinstance(v, (list, tuple)) and len(v) > 0
               and all(map(_NATURAL[1], v)) and len(set(v)) == len(v)),
     "noise": {"obs_variance": _NON_NEGATIVE, "stabilizing_variance": _NON_NEGATIVE},
-    "optimizer": {"max_evaluations": _COUNT, "epsilon": _NON_NEGATIVE,
+    "optimizer": {"max_evaluations": _COUNT,
                   "variant": (f"one of {VARIANTS}", lambda v: v in VARIANTS)},
     "gradient": {"learning_rate": _POSITIVE, "decay": _NON_NEGATIVE},
     "init_hypercube": (f"one [lo, hi] pair or {_PAIRS}", lambda v: _pairs([v]) or _pairs(v)),
@@ -450,10 +456,7 @@ _CONFIG = {
     "joint_limits": (f"a half-width in (0, inf) or {_PAIRS}",
                      lambda v: _POSITIVE[1](v) or _pairs(v)),
     "fov": {"camera_position": _VECTOR, "axis": _VECTOR,
-            "half_angle": ("a number in [0, pi]", lambda v: _is_number(v) and 0 <= v <= math.pi),
-            "near": _NON_NEGATIVE,
-            "far": ("null or a number in [0, inf)", lambda v: v is None or _NON_NEGATIVE[1](v))},
-    "output": ("a string", lambda v: isinstance(v, str)),
+            "half_angle": ("a number in [0, pi]", lambda v: _is_number(v) and 0 <= v <= math.pi)},
 }
 _REQUIRED = {"chain", "strategy", "iterations", "seeds", "gradient.learning_rate",
              "fov.camera_position", "fov.axis", "fov.half_angle"}
@@ -481,10 +484,12 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
     """The experiment config of a JSON document, checked whole before any dataclass is built."""
     _check(doc)
     doc = {"noise": {}, **doc}
+    if "optimizer" in doc:
+        doc["optimizer"] = {**_ACTIVE_OPTIMIZER, **doc["optimizer"]}
     try:
         return ExperimentConfig(**{key: _SECTIONS[key](**value) if key in _SECTIONS else value
                                    for key, value in doc.items()})
-    except ValueError as exc:  # from FovConfig: a zero axis, or far < near
+    except ValueError as exc:  # from FovConfig: a zero axis
         raise ConfigError(f"bad experiment config: {exc}") from exc
 
 
@@ -506,7 +511,7 @@ def _check_outputs(outputs: dict, inputs=()) -> None:
     directory, and no output is one file with another output or an input."""
     seen = {os.path.realpath(path): f"--in file {path!r}" for path in inputs}
     for name, path in outputs.items():
-        if os.path.isdir(path) or not os.path.isdir(os.path.dirname(path) or "."):
+        if os.path.isdir(path or ".") or not os.path.isdir(os.path.dirname(path) or "."):
             raise ConfigError(f"output path {path!r} is a directory or its directory is missing")
         real = os.path.realpath(path)
         if real in seen:
@@ -523,10 +528,8 @@ def _cmd_run(args) -> int:
     if args.iterations is not None:
         overrides.append(f"iterations={args.iterations}")
     cfg = load_config(args.config, overrides)
-    out = args.out or cfg.output
-    if not out:
-        raise ConfigError("no output path: pass --out or set 'output' in the config")
-    outputs = dict(zip(("record file", "CSV projection", "timing sidecar"), _record_paths(out)))
+    outputs = dict(zip(("record file", "CSV projection", "timing sidecar"),
+                       _record_paths(args.out)))
     if args.observations:
         outputs["--observations"] = args.observations
     _check_outputs(outputs)
@@ -534,10 +537,10 @@ def _cmd_run(args) -> int:
     failures = []
     observations = [] if args.observations else None
     records = run_experiment(cfg, failures=failures, observations=observations)
-    write_records(records, config_to_meta(cfg), out, failures=failures)
+    write_records(records, config_to_meta(cfg), args.out, failures=failures)
     if args.observations:
         _write_jsonl(args.observations, observations)
-    print(f"wrote {len(records)} records to {out}"
+    print(f"wrote {len(records)} records to {args.out}"
           + (f" ({len(failures)} failed seeds)" if failures else ""))
     return 1 if failures else 0
 
@@ -598,7 +601,8 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--strategy", choices=STRATEGIES, help="override the strategy")
     run_p.add_argument("--seeds", help="comma-separated seed list override")
     run_p.add_argument("--iterations", type=int, help="override the iteration count")
-    run_p.add_argument("--out", help="record file path (JSONL; CSV written next to it)")
+    run_p.add_argument("--out", required=True,
+                       help="record file path (JSONL; CSV written next to it)")
     run_p.add_argument("--override", action="append", metavar="KEY=VALUE",
                        help="dotted-path config override, value parsed as JSON")
     run_p.add_argument("--observations", help="also write (q, y, accepted) JSONL here")

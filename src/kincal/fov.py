@@ -1,10 +1,9 @@
-"""Spherical-sector field-of-view predicate.
+"""Circular-cone field-of-view predicate.
 
-A point is visible when its distance from the camera lies in
-[near, far] and the angle between the camera axis and the ray to the
-point is strictly below half_angle. A zero half_angle therefore sees
-nothing; the camera point itself is visible to a positive half_angle
-when near is 0.
+A point is visible when the angle between the camera axis and the ray
+to the point is strictly below half_angle. A zero half_angle therefore
+sees nothing; the camera point itself is visible to a positive
+half_angle.
 
 contains_points applies the predicate to a (k, 3) block of points and
 contains is its one-point view, so there is one rule. It gates simulated
@@ -27,12 +26,8 @@ class FovConfig:
     camera_position: np.ndarray
     axis: np.ndarray
     half_angle: float
-    near: float = 0.0
-    far: float = math.inf
 
     def __post_init__(self):
-        if self.far is None:  # no far limit, as to_dict writes it
-            self.far = math.inf
         self.camera_position = np.asarray(self.camera_position, dtype=float)
         axis = np.asarray(self.axis, dtype=float)
         norm = np.linalg.norm(axis)
@@ -41,8 +36,6 @@ class FovConfig:
         self.axis = axis / norm
         if not 0.0 <= self.half_angle <= math.pi:
             raise ValueError("half_angle must lie in [0, pi]")
-        if not 0.0 <= self.near <= self.far:
-            raise ValueError("need 0 <= near <= far")
 
     def contains(self, point) -> bool:
         """Visibility of one point: the one-row view of contains_points."""
@@ -60,8 +53,6 @@ class FovConfig:
 
     def _sees(self, dist: float, dot: float) -> bool:
         """The rule for one ray of length dist and axis component dot."""
-        if dist < self.near or dist > self.far:
-            return False
         if dist == 0.0:
             return self.half_angle > 0.0
         # math.acos, not np.arccos: the two differ in the last bit on some
@@ -73,6 +64,4 @@ class FovConfig:
             "camera_position": self.camera_position.tolist(),
             "axis": self.axis.tolist(),
             "half_angle": float(self.half_angle),
-            "near": float(self.near),
-            "far": None if math.isinf(self.far) else float(self.far),
         }

@@ -16,6 +16,7 @@ from kincal.cli import (ConfigError, ExperimentRecord, _quantile, config_from_di
                         config_to_meta, iterations_to_threshold, load_config, main,
                         read_records, resolve_ground_truth, run_experiment,
                         summarize, write_records)
+from kincal.direct import DirectConfig
 from kincal.estimator import NoiseConfig, apply_stabilizing_noise
 from kincal.kinematics import save_chain
 from kincal.sim import builtin_chain
@@ -33,10 +34,9 @@ def full_config(**extra):
     """A config that sets every numeric key of the document."""
     return base_config(
         init_hypercube=[-1.0, 1.0], init_variance=1.0, probe_seed=0, joint_limits=0.5,
-        optimizer={"max_evaluations": 15, "epsilon": 1e-4, "variant": "direct_l"},
+        optimizer={"max_evaluations": 15, "variant": "direct_l"},
         gradient={"learning_rate": 0.05, "decay": 0.0},
-        fov={"camera_position": [1.0, 0.0, -2.0], "axis": [0.0, 1.0, 0.0],
-             "half_angle": 0.7, "near": 0.2, "far": 3.0},
+        fov={"camera_position": [1.0, 0.0, -2.0], "axis": [0.0, 1.0, 0.0], "half_angle": 0.7},
         noise={"obs_variance": 1e-4, "stabilizing_variance": 1e-3}, **extra)
 
 
@@ -69,15 +69,15 @@ _NUMERIC_LEAVES = [
     ("noise.obs_variance", lambda bad: bad),
     ("noise.stabilizing_variance", lambda bad: bad),
     ("optimizer.max_evaluations", lambda bad: bad),
-    ("optimizer.epsilon", lambda bad: bad),
     ("gradient.learning_rate", lambda bad: bad),
     ("gradient.decay", lambda bad: bad),
     ("fov.camera_position", lambda bad: [1.0, bad, -2.0]),
     ("fov.axis", lambda bad: [0.0, 1.0, bad]),
     ("fov.half_angle", lambda bad: bad),
-    ("fov.near", lambda bad: bad),
-    ("fov.far", lambda bad: bad),
 ]
+# keys the document no longer has: unknown whatever their value, the
+# values they once took included
+_REMOVED_KEYS = ("fov.near", "fov.far", "optimizer.epsilon", "output")
 _BAD_CONFIG_VALUES = [(key, place(bad)) for key, place in _NUMERIC_LEAVES
                       for bad in (True, math.nan, math.inf, -math.inf)] + [
     ("fov.camera_position", [1.0, 0.0]),
@@ -98,6 +98,10 @@ _BAD_CONFIG_VALUES = [(key, place(bad)) for key, place in _NUMERIC_LEAVES
     ("optimizer.variant", "newton"),
     ("optimizer.bounds", [[0.0, 1.0]] * 3),
     ("chain", 3),
+] + [(key, value) for key in _REMOVED_KEYS
+     for value in (0.0, True, math.nan, math.inf, -math.inf)] + [
+    ("fov.far", None),
+    ("output", "r.jsonl"),
     ("output", 3),
 ]
 
@@ -291,6 +295,20 @@ class TestConfigParsing:
         gradient = config_from_dict(base_config(strategy="random_gradient"))
         assert gradient.gradient.learning_rate == 0.05
 
+    @pytest.mark.parametrize("section, expected", [
+        (None, (60, "direct_l")),
+        ({}, (60, "direct_l")),
+        ({"max_evaluations": 30}, (30, "direct_l")),
+        ({"variant": "direct"}, (60, "direct")),
+    ])
+    def test_partial_optimizer_section_keeps_the_active_defaults(self, section, expected):
+        doc = base_config(strategy="active_rls")
+        if section is not None:
+            doc["optimizer"] = section
+        optimizer = config_from_dict(doc).optimizer
+        assert (optimizer.max_evaluations, optimizer.variant) == expected
+        assert optimizer.epsilon == DirectConfig().epsilon
+
     def test_rejects_unknown_fields_and_bad_values(self):
         with pytest.raises(ConfigError):
             config_from_dict(base_config(mystery=1))
@@ -331,7 +349,8 @@ class TestConfigParsing:
         {"init_variance": True},
         {"noise": {"obs_variance": True}},
         {"noise": {"obs_variance": 1e-4, "stabilizing_variance": True}},
-        {"strategy": "active_rls", "optimizer": {"epsilon": True}},
+        {"fov": {"camera_position": [1.0, 0.0, -2.0], "axis": [0.0, 1.0, 0.0],
+                 "half_angle": True}},
         {"strategy": "random_gradient", "gradient": {"learning_rate": True}},
         {"strategy": "random_gradient", "gradient": {"learning_rate": 0.05, "decay": False}},
     ])
@@ -351,6 +370,8 @@ class TestConfigParsing:
         # booleans, NaN and infinities are never numbers, and every error
         # names its dotted key before any seed runs
         doc = set_key(full_config(), key, value)
+        if key in _REMOVED_KEYS:
+            key = f"unknown key {key}"
         failures = []
         with pytest.raises(ConfigError, match=re.escape(key)):
             run_experiment(config_from_dict(doc), failures=failures)
@@ -363,14 +384,12 @@ class TestConfigParsing:
         assert not out.exists()
 
     def test_meta_round_trip(self):
-        for far in (3.0, None):
-            cfg = config_from_dict(set_key(full_config(), "fov.far", far))
-            again = config_from_dict(config_to_meta(cfg))
-            assert config_to_meta(again) == config_to_meta(cfg)
-            np.testing.assert_array_equal(again.fov.camera_position, [1.0, 0.0, -2.0])
-            np.testing.assert_array_equal(again.fov.axis, [0.0, 1.0, 0.0])
-            assert (again.fov.half_angle, again.fov.near) == (0.7, 0.2)
-            assert again.fov.far == (math.inf if far is None else far)
+        cfg = config_from_dict(full_config())
+        again = config_from_dict(config_to_meta(cfg))
+        assert config_to_meta(again) == config_to_meta(cfg)
+        np.testing.assert_array_equal(again.fov.camera_position, [1.0, 0.0, -2.0])
+        np.testing.assert_array_equal(again.fov.axis, [0.0, 1.0, 0.0])
+        assert again.fov.half_angle == 0.7
         # numbers are echoed as given: an integer stays an integer
         meta = config_to_meta(config_from_dict(base_config(init_variance=1)))
         assert type(meta["init_variance"]) is int
@@ -569,6 +588,11 @@ class TestCommandLine:
         '{"type": "recrod", "seed": 0, "iteration": 3, "orientation_error": 0.1, '
         '"location_error": 0.1, "prediction_error": 0.1}',
         '{"type": "meta", "config": {"strategy": "active_rls"}}', '{"type": "meta"}',
+        # a record with a wall-clock field, and a failure with a stray key
+        '{"type": "record", "seed": 0, "iteration": 3, "orientation_error": 0.1, '
+        '"location_error": 0.1, "prediction_error": 0.1, "cost": null, "fov_rejections": 0, '
+        '"selection_seconds": 0.5}',
+        '{"type": "failure", "bogus": 1}',
     ])
     def test_summarize_rejects_malformed_record_files(self, tmp_path, capsys, line):
         out = tmp_path / "r.jsonl"
@@ -681,7 +705,11 @@ class TestCommandLine:
         assert "error:" in capsys.readouterr().err
 
         path = write_config(tmp_path)
-        assert main(["run", "--config", path]) == 1  # no output path anywhere
+        with pytest.raises(SystemExit) as exc:  # --out is a required flag
+            main(["run", "--config", path])
+        assert exc.value.code == 2
+        assert main(["run", "--config", path, "--out", ""]) == 1
+        assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
         # a zero or empty flag value is an error, not a missing flag
         for flag, value in (("--iterations", "0"), ("--seeds", "")):
             assert main(["run", "--config", path, "--out", str(tmp_path / "r.jsonl"),

@@ -187,6 +187,17 @@ class TestRlsUpdate:
         defect = np.abs(out.covariance - cov_ref).max()
         assert defect <= 1e-12 * np.abs(cov_ref).max()
 
+    @pytest.mark.parametrize("prior, obs_variance", [(1e6, 1e-12), (1e8, 1e-8)])
+    def test_joseph_form_keeps_a_tiny_posterior_variance(self, prior, obs_variance):
+        # with H = 1, S = p + r rounds to p or to its next float, and the
+        # short form P - K H P cancels to 0.0 or to 1.49e-8; the Joseph
+        # form keeps the exact posterior variance p r / (p + r)
+        state = EstimatorState(np.zeros(1), np.array([[prior]]))
+        out = rls_update(state, 0, np.zeros(1), NoiseConfig(obs_variance=obs_variance),
+                         LinearModel([np.eye(1)]))
+        exact = prior * obs_variance / (prior + obs_variance)
+        np.testing.assert_allclose(out.covariance, [[exact]], rtol=1e-6, atol=0.0)
+
     def test_covariance_stays_symmetric_psd_over_arm12_run(self):
         gt = builtin_chain("arm12")
         model = ChainObservationModel.from_chain(gt.params)

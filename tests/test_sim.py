@@ -31,12 +31,10 @@ def random_truth(rng, n):
 
 class TestFov:
     def test_boundaries(self):
-        fov = FovConfig([0.0, 0.0, 0.0], [1.0, 0.0, 0.0], np.pi / 4,
-                        near=1.0, far=2.0)
-        assert fov.contains([1.0, 0.0, 0.0])       # near edge is inside
-        assert fov.contains([2.0, 0.0, 0.0])       # far edge is inside
-        assert not fov.contains([0.999, 0.0, 0.0])
-        assert not fov.contains([2.001, 0.0, 0.0])
+        fov = FovConfig([0.0, 0.0, 0.0], [1.0, 0.0, 0.0], np.pi / 4)
+        assert fov.contains([1e-9, 0.0, 0.0])      # the cone has no depth range
+        assert fov.contains([1e9, 0.0, 0.0])
+        assert not fov.contains([-1.0, 0.0, 0.0])
         assert not fov.contains([1.0, 1.0, 0.0])   # exactly on the cone edge
         assert fov.contains([1.0, 0.99, 0.0])
 
@@ -48,16 +46,12 @@ class TestFov:
     def test_camera_point_itself(self):
         fov = FovConfig([1.0, 2.0, 3.0], [0.0, 0.0, 1.0], 0.5)
         assert fov.contains([1.0, 2.0, 3.0])
-        assert not FovConfig([1.0, 2.0, 3.0], [0.0, 0.0, 1.0], 0.5,
-                             near=0.1).contains([1.0, 2.0, 3.0])
 
     @pytest.mark.parametrize("half_angle", [0.0, 0.4, np.pi / 2, np.pi])
     def test_points_match_scalar_reference(self, half_angle):
         def reference(fov, point):
             ray = point - fov.camera_position
             dist = float(np.linalg.norm(ray))
-            if dist < fov.near or dist > fov.far:
-                return False
             if dist == 0.0:
                 return fov.half_angle > 0.0
             cos_angle = float(ray @ fov.axis) / dist
@@ -65,31 +59,28 @@ class TestFov:
 
         rng = np.random.default_rng(61)
         camera = np.array([0.5, -1.0, 2.0])
-        seen = set()
-        for near, far in [(0.0, math.inf), (0.5, 2.0), (1.0, 1.0)]:
-            fov = FovConfig(camera, [1.0, 2.0, -0.5], half_angle, near=near, far=far)
-            dirs = rng.normal(size=(20, 3))
-            dirs /= np.linalg.norm(dirs, axis=1)[:, None]
-            # points on the cone surface and their neighbours 1 ulp off in
-            # each coordinate (np.nextafter toward +-axis and +-side), where
-            # the angle test turns on the last bit
-            side = np.cross(fov.axis, dirs)
-            side /= np.linalg.norm(side, axis=1)[:, None]
-            surface = camera + rng.uniform(0.5, 2.5, size=(20, 1)) * (
-                math.cos(half_angle) * fov.axis + math.sin(half_angle) * side)
-            off_surface = [np.nextafter(surface, surface + sign * offset)
-                           for sign in (1.0, -1.0) for offset in (fov.axis, side)]
-            points = np.vstack([camera + rng.normal(scale=2.0, size=(200, 3)),
-                                camera + near * dirs,
-                                camera + (far if math.isfinite(far) else 3.0) * dirs,
-                                camera[None], surface, *off_surface])
-            mask = fov.contains_points(points)
-            assert mask.shape == (len(points),) and mask.dtype == bool
-            expected = [reference(fov, p) for p in points]
-            assert mask.tolist() == expected
-            assert [fov.contains(p) for p in points] == expected
-            seen.update(expected)
-        assert seen == ({False} if half_angle == 0.0 else {False, True})
+        fov = FovConfig(camera, [1.0, 2.0, -0.5], half_angle)
+        dirs = rng.normal(size=(20, 3))
+        dirs /= np.linalg.norm(dirs, axis=1)[:, None]
+        # points on the cone surface and their neighbours 1 ulp off in
+        # each coordinate (np.nextafter toward +-axis and +-side), where
+        # the angle test turns on the last bit
+        side = np.cross(fov.axis, dirs)
+        side /= np.linalg.norm(side, axis=1)[:, None]
+        surface = camera + rng.uniform(0.5, 2.5, size=(20, 1)) * (
+            math.cos(half_angle) * fov.axis + math.sin(half_angle) * side)
+        off_surface = [np.nextafter(surface, surface + sign * offset)
+                       for sign in (1.0, -1.0) for offset in (fov.axis, side)]
+        # camera - axis lies on the far side: outside even a cone of half-angle pi
+        points = np.vstack([camera + rng.normal(scale=2.0, size=(200, 3)),
+                            camera + 3.0 * dirs, camera - fov.axis,
+                            camera[None], surface, *off_surface])
+        mask = fov.contains_points(points)
+        assert mask.shape == (len(points),) and mask.dtype == bool
+        expected = [reference(fov, p) for p in points]
+        assert mask.tolist() == expected
+        assert [fov.contains(p) for p in points] == expected
+        assert set(expected) == ({False} if half_angle == 0.0 else {False, True})
         assert fov.contains_points(np.empty((0, 3))).shape == (0,)
         with pytest.raises(ValueError):
             fov.contains_points(camera)
@@ -105,8 +96,6 @@ class TestFov:
             FovConfig([0.0] * 3, [1.0, 0.0, 0.0], -0.1)
         with pytest.raises(ValueError):
             FovConfig([0.0] * 3, [1.0, 0.0, 0.0], 4.0)
-        with pytest.raises(ValueError):
-            FovConfig([0.0] * 3, [1.0, 0.0, 0.0], 0.5, near=2.0, far=1.0)
 
 
 class TestMeasure:
@@ -153,8 +142,7 @@ class TestMeasure:
         np.testing.assert_array_equal(after_block, fresh)
 
     def test_visibility_matches_fov_predicate(self):
-        fov = FovConfig([0.0, 0.0, 0.0], [1.0, 0.0, 0.0], np.pi / 4,
-                        near=0.1, far=2.0)
+        fov = FovConfig([0.0, 0.0, 0.0], [1.0, 0.0, 0.0], np.pi / 4)
         gt = single_z_joint(fov=fov)
         rng = make_rng(5)
         for q in np.linspace(-np.pi, np.pi, 61):
@@ -390,12 +378,10 @@ class TestGroundTruthValidation:
     lambda: GradientConfig(learning_rate=math.nan),
     lambda: GradientConfig(learning_rate=0.1, decay=math.nan),
     lambda: DirectConfig(epsilon=math.nan),
-    lambda: FovConfig([0.0] * 3, [1.0, 0.0, 0.0], 0.5, near=math.nan),
-    lambda: FovConfig([0.0] * 3, [1.0, 0.0, 0.0], 0.5, far=math.nan),
     lambda: GroundTruth(builtin_chain("planar3").params, np.tile([-1.0, 1.0], (3, 1)),
                         obs_variance=math.nan),
 ], ids=["obs_variance", "stabilizing_variance", "learning_rate", "decay", "epsilon",
-        "near", "far", "ground_truth_obs_variance"])
+        "ground_truth_obs_variance"])
 def test_library_configs_reject_nan(build):
     # NaN fails every comparison, so each check is written to fail on it
     with pytest.raises(ValueError):
