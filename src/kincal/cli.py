@@ -37,7 +37,7 @@ from .estimator import (DegenerateUpdateError, EstimatorState, GradientConfig,
                         NoiseConfig, apply_stabilizing_noise, gradient_update,
                         prediction_error, rls_update)
 from .fov import FovConfig
-from .kinematics import ChainObservationModel, load_chain, observe
+from .kinematics import ChainObservationModel, load_chain
 from .sim import (DEFAULT_JOINT_LIMIT, FIXTURE_NAMES, GroundTruth, builtin_chain,
                   fixture_description, make_rng, measure, metrics, random_config)
 
@@ -140,18 +140,19 @@ def resolve_ground_truth(cfg: ExperimentConfig) -> GroundTruth:
 
 
 def _probe_set(gt: GroundTruth, size: int, probe_seed: int):
-    """(configs (size, n), true positions (size, 3)) of seeded random
-    in-view configurations."""
+    """(configs (size, n), true positions (size, 3)) of the first size in-view
+    draws of the probe stream, size a round (leftover draws feed nothing)."""
     rng = make_rng(probe_seed)
-    probes = []
-    for _ in range(size * _PROBE_ATTEMPT_FACTOR):
-        q = random_config(gt, rng)
-        pos = observe(gt.params, q)
-        if gt.fov is None or gt.fov.contains(pos):
-            probes.append((q, pos))
-            if len(probes) == size:
-                return np.asarray([q for q, _ in probes]), np.asarray([p for _, p in probes])
-    raise ConfigError("field of view rejects almost every probe configuration")
+    kept = np.empty((0, gt.n_joints))
+    for _ in range(_PROBE_ATTEMPT_FACTOR):
+        configs = np.array([random_config(gt, rng) for _ in range(size)])
+        if gt.fov is not None:
+            configs = configs[gt.fov.contains_points(gt.positions(configs))]
+        kept = np.concatenate([kept, configs])
+        if len(kept) >= size:
+            return kept[:size], gt.positions(kept[:size])
+    raise ConfigError(f"field of view rejects almost every probe configuration: {len(kept)} "
+                      f"of {size * _PROBE_ATTEMPT_FACTOR} draws in view, {size} needed")
 
 
 def _run_seed(cfg: ExperimentConfig, gt: GroundTruth, model, probes, box, seed: int):
@@ -508,8 +509,8 @@ def load_config(path: str, overrides=()) -> ExperimentConfig:
 
 def _check_outputs(outputs: dict, inputs=()) -> None:
     """ConfigError unless every output (name -> path) is a file in an existing
-    directory, and no output is one file with another output or an input."""
-    seen = {os.path.realpath(path): f"--in file {path!r}" for path in inputs}
+    directory, and none is one file with another output or an input (name, path)."""
+    seen = {os.path.realpath(path): f"{name} {path!r}" for name, path in inputs}
     for name, path in outputs.items():
         if os.path.isdir(path or ".") or not os.path.isdir(os.path.dirname(path) or "."):
             raise ConfigError(f"output path {path!r} is a directory or its directory is missing")
@@ -530,15 +531,16 @@ def _cmd_run(args) -> int:
     cfg = load_config(args.config, overrides)
     outputs = dict(zip(("record file", "CSV projection", "timing sidecar"),
                        _record_paths(args.out)))
-    if args.observations:
+    if args.observations is not None:
         outputs["--observations"] = args.observations
-    _check_outputs(outputs)
+    _check_outputs(outputs, [("--config file", args.config)]
+                   + ([] if cfg.chain in FIXTURE_NAMES else [("chain file", cfg.chain)]))
 
     failures = []
-    observations = [] if args.observations else None
+    observations = [] if args.observations is not None else None
     records = run_experiment(cfg, failures=failures, observations=observations)
     write_records(records, config_to_meta(cfg), args.out, failures=failures)
-    if args.observations:
+    if observations is not None:
         _write_jsonl(args.observations, observations)
     print(f"wrote {len(records)} records to {args.out}"
           + (f" ({len(failures)} failed seeds)" if failures else ""))
@@ -553,8 +555,8 @@ def _cmd_summarize(args) -> int:
     thresholds = {"--orientation-threshold": args.orientation_threshold,
                   "--location-threshold": args.location_threshold}
     _check(thresholds, dict.fromkeys(thresholds, _POSITIVE))
-    if args.json:
-        _check_outputs({"--json file": args.json}, args.inputs)
+    if args.json is not None:
+        _check_outputs({"--json file": args.json}, [("--in file", path) for path in args.inputs])
     outputs = {}
     paths = {}
     for path in args.inputs:
@@ -562,7 +564,7 @@ def _cmd_summarize(args) -> int:
         if not records:
             raise ConfigError(f"{path!r} holds no records")
         label = meta.get("strategy", path)
-        if args.json and label in paths:
+        if args.json is not None and label in paths:
             raise ConfigError(f"{paths[label]!r} and {path!r} share the label {label!r}, "
                               "which keys the --json summaries")
         paths[label] = path
@@ -577,7 +579,7 @@ def _cmd_summarize(args) -> int:
             stats = summary[key]
             print(f"  {key.replace('_', ' ')}: median {stats['median']:.6g}  "
                   f"iqr [{stats['iqr'][0]:.6g}, {stats['iqr'][1]:.6g}]")
-    if args.json:
+    if args.json is not None:
         with open(args.json, "w") as fh:
             json.dump(outputs, fh, indent=2, sort_keys=True)
             fh.write("\n")

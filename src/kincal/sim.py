@@ -53,9 +53,8 @@ class GroundTruth:
     fixed once built, so what depends on it alone is built once too:
     axis_lines holds its joint axes, axis_pairs the joint pairs i < j
     and pair_angles their inter-axis angles, all for metrics; twist_terms
-    holds the chain kernel's parameter-only terms for positions
-    (kinematics._twist_terms) that measure evaluates the true position
-    with."""
+    holds the chain kernel's parameter-only terms (kinematics._twist_terms)
+    that positions, the one evaluator of the true chain, reads."""
 
     params: ChainParams
     joint_limits: np.ndarray
@@ -88,21 +87,25 @@ class GroundTruth:
     def n_joints(self) -> int:
         return self.params.n_joints
 
+    def positions(self, configs) -> np.ndarray:
+        """True end-effector positions (k, 3) of a (k, n) block of
+        configurations, each row bit-identical to observe(params, q)."""
+        return _chain_terms(self.twist_terms, self.params.zero_pose.translation, configs)
+
 
 def measure(gt: GroundTruth, q, rng: np.random.Generator):
     """Noisy end-effector position, or None when out of view.
 
-    Visibility is decided on the true position, which is
-    observe(gt.params, q) computed from the truth's kept twist_terms. The
-    noise draw happens only for visible measurements, so a fixed seed and
-    query sequence reproduce the identical observation stream.
+    gt.fov.contains decides visibility on the true position from
+    gt.positions. The noise draw happens only for visible measurements, so
+    a fixed seed and query sequence reproduce the identical observation stream.
     """
     q = np.asarray(q, dtype=float)
     if q.shape != (gt.n_joints,):
         raise ValueError(f"expected {gt.n_joints} joint angles")
     if (q < gt.joint_limits[:, 0]).any() or (q > gt.joint_limits[:, 1]).any():
         raise ValueError("configuration violates joint limits")
-    true_pos = _chain_terms(gt.twist_terms, gt.params.zero_pose.translation, q[None])[0]
+    true_pos = gt.positions(q[None])[0]
     if gt.fov is not None and not gt.fov.contains(true_pos):
         return None
     return true_pos + rng.normal(0.0, math.sqrt(gt.obs_variance), 3)

@@ -12,14 +12,14 @@ import pytest
 
 import kincal.active
 import kincal.cli
-from kincal.cli import (ConfigError, ExperimentRecord, _quantile, config_from_dict,
-                        config_to_meta, iterations_to_threshold, load_config, main,
-                        read_records, resolve_ground_truth, run_experiment,
-                        summarize, write_records)
+from kincal.cli import (_PROBE_ATTEMPT_FACTOR, ConfigError, ExperimentRecord, _probe_set,
+                        _quantile, config_from_dict, config_to_meta, iterations_to_threshold,
+                        load_config, main, read_records, resolve_ground_truth,
+                        run_experiment, summarize, write_records)
 from kincal.direct import DirectConfig
 from kincal.estimator import NoiseConfig, apply_stabilizing_noise
-from kincal.kinematics import save_chain
-from kincal.sim import builtin_chain
+from kincal.kinematics import observe, save_chain
+from kincal.sim import builtin_chain, make_rng, random_config
 
 
 def base_config(**extra):
@@ -114,6 +114,26 @@ def write_config(tmp_path, **extra):
 
 def fake_record(seed, iteration, orientation, location=1.0, prediction=1.0):
     return ExperimentRecord(seed, iteration, orientation, location, prediction)
+
+
+def per_draw_probe_set(gt, size, probe_seed):
+    """The reference for _probe_set: one random_config, one observe and
+    one fov.contains per draw, the first size in-view draws kept."""
+    rng = make_rng(probe_seed)
+    probes = []
+    for _ in range(size * _PROBE_ATTEMPT_FACTOR):
+        q = random_config(gt, rng)
+        pos = observe(gt.params, q)
+        if gt.fov is None or gt.fov.contains(pos):
+            probes.append((q, pos))
+            if len(probes) == size:
+                return np.asarray([q for q, _ in probes]), np.asarray([p for _, p in probes])
+    raise AssertionError("the reference found too few in-view probes")
+
+
+# the cone of the active_planar3_fov benchmark workload
+PLANAR3_CONE = {"camera_position": [0.35, 0.0, 1.0], "axis": [0.0, 0.0, -1.0],
+                "half_angle": 0.5}
 
 
 class TestRunExperiment:
@@ -246,12 +266,35 @@ class TestRunExperiment:
         with pytest.raises(ConfigError):
             resolve_ground_truth(config_from_dict(base_config(chain="nope.json")))
 
-    def test_fov_starves_probe_set(self):
+    def test_fov_starves_probe_set(self, monkeypatch):
+        draws = []
+
+        def counted(gt, rng):
+            draws.append(1)
+            return random_config(gt, rng)
+
+        monkeypatch.setattr(kincal.cli, "random_config", counted)
         fov = {"camera_position": [100.0, 0.0, 0.0], "axis": [1.0, 0.0, 0.0],
                "half_angle": 1e-4}
         cfg = config_from_dict(base_config(fov=fov, probe_set_size=2))
-        with pytest.raises(ConfigError):
+        bound = 2 * _PROBE_ATTEMPT_FACTOR
+        with pytest.raises(ConfigError, match=f": 0 of {bound} draws in view, 2 needed"):
             run_experiment(cfg)
+        assert len(draws) == bound
+
+    @pytest.mark.parametrize("chain, fov", [("planar3", None), ("planar3", PLANAR3_CONE),
+                                            ("arm12", None)])
+    def test_probe_set_matches_per_draw_reference(self, chain, fov):
+        # at the workload's joint limits the cone sees about 58 % of the
+        # planar3 draws, so its 20 probes take several rounds of draws
+        doc = base_config(chain=chain, joint_limits=3.14, probe_set_size=20, probe_seed=3)
+        if fov is not None:
+            doc["fov"] = fov
+        gt = resolve_ground_truth(config_from_dict(doc))
+        got = _probe_set(gt, 20, 3)
+        want = per_draw_probe_set(gt, 20, 3)
+        for a, b in zip(got, want):
+            assert a.shape == b.shape and a.tobytes() == b.tobytes()
 
     def test_scalar_joint_limits(self):
         cfg = config_from_dict(base_config(joint_limits=0.25))
@@ -618,17 +661,19 @@ class TestCommandLine:
         with pytest.raises(ConfigError, match=re.escape(f"{path}:1")):
             read_records(str(path))
 
-    @pytest.mark.parametrize("target", ["", "missing/s.json", "r.jsonl"])
+    @pytest.mark.parametrize("target", ["", "missing/s.json", "r.jsonl",
+                                        pytest.param(None, id="empty-path")])
     def test_summarize_json_path_fails_before_any_input_is_read(self, tmp_path, capsys,
                                                                 target):
         # a directory, a file in a missing directory, or a record file
-        # that the summary would overwrite (here spelt through ".")
+        # that the summary would overwrite (here spelt through "."), or
+        # the empty path itself
         out = tmp_path / "r.jsonl"
         assert main(["run", "--config", write_config(tmp_path, iterations=2),
                      "--out", str(out)]) == 0
         before = out.read_bytes()
         capsys.readouterr()
-        bad = os.path.join(tmp_path, ".", target)
+        bad = "" if target is None else os.path.join(tmp_path, ".", target)
         assert main(["summarize", "--in", str(out), "--json", bad]) == 1
         captured = capsys.readouterr()
         assert "error:" in captured.err and bad in captured.err
@@ -642,24 +687,33 @@ class TestCommandLine:
                                            ("--out", "obs.csv"),
                                            ("--observations", "r.jsonl"),
                                            ("--observations", "r.csv"),
-                                           ("--observations", "r.jsonl.timing")])
+                                           ("--observations", "r.jsonl.timing"),
+                                           ("--out", "config.json"),
+                                           ("--observations", "config.json"),
+                                           ("--out", "chain.json")])
     def test_bad_output_path_fails_before_any_seed(self, tmp_path, capsys, monkeypatch,
                                                    flag, bad):
         def unexpected_measure(gt, q, rng):
             raise AssertionError("a seed ran")
 
         monkeypatch.setattr(kincal.cli, "measure", unexpected_measure)
-        path = write_config(tmp_path)
-        # a missing directory, an existing one, or a file that the run
-        # writes twice: records as their own CSV projection, or
-        # observations over the records, their CSV or their .timing
+        chain = tmp_path / "chain.json"
+        save_chain(builtin_chain("planar3").params, chain)
+        path = write_config(tmp_path, chain=str(chain))
+        inputs = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        # a missing directory, an existing one, a file that the run
+        # writes twice (records as their own CSV projection, or
+        # observations over the records, their CSV or their .timing), or
+        # an input: the config or the chain file
         bad = str(tmp_path / bad)
         paths = {"--out": str(tmp_path / "r.jsonl"),
                  "--observations": str(tmp_path / "obs.jsonl"), flag: bad}
         assert main(["run", "--config", path, *itertools.chain(*paths.items())]) == 1
         err = capsys.readouterr().err
         assert "error:" in err and bad in err
-        assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == inputs
+        if bad in (path, str(chain)):
+            assert ("--config file" if bad == path else "chain file") in err
 
     def test_summarize_rejects_unreadable_record_files(self, tmp_path, capsys):
         for path in (str(tmp_path / "missing.jsonl"), str(tmp_path)):
@@ -709,6 +763,8 @@ class TestCommandLine:
             main(["run", "--config", path])
         assert exc.value.code == 2
         assert main(["run", "--config", path, "--out", ""]) == 1
+        assert main(["run", "--config", path, "--out", str(tmp_path / "r.jsonl"),
+                     "--observations", ""]) == 1
         assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
         # a zero or empty flag value is an error, not a missing flag
         for flag, value in (("--iterations", "0"), ("--seeds", "")):

@@ -160,9 +160,11 @@ class TestMeasure:
         gt = GroundTruth(fixture.params, fixture.joint_limits, fov=fov, obs_variance=1e-4)
         configs, rng, reference = make_rng(3), make_rng(5), make_rng(5)
         seen = 0
+        drawn = []
         for _ in range(40):
             q = random_config(gt, configs)
             true_pos = observe(gt.params, q)
+            drawn.append((q, true_pos))
             got = measure(gt, q, rng)
             if fov is not None and not fov.contains(true_pos):
                 assert got is None
@@ -171,6 +173,9 @@ class TestMeasure:
             np.testing.assert_array_equal(
                 got, true_pos + reference.normal(0.0, math.sqrt(gt.obs_variance), 3))
         assert 0 < seen < 40 if cone else seen == 40
+        # the truth's positions of the whole block are observe() row by row
+        qs, true_positions = map(np.array, zip(*drawn))
+        np.testing.assert_array_equal(gt.positions(qs), true_positions)
 
     def test_input_validation(self):
         gt = single_z_joint(limit=0.5)
