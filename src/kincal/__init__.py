@@ -4,7 +4,7 @@ Modules:
     kinematics  twist exponentials, forward kinematics, observation Jacobian
     estimator   recursive least squares and gradient baselines
     direct      DIRECT / DIRECT-l bounded global minimization
-    fov         spherical-sector visibility predicate
+    fov         circular-cone visibility predicate
     active      A-optimal next-configuration selection
     sim         ground-truth fixtures, noisy measurements, error metrics
     cli         experiment runner and summaries (import kincal.cli; not

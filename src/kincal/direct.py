@@ -45,8 +45,9 @@ class HyperRect:
     """Axis-aligned cell of the unit cube.
 
     center is in unit-cube coordinates; depth counts trisections per
-    dimension, so side_lengths are 3**-depth. measure is the distance
-    from the center to a corner, half the diagonal.
+    dimension, so side_lengths are 3**-depth. A cell's measure, which
+    _measure computes, is the distance from the center to a corner, half
+    the diagonal.
     """
 
     center: np.ndarray
@@ -64,10 +65,6 @@ class HyperRect:
     @property
     def side_lengths(self) -> np.ndarray:
         return 3.0 ** (-self.depth.astype(float))
-
-    @property
-    def measure(self) -> float:
-        return _measure(tuple(self.depth.tolist()))
 
     def measure_class(self) -> tuple:
         """Exact grouping key: the multiset of per-dimension depths."""

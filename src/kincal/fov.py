@@ -29,10 +29,12 @@ class FovConfig:
 
     def __post_init__(self):
         self.camera_position = np.asarray(self.camera_position, dtype=float)
+        if self.camera_position.shape != (3,) or not np.isfinite(self.camera_position).all():
+            raise ValueError("fov camera_position must be a finite 3-vector")
         axis = np.asarray(self.axis, dtype=float)
         norm = np.linalg.norm(axis)
-        if norm == 0.0 or not np.isfinite(norm):
-            raise ValueError("fov axis must be a nonzero finite vector")
+        if axis.shape != (3,) or norm == 0.0 or not np.isfinite(norm):
+            raise ValueError("fov axis must be a nonzero finite 3-vector")
         self.axis = axis / norm
         if not 0.0 <= self.half_angle <= math.pi:
             raise ValueError("half_angle must lie in [0, pi]")

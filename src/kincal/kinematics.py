@@ -95,22 +95,11 @@ class Pose:
         if self.rotation.shape != (3, 3) or self.translation.shape != (3,):
             raise ValueError("pose needs a 3x3 rotation and a 3-vector translation")
 
-    @staticmethod
-    def identity() -> "Pose":
-        return Pose(np.eye(3), np.zeros(3))
-
     def matrix(self):
         m = np.eye(4)
         m[:3, :3] = self.rotation
         m[:3, 3] = self.translation
         return m
-
-    def compose(self, other: "Pose") -> "Pose":
-        return Pose(self.rotation @ other.rotation,
-                    self.rotation @ other.translation + self.translation)
-
-    def apply(self, point):
-        return self.rotation @ np.asarray(point, dtype=float) + self.translation
 
     def rigidity_defect(self) -> float:
         """Max abs deviation of R^T R from I and of det(R) from +1."""

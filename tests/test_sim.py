@@ -96,6 +96,13 @@ class TestFov:
             FovConfig([0.0] * 3, [1.0, 0.0, 0.0], -0.1)
         with pytest.raises(ValueError):
             FovConfig([0.0] * 3, [1.0, 0.0, 0.0], 4.0)
+        # a NaN camera would see nothing; a misshapen vector would fail
+        # only at the first query, in a numpy broadcast
+        for camera, axis in (([np.nan, 0.0, 1.0], [0.0, 0.0, -1.0]),
+                             ([0.0, 1.0], [0.0, 0.0, -1.0]),
+                             ([0.0, 0.0, 1.0], [0.0, 0.0, -1.0, 0.0])):
+            with pytest.raises(ValueError, match="finite 3-vector"):
+                FovConfig(camera, axis, 0.5)
 
 
 class TestMeasure:
