@@ -52,7 +52,7 @@ class SelectionProblem:
         if not (self.joint_limits[:, 0] <= self.joint_limits[:, 1]).all():
             raise ValueError("joint limits need low <= high")
         if self.optimizer is None:
-            self.optimizer = direct.DirectConfig(max_evaluations=100)
+            self.optimizer = direct.DirectConfig()
         elif self.optimizer.bounds is not None:
             raise ValueError("optimizer.bounds must be unset; the search box is joint_limits")
 

@@ -107,8 +107,6 @@ _WALL_CLOCK_FIELDS = ("selection_seconds",)
 _RECORD_FIELDS = tuple(f.name for f in dataclasses.fields(ExperimentRecord)
                        if f.name not in _WALL_CLOCK_FIELDS)
 _TIMING_FIELDS = ("seed", "iteration") + _WALL_CLOCK_FIELDS
-# The keys of each line type after the meta line, as write_records writes them.
-_LINE_KEYS = {"record": set(_RECORD_FIELDS), "failure": {"seed", "error"}}
 
 
 def _resolve_box(spec, rows: int, key: str) -> np.ndarray:
@@ -125,18 +123,16 @@ def _resolve_box(spec, rows: int, key: str) -> np.ndarray:
 
 def resolve_ground_truth(cfg: ExperimentConfig) -> GroundTruth:
     """Builtin fixture by name, or a chain document by path."""
-    if cfg.chain in FIXTURE_NAMES:
-        params = builtin_chain(cfg.chain).params
-    else:
-        try:
-            params = load_chain(cfg.chain)
-        except (OSError, ValueError) as exc:  # ValueError covers bad JSON
-            raise ConfigError(f"chain {cfg.chain!r} is not a fixture or chain file: {exc}") from exc
-    limits = _resolve_box(DEFAULT_JOINT_LIMIT if cfg.joint_limits is None else cfg.joint_limits,
-                          params.n_joints, "joint_limits")
-    if cfg.strategy == "active_rls" and not (limits[:, 0] < limits[:, 1]).all():
-        raise ConfigError("active_rls needs joint_limits with low < high on every joint")
-    return GroundTruth(params, limits, fov=cfg.fov, obs_variance=cfg.noise.obs_variance)
+    try:
+        params = (builtin_chain(cfg.chain).params if cfg.chain in FIXTURE_NAMES
+                  else load_chain(cfg.chain))
+        limits = _resolve_box(DEFAULT_JOINT_LIMIT if cfg.joint_limits is None
+                              else cfg.joint_limits, params.n_joints, "joint_limits")
+        if cfg.strategy == "active_rls" and not (limits[:, 0] < limits[:, 1]).all():
+            raise ConfigError("active_rls needs joint_limits with low < high on every joint")
+        return GroundTruth(params, limits, fov=cfg.fov, obs_variance=cfg.noise.obs_variance)
+    except (OSError, ValueError) as exc:  # bad JSON, or an axis that is not unit norm
+        raise ConfigError(f"chain {cfg.chain!r} is not a fixture or a valid chain: {exc}") from exc
 
 
 def _probe_set(gt: GroundTruth, size: int, probe_seed: int):
@@ -286,8 +282,8 @@ def _record_paths(path: str) -> tuple:
 def write_records(records, meta: dict, path: str, failures=None) -> None:
     """JSONL with a leading meta line, then a CSV projection next to it.
 
-    The wall-clock fields go to <path>.timing instead, keeping the record
-    files byte-identical across re-runs.
+    The wall-clock fields go to <path>.timing instead, written even when
+    empty, keeping the record files byte-identical across re-runs.
     """
     _, csv_path, timing_path = _record_paths(path)
     _write_jsonl(path, itertools.chain(
@@ -301,18 +297,17 @@ def write_records(records, meta: dict, path: str, failures=None) -> None:
         for rec in records:
             writer.writerow(["" if v is None else v for v in _pick(rec, _RECORD_FIELDS).values()])
 
-    timed = [rec for rec in records if rec.selection_seconds is not None]
-    if timed:
-        _write_jsonl(timing_path, (_pick(rec, _TIMING_FIELDS) for rec in timed))
+    _write_jsonl(timing_path, (_pick(rec, _TIMING_FIELDS) for rec in records
+                               if rec.selection_seconds is not None))
 
 
 def read_records(path: str):
     """(meta, records, failures) from a JSONL record file as write_records
     writes it: one meta line holding a config object, then record and
-    failure lines with exactly their _LINE_KEYS. Anything else is a
-    ConfigError naming path:line."""
+    failure lines holding exactly the fields of their _LINES table, no
+    (seed, iteration) twice. Anything else is a ConfigError naming path:line."""
     meta = None
-    kept = {"record": [], "failure": []}
+    records, failures = {}, []
     try:
         fh = open(path)
     except OSError as exc:
@@ -324,17 +319,24 @@ def read_records(path: str):
                 kind = doc.pop("type", None)
                 if number == 1 and kind == "meta" and isinstance(doc.get("config"), dict):
                     meta = doc["config"]
-                elif number > 1 and kind in kept and doc.keys() == _LINE_KEYS[kind]:
-                    kept[kind].append(ExperimentRecord(**doc) if kind == "record" else doc)
+                elif number > 1 and kind in _LINES and doc.keys() == _LINES[kind].keys():
+                    _check(doc, _LINES[kind])
+                    key = doc["seed"], doc.get("iteration")
+                    if kind == "failure":
+                        failures.append(doc)
+                    elif key in records:
+                        raise ValueError(f"seed {key[0]} iteration {key[1]} is recorded twice")
+                    else:
+                        records[key] = ExperimentRecord(**doc)
                 else:
                     raise ValueError(f"a {kind!r} line with keys {sorted(doc)} where the file "
                                      "needs one leading meta line with a config object, then "
                                      "records and failures with exactly their fields")
-            except (ValueError, TypeError, AttributeError) as exc:
+            except (ConfigError, ValueError, TypeError, AttributeError) as exc:
                 raise ConfigError(f"{path}:{number}: not a record file line: {exc}") from exc
     if meta is None:
         raise ConfigError(f"{path}:1: not a record file line: the file is empty")
-    return meta, kept["record"], kept["failure"]
+    return meta, list(records.values()), failures
 
 
 def _quantile(values, frac: float) -> float:
@@ -437,6 +439,15 @@ _VECTOR = ("a list of 3 numbers",
            lambda v: isinstance(v, (list, tuple)) and len(v) == 3 and all(map(_is_number, v)))
 _PAIRS = "a list of [lo, hi] rows of numbers with lo <= hi"
 
+# The fields of each line type after the meta line, as write_records writes them.
+_LINES = {
+    "record": {"seed": _NATURAL, "iteration": _COUNT, "orientation_error": _NON_NEGATIVE,
+               "location_error": _NON_NEGATIVE, "prediction_error": _NON_NEGATIVE,
+               "cost": ("null or a finite number", lambda v: v is None or _is_number(v)),
+               "fov_rejections": _NATURAL},
+    "failure": {"seed": _NATURAL, "error": ("a string", lambda v: isinstance(v, str))},
+}
+
 # The config document: key -> (what a value must be, its test), or the
 # table of a section. The dotted _REQUIRED keys must be present.
 _CONFIG = {
@@ -521,14 +532,7 @@ def _check_outputs(outputs: dict, inputs=()) -> None:
 
 
 def _cmd_run(args) -> int:
-    overrides = list(args.override or [])
-    if args.strategy is not None:
-        overrides.append(f"strategy={json.dumps(args.strategy)}")
-    if args.seeds is not None:
-        overrides.append(f"seeds=[{args.seeds}]")
-    if args.iterations is not None:
-        overrides.append(f"iterations={args.iterations}")
-    cfg = load_config(args.config, overrides)
+    cfg = load_config(args.config, args.override or ())
     outputs = dict(zip(("record file", "CSV projection", "timing sidecar"),
                        _record_paths(args.out)))
     if args.observations is not None:
@@ -600,9 +604,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     run_p = sub.add_parser("run", help="run an experiment from a JSON config")
     run_p.add_argument("--config", required=True, help="path to the experiment config")
-    run_p.add_argument("--strategy", choices=STRATEGIES, help="override the strategy")
-    run_p.add_argument("--seeds", help="comma-separated seed list override")
-    run_p.add_argument("--iterations", type=int, help="override the iteration count")
     run_p.add_argument("--out", required=True,
                        help="record file path (JSONL; CSV written next to it)")
     run_p.add_argument("--override", action="append", metavar="KEY=VALUE",

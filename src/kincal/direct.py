@@ -38,6 +38,7 @@ import numpy as np
 logger = logging.getLogger(__name__)
 
 VARIANTS = ("direct", "direct_l")
+_EPSILON = 1e-4   # Jones's epsilon in the potentially_optimal rule minimize_batch applies
 
 
 @dataclass
@@ -73,20 +74,17 @@ class HyperRect:
 
 @dataclass
 class DirectConfig:
-    """Search box and budget. bounds is a sequence of (low, high) pairs;
-    it may be left None when a caller supplies the box itself."""
+    """Search box, budget and variant; Jones's epsilon is fixed at 1e-4.
+    bounds, (low, high) pairs, may be None when a caller supplies the box."""
 
     bounds: object = None
     max_evaluations: int = 100
-    epsilon: float = 1e-4
     variant: str = "direct"
 
     def __post_init__(self):
         evals = self.max_evaluations
         if isinstance(evals, bool) or not isinstance(evals, numbers.Integral) or evals < 1:
             raise ValueError(f"max_evaluations must be a positive integer, got {evals!r}")
-        if not self.epsilon >= 0:
-            raise ValueError("epsilon must be non-negative")
         if self.variant not in VARIANTS:
             raise ValueError(f"variant must be one of {VARIANTS}")
         if self.bounds is not None:
@@ -282,7 +280,7 @@ def minimize_batch(f_batch, cfg: DirectConfig, on_iteration=None,
     while swept < cfg.max_evaluations:
         if iteration:
             f_min = min(value for _, value in trace)
-            selected = _select(rects, f_min, cfg.epsilon, cfg.variant)
+            selected = _select(rects, f_min, _EPSILON, cfg.variant)
         if on_iteration is not None:
             on_iteration(iteration, _views(rects), selected)
         if not selected:

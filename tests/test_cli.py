@@ -16,9 +16,8 @@ from kincal.cli import (_PROBE_ATTEMPT_FACTOR, ConfigError, ExperimentRecord, _p
                         _quantile, config_from_dict, config_to_meta, iterations_to_threshold,
                         load_config, main, read_records, resolve_ground_truth,
                         run_experiment, summarize, write_records)
-from kincal.direct import DirectConfig
 from kincal.estimator import NoiseConfig, apply_stabilizing_noise
-from kincal.kinematics import observe, save_chain
+from kincal.kinematics import ChainParams, Pose, Twist, observe, save_chain
 from kincal.sim import builtin_chain, make_rng, random_config
 
 
@@ -262,6 +261,18 @@ class TestRunExperiment:
         cfg = config_from_dict(base_config(chain=str(path), iterations=2))
         assert len(run_experiment(cfg)) == 4
 
+    def test_chain_file_with_a_non_unit_axis(self, tmp_path, capsys):
+        path = tmp_path / "chain.json"
+        save_chain(ChainParams([Twist([0.0, 0.0, 2.0], [0.0, 0.0, 0.0]),
+                                Twist([0.0, 0.0, 1.0], [0.0, -0.3, 0.0])],
+                               Pose(np.eye(3), [0.6, 0.0, 0.0])), path)
+        with pytest.raises(ConfigError, match=re.escape(repr(str(path)))):
+            resolve_ground_truth(config_from_dict(base_config(chain=str(path))))
+        config = write_config(tmp_path, chain=str(path))
+        assert main(["run", "--config", config, "--out", str(tmp_path / "r.jsonl")]) == 1
+        assert "unit norm" in capsys.readouterr().err
+        assert not (tmp_path / "r.jsonl").exists()
+
     def test_missing_chain(self):
         with pytest.raises(ConfigError):
             resolve_ground_truth(config_from_dict(base_config(chain="nope.json")))
@@ -350,7 +361,6 @@ class TestConfigParsing:
             doc["optimizer"] = section
         optimizer = config_from_dict(doc).optimizer
         assert (optimizer.max_evaluations, optimizer.variant) == expected
-        assert optimizer.epsilon == DirectConfig().epsilon
 
     def test_rejects_unknown_fields_and_bad_values(self):
         with pytest.raises(ConfigError):
@@ -563,38 +573,27 @@ class TestCommandLine:
                   for line in open(out_a + ".timing").read().splitlines()]
         assert len(timing) == 2
         assert all(t["selection_seconds"] >= 0 for t in timing)
+        # a random run over the same --out leaves no earlier timing behind
+        assert main(["run", "--config", path, "--out", out_a,
+                     "--override", "strategy=random_rls"]) == 0
+        assert open(out_a + ".timing").read() == ""
 
     def test_cli_overrides_and_observations(self, tmp_path):
-        path = write_config(tmp_path)
+        # overrides are applied before validation, so the active default
+        # optimizer is never echoed for a random run
+        path = write_config(tmp_path, strategy="active_rls")
         out = str(tmp_path / "r.jsonl")
         obs = str(tmp_path / "obs.jsonl")
         code = main(["run", "--config", path, "--out", out,
-                     "--strategy", "random_gradient", "--seeds", "5",
-                     "--iterations", "2", "--override", "probe_set_size=5",
+                     "--override", "strategy=random_gradient", "--override", "seeds=[5]",
+                     "--override", "iterations=2", "--override", "probe_set_size=5",
                      "--observations", obs])
         assert code == 0
         meta, records, _ = read_records(out)
-        assert meta["strategy"] == "random_gradient"
+        assert meta["strategy"] == "random_gradient" and "optimizer" not in meta
         assert meta["seeds"] == [5] and meta["probe_set_size"] == 5
         assert len(records) == 2
         assert len(open(obs).read().splitlines()) == 2
-
-    def test_run_flags_are_overrides(self, tmp_path):
-        # --strategy is an override applied before validation, so the
-        # active default optimizer is never echoed for a random run
-        doc = base_config(strategy="active_rls", iterations=2, seeds=[0])
-        path = tmp_path / "active.json"
-        path.write_text(json.dumps(doc))
-        runs = {"flag": ["--strategy", "random_rls", "--seeds", "0", "--iterations", "2"],
-                "override": ["--override", "strategy=random_rls", "--override", "seeds=[0]",
-                             "--override", "iterations=2"]}
-        for name, flags in runs.items():
-            assert main(["run", "--config", str(path), "--out",
-                         str(tmp_path / f"{name}.jsonl"), *flags]) == 0
-        assert (tmp_path / "flag.jsonl").read_bytes() == (tmp_path / "override.jsonl").read_bytes()
-        assert (tmp_path / "flag.csv").read_bytes() == (tmp_path / "override.csv").read_bytes()
-        meta, _, _ = read_records(str(tmp_path / "flag.jsonl"))
-        assert "optimizer" not in meta
 
     def test_summarize_json_rejects_shared_labels(self, tmp_path, capsys):
         path = write_config(tmp_path, iterations=2)
@@ -636,6 +635,14 @@ class TestCommandLine:
         '"location_error": 0.1, "prediction_error": 0.1, "cost": null, "fov_rejections": 0, '
         '"selection_seconds": 0.5}',
         '{"type": "failure", "bogus": 1}',
+        # a null error, a seed that is not an integer, and a second record
+        # of seed 0 iteration 1
+        '{"type": "record", "seed": 0, "iteration": 3, "orientation_error": null, '
+        '"location_error": 0.1, "prediction_error": 0.1, "cost": null, "fov_rejections": 0}',
+        '{"type": "record", "seed": "zero", "iteration": 3, "orientation_error": 0.1, '
+        '"location_error": 0.1, "prediction_error": 0.1, "cost": null, "fov_rejections": 0}',
+        '{"type": "record", "seed": 0, "iteration": 1, "orientation_error": 0.1, '
+        '"location_error": 0.1, "prediction_error": 0.1, "cost": null, "fov_rejections": 0}',
     ])
     def test_summarize_rejects_malformed_record_files(self, tmp_path, capsys, line):
         out = tmp_path / "r.jsonl"
@@ -766,8 +773,13 @@ class TestCommandLine:
         assert main(["run", "--config", path, "--out", str(tmp_path / "r.jsonl"),
                      "--observations", ""]) == 1
         assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
-        # a zero or empty flag value is an error, not a missing flag
-        for flag, value in (("--iterations", "0"), ("--seeds", "")):
+        # a zero iteration count or an empty seed list is an error
+        for override in ("iterations=0", "seeds=[]"):
             assert main(["run", "--config", path, "--out", str(tmp_path / "r.jsonl"),
-                         flag, value]) == 1
+                         "--override", override]) == 1
+        # the settings have no flags of their own
+        for flag in ("--strategy", "--seeds", "--iterations"):
+            with pytest.raises(SystemExit) as exc:
+                main(["run", "--config", path, "--out", str(tmp_path / "r.jsonl"), flag, "0"])
+            assert exc.value.code == 2
         assert not (tmp_path / "r.jsonl").exists()

@@ -1,10 +1,11 @@
+import itertools
 import logging
 
 import numpy as np
 import pytest
 
-from kincal.direct import (DirectConfig, HyperRect, _offset_centers, _split, _unit_points, _views,
-                           minimize, minimize_batch, potentially_optimal)
+from kincal.direct import (VARIANTS, DirectConfig, HyperRect, _offset_centers, _split,
+                           _unit_points, _views, minimize, minimize_batch, potentially_optimal)
 
 
 def rect1(depth, value):
@@ -223,13 +224,23 @@ class TestMinimize:
             assert va == vb
             np.testing.assert_array_equal(pa, pb)
 
-    def test_affine_invariance_with_zero_epsilon(self):
-        cfg = DirectConfig(bounds=[(0.0, 1.0)] * 2, max_evaluations=150, epsilon=0.0)
-        base = minimize(sphere, cfg, collect_trace=True)
-        scaled = minimize(lambda x: 3.7 * sphere(x) - 11.0, cfg, collect_trace=True)
-        for (pa, va), (pb, vb) in zip(base.trace, scaled.trace):
-            np.testing.assert_array_equal(pa, pb)
-            assert vb == pytest.approx(3.7 * va - 11.0, rel=1e-12)
+    def test_power_of_two_scaling_keeps_the_trace(self):
+        # a power-of-two factor scales every value, slope and epsilon
+        # threshold exactly, so each comparison DIRECT makes comes out
+        # the same; the objective is negative, so the threshold's |f_min|
+        # is taken too
+        def shifted(x):
+            return sphere(x) - 1.0
+
+        for dim, variant in itertools.product((2, 3), VARIANTS):
+            cfg = DirectConfig(bounds=[(0.0, 1.0)] * dim, max_evaluations=150, variant=variant)
+            base = minimize(shifted, cfg, collect_trace=True)
+            for factor in (4.0, 0.25, 1024.0):
+                scaled = minimize(lambda x: factor * shifted(x), cfg, collect_trace=True)
+                assert len(scaled.trace) == len(base.trace) == 150
+                for (pa, va), (pb, vb) in zip(base.trace, scaled.trace):
+                    np.testing.assert_array_equal(pa, pb)
+                    assert vb == factor * va
 
     def test_best_value_monotone_along_trace(self):
         cfg = DirectConfig(bounds=[(0.0, 1.0)] * 2, max_evaluations=200)
@@ -346,8 +357,6 @@ class TestMinimize:
     def test_config_validation(self):
         with pytest.raises(ValueError):
             DirectConfig(bounds=[(0.0, 1.0)], max_evaluations=0)
-        with pytest.raises(ValueError):
-            DirectConfig(bounds=[(0.0, 1.0)], epsilon=-0.1)
         with pytest.raises(ValueError):
             DirectConfig(bounds=[(0.0, 1.0)], variant="newton")
         with pytest.raises(ValueError):

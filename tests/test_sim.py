@@ -4,7 +4,6 @@ import math
 import numpy as np
 import pytest
 
-from kincal.direct import DirectConfig
 from kincal.estimator import GradientConfig, NoiseConfig
 from kincal.fov import FovConfig
 from kincal.kinematics import ChainParams, Pose, Twist, observe
@@ -389,10 +388,9 @@ class TestGroundTruthValidation:
     lambda: NoiseConfig(stabilizing_variance=math.nan),
     lambda: GradientConfig(learning_rate=math.nan),
     lambda: GradientConfig(learning_rate=0.1, decay=math.nan),
-    lambda: DirectConfig(epsilon=math.nan),
     lambda: GroundTruth(builtin_chain("planar3").params, np.tile([-1.0, 1.0], (3, 1)),
                         obs_variance=math.nan),
-], ids=["obs_variance", "stabilizing_variance", "learning_rate", "decay", "epsilon",
+], ids=["obs_variance", "stabilizing_variance", "learning_rate", "decay",
         "ground_truth_obs_variance"])
 def test_library_configs_reject_nan(build):
     # NaN fails every comparison, so each check is written to fail on it
