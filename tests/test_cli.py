@@ -595,6 +595,27 @@ class TestCommandLine:
         assert len(records) == 2
         assert len(open(obs).read().splitlines()) == 2
 
+    def test_run_flags_are_overrides(self, tmp_path):
+        # overriding strategy, seeds and iterations gives the bytes of a
+        # config that sets them, and the active default optimizer of the
+        # overridden strategy is never echoed for a random run
+        active = tmp_path / "active.json"
+        active.write_text(json.dumps(base_config(strategy="active_rls")))
+        written = tmp_path / "random.json"
+        written.write_text(json.dumps(base_config(strategy="random_rls", iterations=2, seeds=[0])))
+        runs = {"written": [str(written)],
+                "override": [str(active), "--override", "strategy=random_rls",
+                             "--override", "seeds=[0]", "--override", "iterations=2"]}
+        for name, (config, *flags) in runs.items():
+            assert main(["run", "--config", config, "--out",
+                         str(tmp_path / f"{name}.jsonl"), *flags]) == 0
+        assert (tmp_path / "written.jsonl").read_bytes() == \
+            (tmp_path / "override.jsonl").read_bytes()
+        assert (tmp_path / "written.csv").read_bytes() == (tmp_path / "override.csv").read_bytes()
+        meta, records, _ = read_records(str(tmp_path / "override.jsonl"))
+        assert "optimizer" not in meta
+        assert meta["seeds"] == [0] and len(records) == 2
+
     def test_summarize_json_rejects_shared_labels(self, tmp_path, capsys):
         path = write_config(tmp_path, iterations=2)
         outs = [str(tmp_path / "a.jsonl"), str(tmp_path / "b.jsonl")]
