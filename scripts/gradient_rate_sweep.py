@@ -16,7 +16,8 @@ import warnings
 
 import numpy as np
 
-from kincal.cli import config_from_dict, iterations_to_threshold, run_experiment
+from kincal.cli import (ORIENTATION_THRESHOLD, config_from_dict, iterations_to_threshold,
+                        run_experiment)
 from kincal.sim import builtin_chain
 
 RATES = (0.01, 0.02, 0.05, 0.08, 0.1, 0.2, 0.5)
@@ -39,13 +40,14 @@ def sweep_one(rate: float, iterations: int, n_seeds: int) -> str:
     })
     failures = []
     records = run_experiment(cfg, failures=failures)
-    hits = sorted(iterations_to_threshold(records, "orientation_error", 0.05).values())
+    hits = sorted(iterations_to_threshold(records, "orientation_error",
+                                          ORIENTATION_THRESHOLD).values())
     final = {}
     for rec in records:
         final[rec.seed] = rec.orientation_error
     finals = [round(v, 3) for _, v in sorted(final.items())]
     return (f"rate={rate:<5} crashed={len(failures)}/{n_seeds} "
-            f"iterations_to_0.05={hits} final_orientation={finals}")
+            f"iterations_to_{ORIENTATION_THRESHOLD}={hits} final_orientation={finals}")
 
 
 def main() -> None:

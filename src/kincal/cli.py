@@ -19,6 +19,7 @@ never perturb the deterministic outputs.
 from __future__ import annotations
 
 import argparse
+import copy
 import csv
 import dataclasses
 import itertools
@@ -53,8 +54,7 @@ _STABILIZING_PERIOD = 10       # accepted RLS updates between stabilizing inflat
 # Iterations scored per metrics and prediction_error call: their cost is
 # per call, not per mean, and a block of 10 keeps the stacked arrays small.
 _SCORE_BLOCK = 10
-# The active_rls optimizer: a missing optimizer section is this one, and a
-# given section is filled from it.
+# The active_rls optimizer, filled in as _STRATEGY_SECTIONS says.
 _ACTIVE_OPTIMIZER = {"max_evaluations": 60, "variant": "direct_l"}
 
 
@@ -64,27 +64,23 @@ class ConfigError(Exception):
 
 @dataclass
 class ExperimentConfig:
+    """The typed view of a checked config document, None where it leaves out
+    a key that has no default; meta is the document with its defaults filled."""
+
     chain: str
     strategy: str
     iterations: int
     seeds: list
     noise: NoiseConfig
-    optimizer: DirectConfig = None
-    gradient: GradientConfig = None
-    init_hypercube: object = (-1.0, 1.0)
-    init_variance: float = 1.0
-    probe_set_size: int = 100
-    probe_seed: int = 0
-    joint_limits: object = None
-    fov: FovConfig = None
-
-    def __post_init__(self):
-        if self.strategy == "active_rls" and self.optimizer is None:
-            self.optimizer = DirectConfig(**_ACTIVE_OPTIMIZER)
-        if self.strategy == "random_gradient" and self.gradient is None:
-            # largest rate that stays stable on the bundled 12-joint chain;
-            # 0.08 oscillates and 0.1+ blows up (see scripts/gradient_rate_sweep.py)
-            self.gradient = GradientConfig(learning_rate=0.05)
+    optimizer: DirectConfig
+    gradient: GradientConfig
+    init_hypercube: object
+    init_variance: float
+    probe_set_size: int
+    probe_seed: int
+    joint_limits: object
+    fov: FovConfig
+    meta: dict
 
 
 @dataclass
@@ -245,20 +241,9 @@ def run_experiment(cfg: ExperimentConfig, failures: list = None,
 
 
 def config_to_meta(cfg: ExperimentConfig) -> dict:
-    """Deterministic echo of the resolved configuration: every set _CONFIG key."""
-    meta = {}
-    for key, kind in _CONFIG.items():
-        value = getattr(cfg, key)
-        if value is None:
-            continue
-        if key == "fov":
-            value = value.to_dict()
-        elif isinstance(kind, dict):
-            value = {name: getattr(value, name) for name in kind}
-        elif key in ("init_hypercube", "joint_limits"):
-            value = np.asarray(value, dtype=float).tolist()
-        meta[key] = value
-    return meta
+    """Deterministic echo of the configuration: the checked document with
+    its defaults filled, every number as written."""
+    return cfg.meta
 
 
 def _write_jsonl(path: str, docs) -> None:
@@ -303,9 +288,11 @@ def write_records(records, meta: dict, path: str, failures=None) -> None:
 
 def read_records(path: str):
     """(meta, records, failures) from a JSONL record file as write_records
-    writes it: one meta line holding a config object, then record and
+    writes it: one meta line holding a config document, then record and
     failure lines holding exactly the fields of their _LINES table, no
-    (seed, iteration) twice. Anything else is a ConfigError naming path:line."""
+    (seed, iteration) twice, else a ConfigError naming path:line. Each meta
+    seed, and no other, has one failure line or the records of iterations
+    1..iterations, else a ConfigError naming path and seed."""
     meta = None
     records, failures = {}, []
     try:
@@ -317,7 +304,8 @@ def read_records(path: str):
             try:
                 doc = json.loads(line)
                 kind = doc.pop("type", None)
-                if number == 1 and kind == "meta" and isinstance(doc.get("config"), dict):
+                if number == 1 and kind == "meta":
+                    _check(doc.get("config"))
                     meta = doc["config"]
                 elif number > 1 and kind in _LINES and doc.keys() == _LINES[kind].keys():
                     _check(doc, _LINES[kind])
@@ -336,6 +324,15 @@ def read_records(path: str):
                 raise ConfigError(f"{path}:{number}: not a record file line: {exc}") from exc
     if meta is None:
         raise ConfigError(f"{path}:1: not a record file line: the file is empty")
+    lines = {seed: [] for seed in meta["seeds"]}  # seed -> its iterations, 0 for a failure
+    for seed, iteration in itertools.chain(records, ((f["seed"], 0) for f in failures)):
+        if seed not in lines:
+            raise ConfigError(f"{path}: seed {seed} is not a seed of the meta line")
+        lines[seed].append(iteration)
+    for seed, iterations in lines.items():
+        if iterations != [0] and sorted(iterations) != list(range(1, meta["iterations"] + 1)):
+            raise ConfigError(f"{path}: seed {seed} has neither one failure line nor the "
+                              f"records of iterations 1..{meta['iterations']}")
     return meta, list(records.values()), failures
 
 
@@ -376,21 +373,20 @@ def iterations_to_threshold(records, field: str, threshold: float) -> dict:
             for seed, recs in _by_seed(records).items()}
 
 
-def summarize(records, orientation_threshold: float = ORIENTATION_THRESHOLD,
-              location_threshold: float = LOCATION_THRESHOLD) -> dict:
+def summarize(records) -> dict:
     """Median/IQR of convergence iterations and final errors over seeds."""
     if not records:
         raise ValueError("summarize needs at least one record")
     to_orientation = iterations_to_threshold(records, "orientation_error",
-                                             orientation_threshold)
-    to_location = iterations_to_threshold(records, "location_error", location_threshold)
+                                             ORIENTATION_THRESHOLD)
+    to_location = iterations_to_threshold(records, "location_error", LOCATION_THRESHOLD)
     finals = [recs[-1] for recs in _by_seed(records).values()]
 
     orient_iters = list(to_orientation.values())
     summary = {
         "seeds": len(finals),
-        "orientation_threshold": orientation_threshold,
-        "location_threshold": location_threshold,
+        "orientation_threshold": ORIENTATION_THRESHOLD,
+        "location_threshold": LOCATION_THRESHOLD,
         "iterations_to_orientation_threshold": _stats(orient_iters),
         "iterations_to_location_threshold": _stats(list(to_location.values())),
         "converged_orientation": sum(1 for v in orient_iters if np.isfinite(v)),
@@ -474,6 +470,17 @@ _REQUIRED = {"chain", "strategy", "iterations", "seeds", "gradient.learning_rate
              "fov.camera_position", "fov.axis", "fov.half_angle"}
 _SECTIONS = {"noise": NoiseConfig, "optimizer": DirectConfig, "gradient": GradientConfig,
              "fov": FovConfig}
+# The value of each key a document may leave out; noise is filled key by key.
+_DEFAULTS = {"noise": dataclasses.asdict(NoiseConfig()), "init_hypercube": [-1.0, 1.0],
+             "init_variance": 1.0, "probe_set_size": 100, "probe_seed": 0}
+# The section each strategy reads and its values: filled in whole when the
+# document leaves it out, and key by key wherever it is given.
+_STRATEGY_SECTIONS = {
+    "active_rls": ("optimizer", _ACTIVE_OPTIMIZER),
+    # the largest rate that stays stable on the bundled 12-joint chain;
+    # 0.08 oscillates and 0.1+ blows up (see scripts/gradient_rate_sweep.py)
+    "random_gradient": ("gradient", dataclasses.asdict(GradientConfig(learning_rate=0.05))),
+}
 
 
 def _check(doc, table: dict = _CONFIG, prefix: str = "") -> None:
@@ -493,14 +500,17 @@ def _check(doc, table: dict = _CONFIG, prefix: str = "") -> None:
 
 
 def config_from_dict(doc: dict) -> ExperimentConfig:
-    """The experiment config of a JSON document, checked whole before any dataclass is built."""
+    """The experiment config of a JSON document, checked whole, then filled."""
     _check(doc)
-    doc = {"noise": {}, **doc}
-    if "optimizer" in doc:
-        doc["optimizer"] = {**_ACTIVE_OPTIMIZER, **doc["optimizer"]}
+    doc = copy.deepcopy({**_DEFAULTS, **doc})
+    doc["noise"] = {**_DEFAULTS["noise"], **doc["noise"]}
+    for strategy, (key, values) in _STRATEGY_SECTIONS.items():
+        if key in doc or doc["strategy"] == strategy:
+            doc[key] = {**values, **doc.get(key, {})}
     try:
-        return ExperimentConfig(**{key: _SECTIONS[key](**value) if key in _SECTIONS else value
-                                   for key, value in doc.items()})
+        typed = {key: _SECTIONS[key](**value) if key in _SECTIONS else value
+                 for key, value in doc.items()}
+        return ExperimentConfig(**{**dict.fromkeys(_CONFIG), **typed}, meta=doc)
     except ValueError as exc:  # from FovConfig: a zero axis
         raise ConfigError(f"bad experiment config: {exc}") from exc
 
@@ -556,9 +566,6 @@ _STATS_PRINTED = ("iterations_to_orientation_threshold", "iterations_to_location
 
 
 def _cmd_summarize(args) -> int:
-    thresholds = {"--orientation-threshold": args.orientation_threshold,
-                  "--location-threshold": args.location_threshold}
-    _check(thresholds, dict.fromkeys(thresholds, _POSITIVE))
     if args.json is not None:
         _check_outputs({"--json file": args.json}, [("--in file", path) for path in args.inputs])
     outputs = {}
@@ -567,12 +574,12 @@ def _cmd_summarize(args) -> int:
         meta, records, failures = read_records(path)
         if not records:
             raise ConfigError(f"{path!r} holds no records")
-        label = meta.get("strategy", path)
+        label = meta["strategy"]
         if args.json is not None and label in paths:
             raise ConfigError(f"{paths[label]!r} and {path!r} share the label {label!r}, "
                               "which keys the --json summaries")
         paths[label] = path
-        summary = summarize(records, args.orientation_threshold, args.location_threshold)
+        summary = summarize(records)
         summary["failures"] = len(failures)
         outputs[label] = summary
         print(f"{label} ({path})")
@@ -614,9 +621,6 @@ def build_parser() -> argparse.ArgumentParser:
     sum_p = sub.add_parser("summarize", help="summarize record files")
     sum_p.add_argument("--in", dest="inputs", action="append", required=True,
                        help="record file (repeatable)")
-    sum_p.add_argument("--orientation-threshold", type=float,
-                       default=ORIENTATION_THRESHOLD)
-    sum_p.add_argument("--location-threshold", type=float, default=LOCATION_THRESHOLD)
     sum_p.add_argument("--json", help="also dump the summaries as JSON here")
     sum_p.set_defaults(func=_cmd_summarize)
 

@@ -60,10 +60,3 @@ class FovConfig:
         # math.acos, not np.arccos: the two differ in the last bit on some
         # inputs, which would flip points within about 1e-15 rad of the cone
         return math.acos(min(1.0, max(-1.0, dot / dist))) < self.half_angle
-
-    def to_dict(self) -> dict:
-        return {
-            "camera_position": self.camera_position.tolist(),
-            "axis": self.axis.tolist(),
-            "half_angle": float(self.half_angle),
-        }

@@ -133,6 +133,8 @@ def per_draw_probe_set(gt, size, probe_seed):
 # the cone of the active_planar3_fov benchmark workload
 PLANAR3_CONE = {"camera_position": [0.35, 0.0, 1.0], "axis": [0.0, 0.0, -1.0],
                 "half_angle": 0.5}
+# a record file's failure line, for the seed %d
+FAILURE = '{"error": "x", "seed": %d, "type": "failure"}'
 
 
 class TestRunExperiment:
@@ -443,9 +445,33 @@ class TestConfigParsing:
         np.testing.assert_array_equal(again.fov.camera_position, [1.0, 0.0, -2.0])
         np.testing.assert_array_equal(again.fov.axis, [0.0, 1.0, 0.0])
         assert again.fov.half_angle == 0.7
-        # numbers are echoed as given: an integer stays an integer
-        meta = config_to_meta(config_from_dict(base_config(init_variance=1)))
+        # numbers are echoed as given: an integer stays an integer, and a
+        # box or a cone written with integers, its axis not of unit norm,
+        # echoes as written while the run reads the unit axis
+        fov = {"camera_position": [1, 0, -2], "axis": [0, 0, -2], "half_angle": 1}
+        cfg = config_from_dict(base_config(init_variance=1, init_hypercube=[-1, 1], fov=fov))
+        meta = config_to_meta(cfg)
         assert type(meta["init_variance"]) is int
+        assert json.dumps(meta["init_hypercube"]) == "[-1, 1]"
+        assert json.dumps(meta["fov"], sort_keys=True) == json.dumps(fov, sort_keys=True)
+        np.testing.assert_array_equal(cfg.fov.axis, [0.0, 0.0, -1.0])
+        assert config_to_meta(config_from_dict(meta)) == meta
+
+    @pytest.mark.parametrize("strategy, section", [
+        ("random_rls", {}),
+        ("active_rls", {"optimizer": {"max_evaluations": 60, "variant": "direct_l"}}),
+        ("random_gradient", {"gradient": {"learning_rate": 0.05, "decay": 0.0}}),
+    ])
+    def test_meta_fills_the_defaults_of_each_strategy(self, strategy, section):
+        # a document with no optional key echoes every default, and the
+        # section its strategy reads, and reads back to the same echo
+        doc = {"chain": "planar3", "strategy": strategy, "iterations": 3, "seeds": [0, 1]}
+        meta = config_to_meta(config_from_dict(doc))
+        assert meta == {**doc, **section,
+                        "noise": {"obs_variance": 1e-4, "stabilizing_variance": 0.0},
+                        "init_hypercube": [-1.0, 1.0], "init_variance": 1.0,
+                        "probe_set_size": 100, "probe_seed": 0}
+        assert config_to_meta(config_from_dict(meta)) == meta
 
     def test_readme_example_config_is_accepted(self):
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
@@ -475,13 +501,14 @@ class TestConfigParsing:
 
 class TestRecordsIO:
     def test_roundtrip(self, tmp_path):
-        cfg = config_from_dict(base_config(iterations=2, seeds=[3]))
-        records = run_experiment(cfg)
+        # seed 9 of the config failed: one failure line and no records
+        cfg = config_from_dict(base_config(iterations=2, seeds=[3, 9]))
+        records = [rec for rec in run_experiment(cfg) if rec.seed == 3]
         path = str(tmp_path / "out.jsonl")
         write_records(records, config_to_meta(cfg), path,
                       failures=[{"seed": 9, "error": "boom"}])
         meta, parsed, failures = read_records(path)
-        assert meta["strategy"] == "random_rls" and meta["seeds"] == [3]
+        assert meta["strategy"] == "random_rls" and meta["seeds"] == [3, 9]
         assert failures == [{"seed": 9, "error": "boom"}]
         assert len(parsed) == len(records)
         for a, b in zip(parsed, records):
@@ -630,19 +657,6 @@ class TestCommandLine:
         assert not json_out.exists()
         assert main(["summarize", "--in", outs[0], "--in", outs[1]]) == 0
 
-    @pytest.mark.parametrize("flag, value", [
-        ("--orientation-threshold", "nan"), ("--orientation-threshold", "-0.1"),
-        ("--location-threshold", "inf"), ("--location-threshold", "0"),
-    ])
-    def test_summarize_rejects_bad_thresholds(self, tmp_path, capsys, flag, value):
-        out = str(tmp_path / "r.jsonl")
-        assert main(["run", "--config", write_config(tmp_path, iterations=2), "--out", out]) == 0
-        capsys.readouterr()
-        assert main(["summarize", "--in", out, flag, value]) == 1
-        captured = capsys.readouterr()
-        assert "error:" in captured.err and flag in captured.err
-        assert captured.out == ""
-
     @pytest.mark.parametrize("line", [
         "not json", '{"seed": 0, "iteration": 1, "mystery": 1}', '{"seed": 0}', "[1, 2]", "5",
         # a record without a type, one of an unknown type, and a second meta line
@@ -682,12 +696,55 @@ class TestCommandLine:
     @pytest.mark.parametrize("text", ["", '{"type": "meta", "config": [1]}\n',
                                       '{"type": "record", "seed": 0, "iteration": 1, '
                                       '"orientation_error": 0.1, "location_error": 0.1, '
-                                      '"prediction_error": 0.1}\n'])
+                                      '"prediction_error": 0.1}\n',
+                                      # a meta config that is not a config document
+                                      '{"type": "meta", "config": {"chain": "planar3"}}\n'])
     def test_read_records_needs_a_leading_meta_line(self, tmp_path, text):
         path = tmp_path / "r.jsonl"
         path.write_text(text)
         with pytest.raises(ConfigError, match=re.escape(f"{path}:1")):
             read_records(str(path))
+
+    @pytest.mark.parametrize("edit, seed", [
+        # a failure line for a seed that has records
+        (lambda lines: lines + [FAILURE % 0], 0),
+        # two failure lines for a seed without records
+        (lambda lines: [ln for ln in lines if '"seed": 1,' not in ln] + [FAILURE % 1] * 2, 1),
+        # failure lines, or a record, for a seed the meta line does not list
+        (lambda lines: lines + [FAILURE % 5] * 2, 5),
+        (lambda lines: lines + [lines[1].replace('"seed": 0,', '"seed": 7,')], 7),
+        # a seed without its first iteration, and a seed without any line
+        (lambda lines: lines[:1] + lines[2:], 0),
+        (lambda lines: [ln for ln in lines if '"seed": 1,' not in ln], 1),
+    ], ids=["failed-recorded-seed", "two-failures", "unlisted-failed-seed", "unlisted-record",
+            "missing-iteration", "missing-seed"])
+    def test_read_records_checks_the_file_as_a_whole(self, tmp_path, capsys, edit, seed):
+        out = tmp_path / "r.jsonl"
+        assert main(["run", "--config", write_config(tmp_path, iterations=4),
+                     "--out", str(out)]) == 0
+        lines = out.read_text().splitlines()
+        assert '"seed": 0,' in lines[1] and '"iteration": 1,' in lines[1]
+        out.write_text("\n".join(edit(lines)) + "\n")
+        where = f"{out}: seed {seed} "
+        with pytest.raises(ConfigError, match=re.escape(where)):
+            read_records(str(out))
+        capsys.readouterr()
+        assert main(["summarize", "--in", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert where in captured.err and captured.out == ""
+
+    def test_summarize_thresholds_are_fixed(self, tmp_path, capsys):
+        out = tmp_path / "r.jsonl"
+        assert main(["run", "--config", write_config(tmp_path, iterations=2),
+                     "--out", str(out)]) == 0
+        for flag in ("--orientation-threshold", "--location-threshold"):
+            with pytest.raises(SystemExit) as exc:
+                main(["summarize", "--in", str(out), flag, "0.1"])
+            assert exc.value.code == 2
+        json_out = tmp_path / "s.json"
+        assert main(["summarize", "--in", str(out), "--json", str(json_out)]) == 0
+        summary = json.loads(json_out.read_text())["random_rls"]
+        assert (summary["orientation_threshold"], summary["location_threshold"]) == (0.05, 0.02)
 
     @pytest.mark.parametrize("target", ["", "missing/s.json", "r.jsonl",
                                         pytest.param(None, id="empty-path")])
