@@ -288,7 +288,8 @@ def write_records(records, meta: dict, path: str, failures=None) -> None:
 
 def read_records(path: str):
     """(meta, records, failures) from a JSONL record file as write_records
-    writes it: one meta line holding a config document, then record and
+    writes it: one meta line holding a config document that a run could
+    write, valid and with its defaults filled, then record and
     failure lines holding exactly the fields of their _LINES table, no
     (seed, iteration) twice, else a ConfigError naming path:line. Each meta
     seed, and no other, has one failure line or the records of iterations
@@ -305,8 +306,10 @@ def read_records(path: str):
                 doc = json.loads(line)
                 kind = doc.pop("type", None)
                 if number == 1 and kind == "meta":
-                    _check(doc.get("config"))
-                    meta = doc["config"]
+                    meta = doc.get("config")
+                    if config_from_dict(meta).meta != meta:
+                        raise ValueError("the config is not one a run writes: a default "
+                                         "is not filled in")
                 elif number > 1 and kind in _LINES and doc.keys() == _LINES[kind].keys():
                     _check(doc, _LINES[kind])
                     key = doc["seed"], doc.get("iteration")
@@ -473,8 +476,9 @@ _SECTIONS = {"noise": NoiseConfig, "optimizer": DirectConfig, "gradient": Gradie
 # The value of each key a document may leave out; noise is filled key by key.
 _DEFAULTS = {"noise": dataclasses.asdict(NoiseConfig()), "init_hypercube": [-1.0, 1.0],
              "init_variance": 1.0, "probe_set_size": 100, "probe_seed": 0}
-# The section each strategy reads and its values: filled in whole when the
-# document leaves it out, and key by key wherever it is given.
+# The section only that strategy reads and its values: filled in whole when
+# the document leaves it out, else key by key; under another strategy the
+# section is an error, since no run would read it.
 _STRATEGY_SECTIONS = {
     "active_rls": ("optimizer", _ACTIVE_OPTIMIZER),
     # the largest rate that stays stable on the bundled 12-joint chain;
@@ -505,8 +509,11 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
     doc = copy.deepcopy({**_DEFAULTS, **doc})
     doc["noise"] = {**_DEFAULTS["noise"], **doc["noise"]}
     for strategy, (key, values) in _STRATEGY_SECTIONS.items():
-        if key in doc or doc["strategy"] == strategy:
+        if doc["strategy"] == strategy:
             doc[key] = {**values, **doc.get(key, {})}
+        elif key in doc:
+            raise ConfigError(f"the {key} section is read only by {strategy}, "
+                              f"not by {doc['strategy']}")
     try:
         typed = {key: _SECTIONS[key](**value) if key in _SECTIONS else value
                  for key, value in doc.items()}

@@ -4,16 +4,19 @@ Deterministic, derivative-free, budgeted by function evaluations. The
 search box is mapped to the unit cube. Each sweep subdivides every
 potentially optimal rectangle (Jones, Perttunen, Stuckman 1993) in three
 steps: list the offset centers along each selected rectangle's longest
-sides; evaluate them all in one objective call, in selection, dimension,
+sides; have them all evaluated as one block, in selection, dimension,
 plus-then-minus order, cut to the budget left; split each rectangle
 along the dimensions whose two offsets both got a value, the best new
-values keeping the largest children. One sweep is one objective call:
-minimize_batch hands the whole point list to a batch objective, and
-minimize wraps a scalar objective as one. The box center needs no call
-of its own: the lone first rectangle is always selected, so the center
-leads the first sweep's point list. The direct_l variant
-subdivides at most one rectangle per measure class per sweep
-(Gablonsky's locally biased rule).
+values keeping the largest children. The run is one ask/tell loop, the
+sweeps generator: it yields each sweep's block of points and takes the
+block's values back by send, so the caller decides how a block is
+evaluated. minimize_batch drives it with one batch objective call per
+block, and minimize wraps a scalar objective as one. The box center
+needs no block of its own: the lone first rectangle is always selected,
+so the center leads the first block. on_iteration sees each sweep's
+rectangles and selection after the sweep's values come back and before
+its subdivisions. The direct_l variant subdivides at most one rectangle
+per measure class per sweep (Gablonsky's locally biased rule).
 
 Side lengths are exact powers of 1/3, tracked as integer trisection
 depths, so measure classes group exactly with no float comparisons.
@@ -233,30 +236,57 @@ def minimize(f, cfg: DirectConfig, on_iteration=None, collect_trace: bool = Fals
 
 def minimize_batch(f_batch, cfg: DirectConfig, on_iteration=None,
                    collect_trace: bool = False) -> DirectResult:
-    """Minimize over cfg.bounds with at most cfg.max_evaluations evaluations.
+    """Minimize over cfg.bounds with at most cfg.max_evaluations evaluations
+    by driving sweeps(cfg, on_iteration).
 
-    f_batch maps a (k, dim) array of points to k values. It is called
-    once per sweep, with that sweep's offset centers in evaluation order,
-    the first call led by the box center, never more than the budget has
-    left. Deterministic: identical configs and a deterministic f_batch
-    reproduce the identical evaluation trace. on_iteration(iteration,
-    rects, selected) is called with HyperRect views before each sweep's
-    subdivisions and once more after the final sweep with an empty
-    selection. The best point is the first minimum of the trace: the
-    first center when every value is +inf.
+    f_batch maps a (k, dim) array of points to k values; it is called once
+    per block that sweeps yields, and what it raises reaches the caller.
+    The best point is the first minimum of the trace: the first center when
+    every value is +inf.
+    """
+    run, values = sweeps(cfg, on_iteration), None
+    while True:
+        try:
+            points = run.send(values)
+        except StopIteration as done:
+            trace = done.value
+            break
+        values = f_batch(points)
+    best_point, best_value = min(trace, key=lambda item: item[1])
+    return DirectResult(best_point=best_point, best_value=best_value,
+                        evaluations_used=len(trace), trace=trace if collect_trace else None)
+
+
+def sweeps(cfg: DirectConfig, on_iteration=None):
+    """DIRECT over cfg.bounds as an ask/tell generator.
+
+    It yields one block of points per sweep, a (k, dim) array of that
+    sweep's offset centers in evaluation order, the first block led by the
+    box center, never more than cfg.max_evaluations has left; send takes
+    the block's k values back. NaN counts as +inf, with a warning, and a
+    wrong number of values is a ValueError. When the budget is spent it
+    returns the trace, the (point, value) pairs in evaluation order.
+    Deterministic: identical configs and values give the identical trace.
+    on_iteration(iteration, rects, selected) gets HyperRect views once per
+    sweep, after the sweep's values are told and before its subdivisions,
+    which are the first change to a rectangle; then once more after the
+    final sweep with an empty selection.
     """
     if cfg.bounds is None:
         raise ValueError("minimize requires cfg.bounds")
-    bounds = np.asarray(cfg.bounds, dtype=float)
-    dim = bounds.shape[0]
-    lower = bounds[:, 0]
-    span = bounds[:, 1] - lower
-    trace = []
-
-    def evaluate(unit_points):
-        """f_batch at unit_points in one call, cut to the budget left."""
-        points = lower + np.array(unit_points[:cfg.max_evaluations - len(trace)]) * span
-        values = [float(v) for v in f_batch(points)]
+    lower, upper = np.asarray(cfg.bounds, dtype=float).T
+    center, depth = np.full(len(lower), 0.5), (0,) * len(lower)
+    # the rectangles, as (center, depth, class key, value) records. The
+    # lone first one is the largest class, so it is selected, and its
+    # center leads the first block; its value is +inf until then.
+    rects, lead = [(center, depth, depth, math.inf)], [center]
+    trace, f_min, iteration = [], math.inf, 0
+    while len(trace) < cfg.max_evaluations:
+        selected = _select(rects, f_min, _EPSILON, cfg.variant)
+        offsets = {idx: _offset_centers(*rects[idx][:2]) for idx in selected}
+        unit = lead + [p for o in offsets.values() for p in _unit_points(o)]
+        points = lower + np.array(unit[:cfg.max_evaluations - len(trace)]) * (upper - lower)
+        values = [float(v) for v in (yield points)]
         if len(values) != len(points):
             raise ValueError(f"objective returned {len(values)} values for {len(points)} points")
         for i, x in enumerate(points):
@@ -264,39 +294,20 @@ def minimize_batch(f_batch, cfg: DirectConfig, on_iteration=None,
                 logger.warning("objective returned NaN at %s; treating as +inf", x)
                 values[i] = math.inf
             trace.append((x, values[i]))
-        return values
-
-    # the rectangles, as (center, depth, class key, value) records; the
-    # lone first rectangle is always selected, so its center is evaluated
-    # in one call with the first sweep's offsets
-    center, depth = np.full(dim, 0.5), (0,) * dim
-    selected = [0]
-    offsets = {0: _offset_centers(center, depth)}
-    new_values = iter(evaluate([center] + _unit_points(offsets[0])))
-    rects = [(center, depth, depth, next(new_values))]
-
-    iteration = 0
-    swept = 1               # evaluations made before the current sweep
-    while swept < cfg.max_evaluations:
-        if iteration:
-            f_min = min(value for _, value in trace)
-            selected = _select(rects, f_min, _EPSILON, cfg.variant)
+        f_min = min(f_min, *values)
+        new_values = iter(values)
+        if lead:
+            rects, lead = [(center, depth, depth, next(new_values))], []
+        if len(trace) == 1:  # a budget of 1: the center alone, no sweep
+            break
         if on_iteration is not None:
             on_iteration(iteration, _views(rects), selected)
-        if not selected:
-            break
-        if iteration:
-            offsets = {idx: _offset_centers(*rects[idx][:2]) for idx in selected}
-            new_values = iter(evaluate([p for o in offsets.values() for p in _unit_points(o)]))
         children = {idx: split for idx, o in offsets.items()
                     if (split := _split(rects[idx], o, new_values))}
         rects = ([rect for idx, rect in enumerate(rects) if idx not in children]
                  + [child for split in children.values() for child in split])
-        swept = len(trace)
         iteration += 1
 
     if on_iteration is not None:
         on_iteration(iteration, _views(rects), [])
-    best_point, best_value = min(trace, key=lambda item: item[1])
-    return DirectResult(best_point=best_point, best_value=best_value,
-                        evaluations_used=len(trace), trace=trace if collect_trace else None)
+    return trace

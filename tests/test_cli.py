@@ -30,7 +30,9 @@ def base_config(**extra):
 
 
 def full_config(**extra):
-    """A config that sets every numeric key of the document."""
+    """A document that sets every numeric key of the table. No strategy
+    reads both optimizer and gradient, so config_from_dict refuses it as
+    it stands; without the section its strategy does not read, it is valid."""
     return base_config(
         init_hypercube=[-1.0, 1.0], init_variance=1.0, probe_seed=0, joint_limits=0.5,
         optimizer={"max_evaluations": 15, "variant": "direct_l"},
@@ -234,10 +236,10 @@ class TestRunExperiment:
         monkeypatch.setattr(kincal.cli, "measure", recorded("measure", measure))
         monkeypatch.setattr(kincal.active, "lookahead_costs",
                             recorded("lookahead", lookahead_costs))
-        cfg = config_from_dict(base_config(
-            strategy=strategy, iterations=3, seeds=[0, 1],
-            optimizer={"max_evaluations": 15, "variant": "direct_l"}))
-        assert len(run_experiment(cfg)) == 6
+        doc = base_config(strategy=strategy, iterations=3, seeds=[0, 1])
+        if strategy == "active_rls":
+            doc["optimizer"] = {"max_evaluations": 15, "variant": "direct_l"}
+        assert len(run_experiment(config_from_dict(doc))) == 6
         # runs of lookahead calls collapse to one entry
         steps = [e for e, before in zip(events, [None] + events)
                  if not e == before == "lookahead"]
@@ -439,12 +441,15 @@ class TestConfigParsing:
         assert not out.exists()
 
     def test_meta_round_trip(self):
-        cfg = config_from_dict(full_config())
-        again = config_from_dict(config_to_meta(cfg))
-        assert config_to_meta(again) == config_to_meta(cfg)
-        np.testing.assert_array_equal(again.fov.camera_position, [1.0, 0.0, -2.0])
-        np.testing.assert_array_equal(again.fov.axis, [0.0, 1.0, 0.0])
-        assert again.fov.half_angle == 0.7
+        for strategy, unread in (("active_rls", "gradient"), ("random_gradient", "optimizer")):
+            doc = full_config(strategy=strategy)
+            del doc[unread]
+            cfg = config_from_dict(doc)
+            again = config_from_dict(config_to_meta(cfg))
+            assert config_to_meta(again) == config_to_meta(cfg) == doc
+            np.testing.assert_array_equal(again.fov.camera_position, [1.0, 0.0, -2.0])
+            np.testing.assert_array_equal(again.fov.axis, [0.0, 1.0, 0.0])
+            assert again.fov.half_angle == 0.7
         # numbers are echoed as given: an integer stays an integer, and a
         # box or a cone written with integers, its axis not of unit norm,
         # echoes as written while the run reads the unit axis
@@ -472,6 +477,25 @@ class TestConfigParsing:
                         "init_hypercube": [-1.0, 1.0], "init_variance": 1.0,
                         "probe_set_size": 100, "probe_seed": 0}
         assert config_to_meta(config_from_dict(meta)) == meta
+
+    @pytest.mark.parametrize("strategy, section", [
+        ("random_rls", {"optimizer": {"variant": "direct"}}),
+        ("random_gradient", {"optimizer": {}}),
+        ("random_rls", {"gradient": {"learning_rate": 0.02}}),
+        ("active_rls", {"gradient": {"learning_rate": 0.05, "decay": 0.0}}),
+    ])
+    def test_rejects_a_section_the_strategy_does_not_read(self, tmp_path, capsys,
+                                                          strategy, section):
+        # the run would never read it, and the meta line would echo it filled
+        (key,) = section
+        with pytest.raises(ConfigError, match=f"{key} .*{strategy}"):
+            config_from_dict(base_config(strategy=strategy, **section))
+        out = tmp_path / "r.jsonl"
+        assert main(["run", "--config", write_config(tmp_path, strategy=strategy, **section),
+                     "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "error:" in err and key in err and strategy in err
+        assert not out.exists()
 
     def test_readme_example_config_is_accepted(self):
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
@@ -589,9 +613,7 @@ class TestCommandLine:
         assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
 
     def test_active_run_keeps_timing_out_of_records(self, tmp_path):
-        path = write_config(tmp_path, strategy="active_rls", seeds=[0],
-                            iterations=2,
-                            optimizer={"max_evaluations": 15, "variant": "direct_l"})
+        path = write_config(tmp_path, strategy="active_rls", seeds=[0], iterations=2)
         out_a, out_b = str(tmp_path / "a.jsonl"), str(tmp_path / "b.jsonl")
         assert main(["run", "--config", path, "--out", out_a]) == 0
         assert main(["run", "--config", path, "--out", out_b]) == 0
@@ -698,12 +720,36 @@ class TestCommandLine:
                                       '"orientation_error": 0.1, "location_error": 0.1, '
                                       '"prediction_error": 0.1}\n',
                                       # a meta config that is not a config document
-                                      '{"type": "meta", "config": {"chain": "planar3"}}\n'])
+                                      '{"type": "meta", "config": {"chain": "planar3"}}\n',
+                                      # and a meta line without a config
+                                      '{"type": "meta"}\n'])
     def test_read_records_needs_a_leading_meta_line(self, tmp_path, text):
         path = tmp_path / "r.jsonl"
         path.write_text(text)
         with pytest.raises(ConfigError, match=re.escape(f"{path}:1")):
             read_records(str(path))
+
+    @pytest.mark.parametrize("edit", [
+        # a cone whose axis has no direction, which config_from_dict refuses
+        lambda config: set_key(config, "fov.axis", [0, 0, 0]),
+        # a filled default left out: no run writes that meta line
+        lambda config: set_key(config, "probe_seed", _MISSING),
+        lambda config: set_key(config, "noise.stabilizing_variance", _MISSING),
+    ], ids=["zero-axis", "no-probe-seed", "no-stabilizing-variance"])
+    def test_read_records_needs_a_meta_line_a_run_could_write(self, tmp_path, capsys, edit):
+        out = tmp_path / "r.jsonl"
+        assert main(["run", "--config", write_config(tmp_path, iterations=2, fov=PLANAR3_CONE),
+                     "--out", str(out)]) == 0
+        meta, *lines = out.read_text().splitlines()
+        doc = json.loads(meta)
+        doc["config"] = edit(doc["config"])
+        out.write_text("\n".join([json.dumps(doc, sort_keys=True)] + lines) + "\n")
+        with pytest.raises(ConfigError, match=re.escape(f"{out}:1")):
+            read_records(str(out))
+        capsys.readouterr()
+        assert main(["summarize", "--in", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert f"{out}:1" in captured.err and captured.out == ""
 
     @pytest.mark.parametrize("edit, seed", [
         # a failure line for a seed that has records

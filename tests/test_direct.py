@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from kincal.direct import (VARIANTS, DirectConfig, HyperRect, _offset_centers, _split,
-                           _unit_points, _views, minimize, minimize_batch, potentially_optimal)
+                           _unit_points, _views, minimize, minimize_batch, potentially_optimal,
+                           sweeps)
 
 
 def rect1(depth, value):
@@ -162,6 +163,26 @@ class TestPotentiallyOptimal:
         chosen = potentially_optimal(rects, f_min, 1e-4, "direct_l")
         classes = [rects[i].measure_class() for i in chosen]
         assert len(classes) == len(set(classes))
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_keeps_a_member_of_the_largest_class(self, variant):
+        # so every sweep selects something, and the lone first rectangle
+        # is selected: the largest class has no upper slope to fail
+        rng = np.random.default_rng(29)
+        for trial in range(300):
+            dim, count = int(rng.integers(1, 5)), int(rng.integers(1, 12))
+            depths = rng.integers(0, 4, size=(count, dim))
+            values = rng.choice([0.0, 0.5, 1.0, -2.0, np.inf], size=count)  # ties
+            if trial % 3 == 0:
+                values[:] = np.inf
+            elif trial % 3 == 1:
+                values = rng.normal(size=count)
+            rects = [HyperRect(np.full(dim, 0.5), d, float(v)) for d, v in zip(depths, values)]
+            measures = [0.5 * np.linalg.norm(r.side_lengths) for r in rects]
+            largest = {i for i, m in enumerate(measures) if m == max(measures)}
+            for eps in (0.0, 1e-4):
+                chosen = potentially_optimal(rects, float(values.min()), eps, variant)
+                assert chosen and set(chosen) & largest, (trial, chosen)
 
     def test_bad_variant(self):
         with pytest.raises(ValueError):
@@ -431,6 +452,62 @@ class TestMinimizeBatch:
         cfg = DirectConfig(bounds=[(0.0, 1.0)] * 2, max_evaluations=9)
         with pytest.raises(ValueError, match="values for"):
             minimize_batch(lambda points: np.zeros(len(points) + 1), cfg)
+
+
+class TestSweeps:
+    def test_send_reproduces_minimize_batch(self):
+        for dim, budget, variant in ((1, 10, "direct"), (2, 25, "direct_l"), (3, 40, "direct")):
+            cfg = DirectConfig(bounds=[(-1.0, 2.0)] * dim, max_evaluations=budget,
+                               variant=variant)
+            blocks = []
+            run = sweeps(cfg)
+            try:
+                points = next(run)
+                while True:
+                    blocks.append(len(points))
+                    points = run.send([sphere(x) for x in points])
+            except StopIteration as done:
+                trace = done.value
+            batch = minimize_batch(lambda points: [sphere(x) for x in points], cfg,
+                                   collect_trace=True)
+            assert sum(blocks) == len(trace) == batch.evaluations_used == budget
+            for (x_g, v_g), (x_b, v_b) in zip(trace, batch.trace):
+                np.testing.assert_array_equal(x_g, x_b)
+                assert v_g == v_b
+
+    @pytest.mark.parametrize("extra", [1, -1])
+    def test_rejects_wrong_number_of_values(self, extra):
+        run = sweeps(DirectConfig(bounds=[(0.0, 1.0)] * 2, max_evaluations=9))
+        points = next(run)
+        with pytest.raises(ValueError, match=f"{len(points) + extra} values for {len(points)}"):
+            run.send([0.0] * (len(points) + extra))
+
+    def test_budget_of_one_yields_the_center_alone(self):
+        snapshots = []
+        run = sweeps(DirectConfig(bounds=[(0.0, 4.0), (-1.0, 1.0)], max_evaluations=1),
+                     on_iteration=lambda i, rects, sel: snapshots.append((i, len(rects), sel)))
+        np.testing.assert_array_equal(next(run), [[2.0, 0.0]])
+        with pytest.raises(StopIteration) as done:
+            run.send([7.0])
+        assert len(done.value.value) == 1 and done.value.value[0][1] == 7.0
+        assert snapshots == [(0, 1, [])]
+
+    def test_objective_error_reaches_the_caller(self):
+        class Failure(Exception):
+            pass
+
+        error = Failure("objective failed")
+        calls = []
+
+        def failing(points):
+            calls.append(len(points))
+            if len(calls) == 3:
+                raise error
+            return ((points - 0.3) ** 2).sum(axis=1)
+
+        with pytest.raises(Failure) as caught:
+            minimize_batch(failing, DirectConfig(bounds=[(0.0, 1.0)] * 2, max_evaluations=40))
+        assert caught.value is error and len(calls) == 3
 
 
 class TestVariantStructure:
