@@ -6,13 +6,17 @@ no update is run: with H the observation Jacobian at the current mean,
 the posterior trace is the closed form
     tr(P) - sum((H P) * S^-1 (H P)),    S = H P H^T + R,
 whose terms come from estimator.kalman_terms, the innovation algebra
-rls_update applies. Each DIRECT sweep lists its candidates first, so a
-whole sweep is scored in one call: one kernel call for the predicted
-points and Jacobians, then one stacked Kalman-terms call. A candidate
-costs 2 tr(P) when its predicted observation falls outside the field of
-view, when its S fails the innovation solve (not finite, or no Cholesky
-factor and solution even after one jitter retry), or when its result is
-not finite. So visible candidates always win when any exist.
+rls_update applies: a Cholesky factorization gates S, then S is
+inverted. Each DIRECT sweep lists its candidates first, so a whole
+sweep is scored in one call: one kernel call for the predicted points
+and Jacobians, then one stacked Kalman-terms call over every candidate.
+A candidate costs 2 tr(P) when its predicted observation falls outside
+the field of view, when its S fails the innovation solve (not finite,
+or no Cholesky factor and inverse even after one jitter retry), or when
+its result is not finite. So visible candidates always win when any
+exist. Visibility decides only the cost: every candidate has its
+innovation row, and select_next hands the chosen one's row to the
+update, which then runs with no kernel or Kalman-terms call of its own.
 
 Models provide linearize(x, configs), returning predicted points (k, m)
 and Jacobians (k, m, d) for a (k, n) block of configurations.
@@ -27,7 +31,8 @@ import numpy as np
 
 from . import direct
 # rls_update is unused here; the benchmark's --trace 1 mode looks it up on this module
-from .estimator import EstimatorState, NoiseConfig, kalman_terms, rls_update  # noqa: F401
+from .estimator import (EstimatorState, Innovation, NoiseConfig, kalman_terms,  # noqa: F401
+                        rls_update)
 from .fov import FovConfig
 
 
@@ -49,8 +54,9 @@ class SelectionProblem:
         self.joint_limits = np.asarray(self.joint_limits, dtype=float)
         if self.joint_limits.ndim != 2 or self.joint_limits.shape[1] != 2:
             raise ValueError("joint_limits must be (n, 2) low/high pairs")
-        if not (self.joint_limits[:, 0] <= self.joint_limits[:, 1]).all():
-            raise ValueError("joint limits need low <= high")
+        # DIRECT searches an open box: a pinned joint (low == high) has none
+        if not (self.joint_limits[:, 0] < self.joint_limits[:, 1]).all():
+            raise ValueError("joint limits need low < high")
         if self.optimizer is None:
             self.optimizer = direct.DirectConfig()
         elif self.optimizer.bounds is not None:
@@ -59,34 +65,38 @@ class SelectionProblem:
 
 @dataclass
 class SelectionResult:
+    """The chosen configuration and its cost; innovation is its one-entry
+    Innovation row, copied out of its sweep, for rls_update."""
+
     config: np.ndarray
     cost: float
     evaluations: int
     duration: float
+    innovation: Innovation
 
 
-def lookahead_costs(problem: SelectionProblem, configs) -> np.ndarray:
+def lookahead_costs(problem: SelectionProblem, configs, rows: list = None) -> np.ndarray:
     """Posterior covariance traces (k,) for a (k, n) block of candidates.
 
     Visibility is judged on the point predicted from the current mean,
     not the unknown truth. Invisible candidates, candidates whose S fails
-    the innovation solve, and non-finite results cost 2 tr(P).
+    the innovation solve, and non-finite results cost 2 tr(P). rows, if
+    a list, gets the block's Innovation appended.
     """
     configs = np.asarray(configs, dtype=float)
     cov = problem.state.covariance
     prior_trace = float(np.trace(cov))
-    costs = np.full(len(configs), prior_trace + prior_trace)
 
     predicted, jac = problem.model.linearize(problem.state.mean, configs)
-    visible = np.arange(len(configs))
-    if problem.fov is not None:
-        visible = np.flatnonzero(problem.fov.contains_points(predicted))
-    hp, solved, ok = kalman_terms(cov, jac[visible], problem.noise.obs_variance)
+    hp, solved, ok = kalman_terms(cov, jac, problem.noise.obs_variance)
     with np.errstate(over="ignore", invalid="ignore"):
         posterior = prior_trace - np.einsum("kij,kij->k", hp, solved)
-    ok &= np.isfinite(posterior)
-    costs[visible[ok]] = posterior[ok]
-    return costs
+    keep = ok & np.isfinite(posterior)
+    if problem.fov is not None:
+        keep &= problem.fov.contains_points(predicted)
+    if rows is not None:
+        rows.append(Innovation(predicted, jac, hp, solved, ok))
+    return np.where(keep, posterior, prior_trace + prior_trace)
 
 
 def lookahead_cost(problem: SelectionProblem, q) -> float:
@@ -97,10 +107,29 @@ def lookahead_cost(problem: SelectionProblem, q) -> float:
 
 def select_next(problem: SelectionProblem) -> SelectionResult:
     """Minimize lookahead cost over the joint-limit box, scoring each
-    DIRECT sweep in one lookahead_costs call."""
+    DIRECT sweep in one lookahead_costs call. The result carries the
+    chosen candidate's innovation row, taken by its trace index."""
     cfg = replace(problem.optimizer, bounds=problem.joint_limits)
+    # Of the sweeps scored so far, the one with the lowest cost, the first
+    # on a tie, as (its first trace index, that cost, its Innovation):
+    # DIRECT's first minimum lies in it. A sweep is dropped once beaten,
+    # so a selection holds the rows of at most two sweeps at a time.
+    kept, scored = None, 0
+
+    def score(configs):
+        nonlocal kept, scored
+        rows = []
+        costs = lookahead_costs(problem, configs, rows)
+        low = costs.min()
+        if kept is None or low < kept[1]:
+            kept = scored, low, rows[0]
+        scored += len(costs)
+        return costs
+
     start = time.perf_counter()
-    result = direct.minimize_batch(lambda qs: lookahead_costs(problem, qs), cfg)
+    result = direct.minimize_batch(score, cfg)
     duration = time.perf_counter() - start
-    return SelectionResult(config=result.best_point, cost=result.best_value,
-                           evaluations=result.evaluations_used, duration=duration)
+    first, _, rows = kept
+    return SelectionResult(config=result.best_point.copy(), cost=result.best_value,
+                           evaluations=result.evaluations_used, duration=duration,
+                           innovation=rows.row(result.best_index - first))

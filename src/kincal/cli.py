@@ -148,8 +148,10 @@ def _probe_set(gt: GroundTruth, size: int, probe_seed: int):
 
 
 def _run_seed(cfg: ExperimentConfig, gt: GroundTruth, model, probes, box, seed: int):
-    """One seed's (steps, errors): per iteration, (q, y or None,
-    SelectionResult or None) and (orientation, location, prediction).
+    """One seed's (steps, errors): per iteration, (q, y or None, (cost,
+    selection seconds), both None without a selection) and (orientation,
+    location, prediction). An active update takes the innovation row of
+    its selection; steps keep none of it.
 
     Scoring feeds nothing back, so the errors come in blocks of
     _SCORE_BLOCK iterations, one metrics and prediction_error call each;
@@ -168,12 +170,13 @@ def _run_seed(cfg: ExperimentConfig, gt: GroundTruth, model, probes, box, seed: 
     block_means = []
     updates = 0
     for iteration in range(1, cfg.iterations + 1):
-        chosen = None
+        innovation, selection = None, (None, None)
         if cfg.strategy == "active_rls":
             problem = SelectionProblem(state, model, cfg.noise, gt.joint_limits,
                                        fov=gt.fov, optimizer=cfg.optimizer)
             chosen = select_next(problem)
-            q = chosen.config
+            q, innovation = chosen.config, chosen.innovation
+            selection = chosen.cost, chosen.duration
         else:
             q = random_config(gt, config_rng)
 
@@ -184,7 +187,7 @@ def _run_seed(cfg: ExperimentConfig, gt: GroundTruth, model, probes, box, seed: 
                 updates += 1
             else:
                 try:
-                    state = rls_update(state, q, y, cfg.noise, model)
+                    state = rls_update(state, q, y, cfg.noise, model, innovation)
                     updates += 1
                     if (cfg.noise.stabilizing_variance > 0.0
                             and updates % _STABILIZING_PERIOD == 0):
@@ -194,7 +197,7 @@ def _run_seed(cfg: ExperimentConfig, gt: GroundTruth, model, probes, box, seed: 
                                    seed, iteration)
                 mean = state.mean
 
-        steps.append((q, y, chosen))
+        steps.append((q, y, selection))
         block_means.append(mean)
         if len(block_means) == _SCORE_BLOCK or iteration == cfg.iterations:
             means = np.stack(block_means)
@@ -228,9 +231,8 @@ def run_experiment(cfg: ExperimentConfig, failures: list = None,
                 failures.append({"seed": seed, "error": str(exc)})
             continue
         rejections = itertools.accumulate(int(y is None) for _, y, _ in steps)
-        for iteration, ((q, y, chosen), error, rejected) in enumerate(
+        for iteration, ((q, y, selection), error, rejected) in enumerate(
                 zip(steps, errors, rejections), 1):
-            selection = (None, None) if chosen is None else (chosen.cost, chosen.duration)
             records.append(ExperimentRecord(seed, iteration, *error, *selection, rejected))
             if observations is not None:
                 observations.append({"seed": seed, "iteration": iteration,

@@ -101,10 +101,14 @@ class DirectConfig:
 
 @dataclass
 class DirectResult:
+    """The first minimum of the trace, best_point and best_value, at its
+    index best_index in evaluation order."""
+
     best_point: np.ndarray
     best_value: float
     evaluations_used: int
     trace: list = None
+    best_index: int = None
 
 
 @functools.lru_cache(maxsize=1024)
@@ -252,9 +256,11 @@ def minimize_batch(f_batch, cfg: DirectConfig, on_iteration=None,
             trace = done.value
             break
         values = f_batch(points)
-    best_point, best_value = min(trace, key=lambda item: item[1])
+    best_index = min(range(len(trace)), key=lambda i: trace[i][1])
+    best_point, best_value = trace[best_index]
     return DirectResult(best_point=best_point, best_value=best_value,
-                        evaluations_used=len(trace), trace=trace if collect_trace else None)
+                        evaluations_used=len(trace), trace=trace if collect_trace else None,
+                        best_index=best_index)
 
 
 def sweeps(cfg: DirectConfig, on_iteration=None):

@@ -10,22 +10,29 @@ Two updates over the same observation model:
     and m observation rows costs O(d^2 m), with no d x d x d product. Its
     innovation algebra (kalman_terms) works on a stack of Jacobians, so
     active selection scores a whole sweep of hypothetical measurements
-    with the same code.
+    with the same code. Each innovation covariance S passes a Cholesky
+    factorization as its SPD gate and is then inverted, one small m x m
+    inverse per stack entry in place of a solve against all d columns
+    of H P (an S that passes only with a jitter is solved by LU). The
+    terms come as an Innovation stack, and an update given the
+    selection's row for its configuration reuses it: no second kernel
+    or kalman_terms call.
   * gradient_update: plain stochastic gradient on the squared residual,
     kept as a baseline. No covariance.
 
 Models are duck-typed: anything with predict(x, q) and jacobian(x, q);
 prediction_error also needs predict_batch(x, configs), which takes a
 stack of parameter vectors when prediction_error is given one. Both
-updates ask for the Jacobian first and then the prediction at the same
-(x, q), so a model can answer the second from the linearization behind
-the first.
+updates, when rls_update is not given an Innovation row, ask for the
+Jacobian first and then the prediction at the same (x, q), so a model
+can answer the second from the linearization behind the first.
 Observations may have any dimension; the chain model returns 3-vectors.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -95,31 +102,42 @@ class GradientConfig:
 
 def _solve_one(s, rhs):
     """(x, True) for s @ x = rhs on the first of s and s + jitter that has
-    a Cholesky factorization and solves, else (zeros, False)."""
-    for attempt in (s, s + _JITTER * np.eye(s.shape[0])):
-        try:
-            np.linalg.cholesky(attempt)
-            return np.linalg.solve(attempt, rhs), True
-        except np.linalg.LinAlgError:
-            pass
-    return np.zeros(np.shape(rhs)), False
+    a Cholesky factorization and solves, else (zeros, False). s as given
+    is inverted, as in a stack; s + jitter is numerically singular by
+    construction, so it is solved by LU, whose solution keeps a small
+    residual where an explicit inverse's would not."""
+    try:
+        np.linalg.cholesky(s)
+        return np.linalg.inv(s) @ rhs, True
+    except np.linalg.LinAlgError:
+        pass
+    try:
+        jittered = s + _JITTER * np.eye(s.shape[0])
+        np.linalg.cholesky(jittered)
+        return np.linalg.solve(jittered, rhs), True
+    except np.linalg.LinAlgError:
+        return np.zeros(np.shape(rhs)), False
 
 
 def _solve_innovation(s, rhs):
-    """Solve s[i] @ x[i] = rhs[i] over a (k, m, m) stack of symmetric s.
+    """s[i]^-1 @ rhs[i] over a (k, m, m) stack of symmetric s.
 
     Returns the solutions (k, m, r) and a boolean ok mask (k,). Entry i
-    is ok when s[i] is finite, has a Cholesky factorization and solves,
-    as given or after one retry with a diagonal jitter; its solution uses
-    the matrix that passed. Entries that are not ok get zeros. A finite
-    stack is tried at once, and entry by entry only when that fails.
+    is ok when s[i] is finite and passes a Cholesky factorization, the
+    SPD gate, as given or after one retry with a diagonal jitter (see
+    _solve_one). An s[i] that passes as given is inverted: an m x m
+    inverse then one product costs less than an LU solve against the r
+    columns, and for an SPD matrix its error is of the same order.
+    Entries that are not ok get zeros. A finite stack is tried at once,
+    and entry by entry only when that fails; an entry's solution is the
+    same either way.
     """
     s = np.asarray(s, dtype=float)
     ok = np.isfinite(s).all(axis=(1, 2))
     if ok.all():
         try:
             np.linalg.cholesky(s)
-            return np.linalg.solve(s, rhs), ok
+            return np.linalg.inv(s) @ rhs, ok
         except np.linalg.LinAlgError:
             pass
     x = np.zeros(np.shape(rhs))
@@ -141,6 +159,24 @@ def kalman_terms(cov, jac, obs_variance):
     return hp, solved, ok
 
 
+class Innovation(NamedTuple):
+    """The innovation terms of a stack of k measurements at one mean and
+    covariance: predicted observations (k, m), Jacobians H (k, m, d), and
+    kalman_terms' H P (k, m, d), S^-1 H P (k, m, d) and ok (k,)."""
+
+    predicted: np.ndarray
+    jacobian: np.ndarray
+    hp: np.ndarray
+    solved: np.ndarray
+    ok: np.ndarray
+
+    def row(self, i: int) -> "Innovation":
+        """Entry i as a one-entry stack of copies, holding nothing of this one."""
+        if not 0 <= i < len(self.ok):
+            raise IndexError(f"entry {i} of a stack of {len(self.ok)}")
+        return Innovation(*(a[i:i + 1].copy() for a in self))
+
+
 def _observation(y, jac) -> np.ndarray:
     """y as a float array, checked against the rows of an (m, d) Jacobian."""
     y = np.asarray(y, dtype=float)
@@ -149,7 +185,8 @@ def _observation(y, jac) -> np.ndarray:
     return y
 
 
-def rls_update(state: EstimatorState, q, y, noise: NoiseConfig, model) -> EstimatorState:
+def rls_update(state: EstimatorState, q, y, noise: NoiseConfig, model,
+               innovation: Innovation = None) -> EstimatorState:
     """One recursive least-squares step on observation y at configuration q.
 
     Returns a new state; the input is untouched. The covariance is
@@ -159,21 +196,28 @@ def rls_update(state: EstimatorState, q, y, noise: NoiseConfig, model) -> Estima
     (I - K H) P (I - K H)^T = A - (A H^T) K^T, so
     P+ = A - (A H^T) K^T + r K K^T = A + (r K - A H^T) K^T. Every product
     has m as one of its dimensions, O(d^2 m) in all for d parameters.
+
+    innovation, when given, is the one-entry Innovation of (state, q)
+    under noise.obs_variance, as selection scored it; the step then
+    calls neither the model nor kalman_terms. Without it the model is
+    linearized at (state.mean, q), which gives the same terms.
     """
     mean = state.mean
     cov = state.covariance
-    jac = np.atleast_2d(np.asarray(model.jacobian(mean, q), dtype=float))
-    predicted = model.predict(mean, q)
+    if innovation is None:
+        jac = np.atleast_2d(np.asarray(model.jacobian(mean, q), dtype=float))
+        predicted = np.asarray(model.predict(mean, q), dtype=float)
+        innovation = Innovation(predicted[None], jac[None],
+                                *kalman_terms(cov, jac[None], noise.obs_variance))
+    predicted, jac, hp, solved, ok = (a[0] for a in innovation)
     y = _observation(y, jac)
-
-    hp, solved, ok = kalman_terms(cov, jac[None], noise.obs_variance)
-    if not ok[0]:
+    if not ok:
         raise DegenerateUpdateError("innovation covariance is non-finite or numerically singular")
-    gain = solved[0].T
+    gain = solved.T
 
     with np.errstate(over="ignore", invalid="ignore"):
         new_mean = mean + gain @ (y - predicted)
-        a = cov - gain @ hp[0]
+        a = cov - gain @ hp
         new_cov = a + (noise.obs_variance * gain - a @ jac.T) @ gain.T
         new_cov = 0.5 * (new_cov + new_cov.T)
     # a runaway linearization can overflow without tripping the SPD gate;

@@ -397,7 +397,9 @@ class ChainObservationModel:
     vectors (predict_batch only) gets fresh terms and leaves the kept
     ones in place. The model also keeps the position its last jacobian
     call computed, so an update that asks for the Jacobian and then the
-    prediction at the same (x, q) makes one kernel call.
+    prediction at the same (x, q) makes one kernel call; an active
+    update asks for neither, since it is handed the innovation row that
+    its selection's linearize call gave.
     """
 
     def __init__(self, zero_pose: Pose, n_joints: int):

@@ -243,9 +243,9 @@ class TestSelectNext:
         calls, sweeps = [], []
         costs, minimize_batch = active.lookahead_costs, direct.minimize_batch
 
-        def counted(problem, configs):
+        def counted(problem, configs, rows):
             calls.append(np.array(configs))
-            return costs(problem, configs)
+            return costs(problem, configs, rows)
 
         def on_iteration(_, rects, selected):
             if selected:
@@ -271,6 +271,12 @@ class TestSelectNext:
         with pytest.raises(ValueError):
             SelectionProblem(state, LinearModel([[1.0]]), NoiseConfig(),
                              [[1.0, -1.0]])
+        # a pinned joint leaves DIRECT no box to search: refused here, not
+        # later inside select_next
+        problem, _ = chain_problem(2)
+        with pytest.raises(ValueError, match="low < high"):
+            SelectionProblem(problem.state, problem.model, problem.noise,
+                             [[0.0, 0.0], [-1.0, 1.0], [-1.0, 1.0]])
 
     def test_rejects_optimizer_bounds(self):
         state = EstimatorState(np.zeros(1), np.eye(1))
@@ -278,3 +284,88 @@ class TestSelectNext:
         with pytest.raises(ValueError, match="optimizer.bounds"):
             SelectionProblem(state, LinearModel([[1.0]]), NoiseConfig(), [[-0.5, 0.5]],
                              optimizer=optimizer)
+
+
+PLANAR3_CONE = FovConfig(camera_position=[0.35, 0.0, 1.0], axis=[0.0, 0.0, -1.0],
+                         half_angle=0.5)
+BLIND_CONE = FovConfig(camera_position=[1e6, 0.0, 0.0], axis=[1.0, 0.0, 0.0],
+                       half_angle=1e-6)
+
+
+class TestHandoff:
+    """select_next hands the chosen candidate's innovation row to
+    rls_update, which then makes no kernel or Kalman-terms call."""
+
+    @pytest.mark.parametrize("chain, fov", [("arm6", None), ("planar3", PLANAR3_CONE),
+                                            ("planar3", BLIND_CONE)])
+    def test_update_from_the_chosen_row_matches_a_fresh_update(self, chain, fov):
+        gt = builtin_chain(chain)
+        model = ChainObservationModel.from_chain(gt.params)
+        truth = gt.params.to_vector()
+        rng = np.random.default_rng(23)
+        noise = NoiseConfig(obs_variance=1e-4)
+        state = EstimatorState(truth + 0.1 * rng.normal(size=truth.size),
+                               0.01 * np.eye(truth.size))
+        limits = np.array([[-3.14, 3.14]] * gt.n_joints)
+        out_of_view = 0
+        for _ in range(6):
+            problem = SelectionProblem(state, model, noise, limits, fov=fov,
+                                       optimizer=DirectConfig(max_evaluations=30,
+                                                              variant="direct_l"))
+            chosen = select_next(problem)
+            q, row = chosen.config, chosen.innovation
+            assert q.base is None and all(a.base is None for a in row)
+            rows = []
+            lookahead_costs(problem, q[None], rows)
+            for kept, own in zip(row, rows[0]):
+                np.testing.assert_array_equal(kept, own)
+            out_of_view += fov is not None and not fov.contains(row.predicted[0])
+
+            y = gt.positions(q[None])[0] + 0.01 * rng.normal(size=3)
+            handed = rls_update(state, q, y, noise, model, row)
+            fresh = rls_update(state, q, y, noise, model)
+            np.testing.assert_array_equal(handed.mean, fresh.mean)
+            np.testing.assert_array_equal(handed.covariance, fresh.covariance)
+            state = handed
+        if fov is BLIND_CONE:
+            assert out_of_view == 6
+
+    def test_degenerate_chosen_row_raises_as_before(self):
+        state = EstimatorState(np.zeros(2), np.array([[1.0, 2.0], [2.0, 1.0]]))
+        row = np.array([[1.0, -1.0]]) / np.sqrt(2.0)
+        problem = SelectionProblem(state, LinearModel(row), NoiseConfig(obs_variance=0.0),
+                                   [[-1.0, 1.0], [-1.0, 1.0]],
+                                   optimizer=DirectConfig(max_evaluations=10))
+        chosen = select_next(problem)
+        assert not chosen.innovation.ok[0]
+        y = np.zeros(1)
+        with pytest.raises(DegenerateUpdateError) as handed:
+            rls_update(state, chosen.config, y, problem.noise, problem.model,
+                       chosen.innovation)
+        with pytest.raises(DegenerateUpdateError) as fresh:
+            rls_update(state, chosen.config, y, problem.noise, problem.model)
+        assert str(handed.value) == str(fresh.value)
+
+    def test_chosen_row_is_the_first_minimum_of_the_trace(self, monkeypatch):
+        # every q[0] < 1 sees the second parameter, the best row, so many
+        # candidates share the best cost after the center (q[0] = 1.45):
+        # the row is the first's, the one DIRECT reports
+        e1, e2 = np.eye(3)[:1], np.eye(3)[1:2]
+        problem = SelectionProblem(EstimatorState(np.zeros(3), np.diag([1.0, 2.0, 3.0])),
+                                   LinearModel(e2, e1, e1), NoiseConfig(obs_variance=1.0),
+                                   [[0.0, 2.9]], optimizer=DirectConfig(max_evaluations=20))
+        traces = []
+        minimize_batch = direct.minimize_batch
+
+        def traced(f, cfg):
+            result = minimize_batch(f, cfg, collect_trace=True)
+            traces.append(result.trace)
+            return result
+
+        monkeypatch.setattr(direct, "minimize_batch", traced)
+        chosen = select_next(problem)
+        values = [value for _, value in traces[0]]
+        first = values.index(min(values))
+        assert first > 0 and values.count(min(values)) > 1
+        np.testing.assert_array_equal(chosen.config, traces[0][first][0])
+        np.testing.assert_array_equal(chosen.innovation.jacobian, e2[None])

@@ -17,8 +17,14 @@ from kincal.cli import (_PROBE_ATTEMPT_FACTOR, ConfigError, ExperimentRecord, _p
                         load_config, main, read_records, resolve_ground_truth,
                         run_experiment, summarize, write_records)
 from kincal.estimator import NoiseConfig, apply_stabilizing_noise
-from kincal.kinematics import ChainParams, Pose, Twist, observe, save_chain
+from kincal.kinematics import (ChainObservationModel, ChainParams, Pose, Twist, observe,
+                               save_chain)
 from kincal.sim import builtin_chain, make_rng, random_config
+
+
+# The active_planar3_fov benchmark workload's view cone.
+PLANAR3_CONE = {"camera_position": [0.35, 0.0, 1.0], "axis": [0.0, 0.0, -1.0],
+                "half_angle": 0.5}
 
 
 def base_config(**extra):
@@ -200,6 +206,54 @@ class TestRunExperiment:
         with pytest.raises(error, match="broken measure"):
             run_experiment(config_from_dict(base_config()), failures=failures)
         assert failures == []
+
+    @pytest.mark.parametrize("strategy, fov", [("active_rls", None),
+                                               ("active_rls", PLANAR3_CONE),
+                                               ("random_rls", None)])
+    def test_active_updates_make_no_jacobian_call(self, monkeypatch, strategy, fov):
+        # an active update takes its selection's innovation row; only a
+        # random strategy's update linearizes the model itself
+        calls = []
+        jacobian = ChainObservationModel.jacobian
+
+        def counted(self, x, q):
+            calls.append(q)
+            return jacobian(self, x, q)
+
+        monkeypatch.setattr(ChainObservationModel, "jacobian", counted)
+        doc = base_config(strategy=strategy, iterations=4, seeds=[0, 1])
+        if strategy == "active_rls":
+            doc["optimizer"] = {"max_evaluations": 15, "variant": "direct_l"}
+        if fov is not None:
+            doc["fov"] = fov
+        observations = []
+        assert len(run_experiment(config_from_dict(doc), observations=observations)) == 8
+        accepted = sum(o["accepted"] for o in observations)
+        assert accepted > 0
+        assert len(calls) == (0 if strategy == "active_rls" else accepted)
+
+    def test_steps_keep_no_sweep_arrays(self, monkeypatch):
+        # steps outlive their selection; they keep the cost and duration,
+        # and a q that owns its data, never the chosen innovation row
+        kept = []
+        run_seed = kincal.cli._run_seed
+
+        def keeping(*args):
+            steps, errors = run_seed(*args)
+            kept.extend(steps)
+            return steps, errors
+
+        monkeypatch.setattr(kincal.cli, "_run_seed", keeping)
+        doc = base_config(strategy="active_rls", iterations=4, seeds=[0],
+                          optimizer={"max_evaluations": 15, "variant": "direct_l"},
+                          fov=PLANAR3_CONE)
+        run_experiment(config_from_dict(doc))
+        assert len(kept) == 4
+        for q, y, selection in kept:
+            assert isinstance(q, np.ndarray) and q.base is None
+            assert y is None or (isinstance(y, np.ndarray) and y.shape == (3,))
+            assert type(selection) is tuple and len(selection) == 2
+            assert all(type(value) is float for value in selection)
 
     @pytest.mark.parametrize("variance, calls", [(1e-3, 2), (0.0, 0)])
     def test_stabilizing_noise_every_tenth_update(self, monkeypatch, variance, calls):

@@ -297,6 +297,7 @@ class TestMinimize:
         # the unpaired plus is not split but still counts toward the best
         np.testing.assert_allclose(result.best_point, [1 / 2, 5 / 6], rtol=0, atol=1e-15)
         assert result.best_value == result.trace[3][1]
+        assert result.best_index == 3
 
     def test_all_nan_objective_returns_first_center(self, caplog):
         cfg = DirectConfig(bounds=[(-1.0, 3.0), (0.0, 2.0)], max_evaluations=20)
@@ -305,6 +306,7 @@ class TestMinimize:
         assert any("NaN" in message for message in caplog.messages)
         assert result.best_value == np.inf
         np.testing.assert_array_equal(result.best_point, [1.0, 1.0])
+        assert result.best_index == 0
         assert result.evaluations_used == 20
 
     @pytest.mark.parametrize("variant, expected", [

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from kincal.estimator import (DegenerateUpdateError, EstimatorState, GradientConfig,
-                              NoiseConfig, apply_stabilizing_noise, gradient_update,
-                              kalman_terms, prediction_error, rls_update)
+from kincal.estimator import (_JITTER, DegenerateUpdateError, EstimatorState, GradientConfig,
+                              NoiseConfig, _solve_innovation, apply_stabilizing_noise,
+                              gradient_update, kalman_terms, prediction_error, rls_update)
 from kincal.kinematics import ChainObservationModel, ChainParams, Pose, Twist
 from kincal.sim import FIXTURE_NAMES, builtin_chain, make_rng, measure, random_config
 
@@ -237,6 +237,82 @@ class TestRlsUpdate:
         model = LinearModel([np.eye(1)])
         with pytest.raises(DegenerateUpdateError):
             rls_update(state, 0, np.full(1, 1.7e308), NoiseConfig(), model)
+
+
+def spd_stack(rng, k, m, floor=0.1):
+    a = rng.normal(size=(k, m, m))
+    return a @ a.transpose(0, 2, 1) / m + floor * np.eye(m)
+
+
+class TestInnovationSolve:
+    """_solve_innovation against np.linalg.solve, the slow reference, and
+    kalman_terms entry by entry against its own one-entry calls."""
+
+    @pytest.mark.parametrize("k, m, r", [(13, 3, 36), (3, 3, 18), (1, 3, 72), (40, 2, 5)])
+    def test_matches_solve_on_spd_stacks(self, k, m, r):
+        rng = np.random.default_rng(k * 100 + r)
+        s = spd_stack(rng, k, m)
+        rhs = rng.normal(size=(k, m, r))
+        x, ok = _solve_innovation(s, rhs)
+        assert ok.all() and x.shape == (k, m, r)
+        np.testing.assert_allclose(x, np.linalg.solve(s, rhs), rtol=1e-12, atol=0)
+
+    def test_non_finite_and_indefinite_entries_get_zeros(self):
+        rng = np.random.default_rng(3)
+        s = spd_stack(rng, 4, 3)
+        s[1, 0, 2] = s[1, 2, 0] = np.nan
+        s[2] = np.diag([1.0, -1.0, 1.0])
+        rhs = rng.normal(size=(4, 3, 6))
+        x, ok = _solve_innovation(s, rhs)
+        np.testing.assert_array_equal(ok, [True, False, False, True])
+        np.testing.assert_array_equal(x[[1, 2]], 0.0)
+        good = [0, 3]
+        np.testing.assert_allclose(x[good], np.linalg.solve(s[good], rhs[good]),
+                                   rtol=1e-12, atol=0)
+
+    def test_singular_entry_passes_on_the_jitter_retry(self):
+        s = np.array([[[1.0, 1.0], [1.0, 1.0]], [[2.0, 0.0], [0.0, 1.0]]])
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.cholesky(s[0])
+        rhs = np.array([[[1.0, 2.0], [1.0, 2.0]], [[1.0, 2.0], [3.0, 4.0]]])
+        x, ok = _solve_innovation(s, rhs)
+        assert ok.all()
+        jittered = s[0] + _JITTER * np.eye(2)
+        np.testing.assert_allclose(x[0], np.linalg.solve(jittered, rhs[0]), rtol=1e-12)
+        np.testing.assert_allclose(s[0] @ x[0], rhs[0], rtol=1e-9)
+        np.testing.assert_allclose(x[1], np.linalg.solve(s[1], rhs[1]), rtol=1e-12)
+
+    @pytest.mark.parametrize("stack", ["clean", "fallback", "empty"])
+    def test_entries_match_their_own_calls(self, stack):
+        rng = np.random.default_rng(17)
+        dim = 12
+        cov = random_spd(rng, dim, scale=0.01)
+        jac = rng.normal(size=(9, 3, dim))
+        obs_variance = 1e-4
+        if stack == "fallback":
+            # a negative variance seen only by entry 1 makes its S
+            # indefinite and sends the stack entry by entry; a NaN makes
+            # entry 4 non-finite, and a repeated row with no noise makes
+            # entry 6 singular, passing on the jitter retry
+            cov[0, :] = cov[:, 0] = 0.0
+            cov[0, 0] = -1.0
+            jac[:, :, 0] = 0.0
+            jac[1] = 0.0
+            jac[1, :, 0] = 1.0
+            jac[4, 0, 1] = np.nan
+            jac[6, 1] = jac[6, 0]
+            obs_variance = 0.0
+        elif stack == "empty":
+            jac = jac[:0]
+        hp, solved, ok = kalman_terms(cov, jac, obs_variance)
+        assert hp.shape == solved.shape == jac.shape and ok.shape == (len(jac),)
+        if stack == "fallback":
+            np.testing.assert_array_equal(ok, [True, False, True, True, False,
+                                               True, True, True, True])
+        for i in range(len(jac)):
+            one = kalman_terms(cov, jac[i:i + 1], obs_variance)
+            for stacked, own in zip((hp, solved, ok), one):
+                np.testing.assert_array_equal(stacked[i], own[0])
 
 
 class TestStabilizingNoise:
