@@ -12,11 +12,12 @@ sweep is scored in one call: one kernel call for the predicted points
 and Jacobians, then one stacked Kalman-terms call over every candidate.
 A candidate costs 2 tr(P) when its predicted observation falls outside
 the field of view, when its S fails the innovation solve (not finite,
-or no Cholesky factor and inverse even after one jitter retry), or when
-its result is not finite. So visible candidates always win when any
-exist. Visibility decides only the cost: every candidate has its
-innovation row, and select_next hands the chosen one's row to the
-update, which then runs with no kernel or Kalman-terms call of its own.
+or no Cholesky factor, as for a numerically singular S), or when its
+result is not finite. So visible candidates always win when any exist.
+Visibility decides only the cost: every candidate has its innovation
+row. select_next keeps every sweep's rows and hands the chosen one's,
+found by its trace index, to the update, which then runs with no
+kernel or Kalman-terms call of its own.
 
 Models provide linearize(x, configs), returning predicted points (k, m)
 and Jacobians (k, m, d) for a (k, n) block of configurations.
@@ -108,28 +109,14 @@ def lookahead_cost(problem: SelectionProblem, q) -> float:
 def select_next(problem: SelectionProblem) -> SelectionResult:
     """Minimize lookahead cost over the joint-limit box, scoring each
     DIRECT sweep in one lookahead_costs call. The result carries the
-    chosen candidate's innovation row, taken by its trace index."""
+    chosen candidate's innovation row, taken from the sweeps' stacked
+    rows by its trace index."""
     cfg = replace(problem.optimizer, bounds=problem.joint_limits)
-    # Of the sweeps scored so far, the one with the lowest cost, the first
-    # on a tie, as (its first trace index, that cost, its Innovation):
-    # DIRECT's first minimum lies in it. A sweep is dropped once beaten,
-    # so a selection holds the rows of at most two sweeps at a time.
-    kept, scored = None, 0
-
-    def score(configs):
-        nonlocal kept, scored
-        rows = []
-        costs = lookahead_costs(problem, configs, rows)
-        low = costs.min()
-        if kept is None or low < kept[1]:
-            kept = scored, low, rows[0]
-        scored += len(costs)
-        return costs
-
+    rows = []
     start = time.perf_counter()
-    result = direct.minimize_batch(score, cfg)
+    result = direct.minimize_batch(lambda configs: lookahead_costs(problem, configs, rows), cfg)
     duration = time.perf_counter() - start
-    first, _, rows = kept
+    stacked = Innovation(*map(np.concatenate, zip(*rows)))
     return SelectionResult(config=result.best_point.copy(), cost=result.best_value,
                            evaluations=result.evaluations_used, duration=duration,
-                           innovation=rows.row(result.best_index - first))
+                           innovation=stacked.row(result.best_index))

@@ -38,7 +38,7 @@ from .estimator import (DegenerateUpdateError, EstimatorState, GradientConfig,
                         NoiseConfig, apply_stabilizing_noise, gradient_update,
                         prediction_error, rls_update)
 from .fov import FovConfig
-from .kinematics import ChainObservationModel, load_chain
+from .kinematics import ChainObservationModel, is_number, load_chain
 from .sim import (DEFAULT_JOINT_LIMIT, FIXTURE_NAMES, GroundTruth, builtin_chain,
                   fixture_description, make_rng, measure, metrics, random_config)
 
@@ -210,8 +210,10 @@ def _run_seed(cfg: ExperimentConfig, gt: GroundTruth, model, probes, box, seed: 
 
 def run_experiment(cfg: ExperimentConfig, failures: list = None,
                    observations: list = None) -> list:
-    """All seeds sequentially; a degenerate update fails its seed as a
-    failure entry. observations, if a list, gets (q, y, accepted) dicts.
+    """All seeds sequentially. A degenerate gradient update fails its
+    seed as a failure entry; a degenerate recursive least-squares update
+    is logged and skipped, and its seed runs on. observations, if a
+    list, gets (q, y, accepted) dicts.
 
     Seeds are independent of one another (records depend only on
     (config, seed)), so they could equally run in parallel and be merged
@@ -420,31 +422,26 @@ def _apply_override(doc: dict, text: str) -> None:
     node[last] = value
 
 
-def _is_number(value) -> bool:
-    """A finite number: JSON parsing takes NaN and Infinity, and true/false are ints."""
-    return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
-
-
 def _pairs(value) -> bool:
     """value is a non-empty list of [lo, hi] rows of numbers with lo <= hi."""
     return isinstance(value, (list, tuple)) and len(value) > 0 and all(
-        isinstance(row, (list, tuple)) and len(row) == 2 and all(map(_is_number, row))
+        isinstance(row, (list, tuple)) and len(row) == 2 and all(map(is_number, row))
         and row[0] <= row[1] for row in value)
 
 
 _COUNT = ("an integer >= 1", lambda v: type(v) is int and v >= 1)
 _NATURAL = ("an integer >= 0", lambda v: type(v) is int and v >= 0)
-_POSITIVE = ("a number in (0, inf)", lambda v: _is_number(v) and v > 0)
-_NON_NEGATIVE = ("a number in [0, inf)", lambda v: _is_number(v) and v >= 0)
+_POSITIVE = ("a number in (0, inf)", lambda v: is_number(v) and v > 0)
+_NON_NEGATIVE = ("a number in [0, inf)", lambda v: is_number(v) and v >= 0)
 _VECTOR = ("a list of 3 numbers",
-           lambda v: isinstance(v, (list, tuple)) and len(v) == 3 and all(map(_is_number, v)))
+           lambda v: isinstance(v, (list, tuple)) and len(v) == 3 and all(map(is_number, v)))
 _PAIRS = "a list of [lo, hi] rows of numbers with lo <= hi"
 
 # The fields of each line type after the meta line, as write_records writes them.
 _LINES = {
     "record": {"seed": _NATURAL, "iteration": _COUNT, "orientation_error": _NON_NEGATIVE,
                "location_error": _NON_NEGATIVE, "prediction_error": _NON_NEGATIVE,
-               "cost": ("null or a finite number", lambda v: v is None or _is_number(v)),
+               "cost": ("null or a finite number", lambda v: v is None or is_number(v)),
                "fov_rejections": _NATURAL},
     "failure": {"seed": _NATURAL, "error": ("a string", lambda v: isinstance(v, str))},
 }
@@ -469,7 +466,7 @@ _CONFIG = {
     "joint_limits": (f"a half-width in (0, inf) or {_PAIRS}",
                      lambda v: _POSITIVE[1](v) or _pairs(v)),
     "fov": {"camera_position": _VECTOR, "axis": _VECTOR,
-            "half_angle": ("a number in [0, pi]", lambda v: _is_number(v) and 0 <= v <= math.pi)},
+            "half_angle": ("a number in [0, pi]", lambda v: is_number(v) and 0 <= v <= math.pi)},
 }
 _REQUIRED = {"chain", "strategy", "iterations", "seeds", "gradient.learning_rate",
              "fov.camera_position", "fov.axis", "fov.half_angle"}

@@ -13,10 +13,10 @@ Two updates over the same observation model:
     with the same code. Each innovation covariance S passes a Cholesky
     factorization as its SPD gate and is then inverted, one small m x m
     inverse per stack entry in place of a solve against all d columns
-    of H P (an S that passes only with a jitter is solved by LU). The
-    terms come as an Innovation stack, and an update given the
-    selection's row for its configuration reuses it: no second kernel
-    or kalman_terms call.
+    of H P. An S that fails the gate, numerically singular ones
+    included, is degenerate: no repair is tried. The terms come as an
+    Innovation stack, and an update given the selection's row for its
+    configuration reuses it: no second kernel or kalman_terms call.
   * gradient_update: plain stochastic gradient on the squared residual,
     kept as a baseline. No covariance.
 
@@ -35,8 +35,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-
-_JITTER = 1e-12
 
 
 class DegenerateUpdateError(RuntimeError):
@@ -100,37 +98,17 @@ class GradientConfig:
         return self.learning_rate / (1.0 + self.decay * step)
 
 
-def _solve_one(s, rhs):
-    """(x, True) for s @ x = rhs on the first of s and s + jitter that has
-    a Cholesky factorization and solves, else (zeros, False). s as given
-    is inverted, as in a stack; s + jitter is numerically singular by
-    construction, so it is solved by LU, whose solution keeps a small
-    residual where an explicit inverse's would not."""
-    try:
-        np.linalg.cholesky(s)
-        return np.linalg.inv(s) @ rhs, True
-    except np.linalg.LinAlgError:
-        pass
-    try:
-        jittered = s + _JITTER * np.eye(s.shape[0])
-        np.linalg.cholesky(jittered)
-        return np.linalg.solve(jittered, rhs), True
-    except np.linalg.LinAlgError:
-        return np.zeros(np.shape(rhs)), False
-
-
 def _solve_innovation(s, rhs):
     """s[i]^-1 @ rhs[i] over a (k, m, m) stack of symmetric s.
 
     Returns the solutions (k, m, r) and a boolean ok mask (k,). Entry i
     is ok when s[i] is finite and passes a Cholesky factorization, the
-    SPD gate, as given or after one retry with a diagonal jitter (see
-    _solve_one). An s[i] that passes as given is inverted: an m x m
-    inverse then one product costs less than an LU solve against the r
-    columns, and for an SPD matrix its error is of the same order.
-    Entries that are not ok get zeros. A finite stack is tried at once,
-    and entry by entry only when that fails; an entry's solution is the
-    same either way.
+    SPD gate; it is then inverted, since an m x m inverse then one
+    product costs less than an LU solve against the r columns, and for
+    an SPD matrix its error is of the same order. Entries that are not
+    ok, a numerically singular s[i] among them, get zeros. A finite
+    stack is tried at once, and entry by entry only when that fails; an
+    entry's solution is the same either way.
     """
     s = np.asarray(s, dtype=float)
     ok = np.isfinite(s).all(axis=(1, 2))
@@ -142,7 +120,11 @@ def _solve_innovation(s, rhs):
             pass
     x = np.zeros(np.shape(rhs))
     for i in np.flatnonzero(ok):
-        x[i], ok[i] = _solve_one(s[i], rhs[i])
+        try:
+            np.linalg.cholesky(s[i])
+            x[i] = np.linalg.inv(s[i]) @ rhs[i]
+        except np.linalg.LinAlgError:
+            ok[i] = False
     return x, ok
 
 

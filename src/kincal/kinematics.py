@@ -31,6 +31,7 @@ Chain files are JSON: {"joints": [[wx, wy, wz, vx, vy, vz], ...],
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -457,24 +458,31 @@ def chain_to_dict(params: ChainParams) -> dict:
     }
 
 
+def is_number(value) -> bool:
+    """A finite number that fits a float: JSON parsing takes NaN, Infinity
+    and integers of any size, and true/false are ints."""
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and abs(value) <= sys.float_info.max)
+
+
+def _numbers(value, count: int) -> bool:
+    """value is a list of count numbers, each passing is_number."""
+    return isinstance(value, (list, tuple)) and len(value) == count and all(map(is_number, value))
+
+
 def chain_from_dict(doc: dict) -> ChainParams:
+    """The chain of a chain document; ValueError for anything else."""
+    if not isinstance(doc, dict):
+        raise ValueError("chain document must be an object")
     joints = doc.get("joints")
-    zp = doc.get("zero_pose")
     if not isinstance(joints, list) or not joints:
         raise ValueError("chain document needs a non-empty 'joints' list")
-    if not isinstance(zp, list) or len(zp) != 12:
-        raise ValueError("chain document needs a 12-number 'zero_pose'")
-    twists = []
-    for row in joints:
-        arr = np.asarray(row, dtype=float)
-        if arr.shape != (6,):
-            raise ValueError("each joint must be 6 numbers [w, v]")
-        if not np.isfinite(arr).all():
-            raise ValueError("joint parameters must be finite")
-        twists.append(Twist(arr[:3], arr[3:]))
-    zp = np.asarray(zp, dtype=float)
-    if not np.isfinite(zp).all():
-        raise ValueError("zero_pose must be finite")
+    if not _numbers(doc.get("zero_pose"), 12):
+        raise ValueError("chain document needs a 'zero_pose' of 12 finite numbers")
+    if not all(_numbers(row, 6) for row in joints):
+        raise ValueError("each joint must be 6 finite numbers [w, v]")
+    twists = [Twist(row[:3], row[3:]) for row in joints]
+    zp = np.asarray(doc["zero_pose"], dtype=float)
     pose = Pose(zp[:9].reshape(3, 3), zp[9:])
     if pose.rigidity_defect() > 1e-9:
         raise ValueError("zero_pose rotation is not orthonormal with det +1")

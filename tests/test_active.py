@@ -151,8 +151,8 @@ class TestLookaheadCosts:
     def test_mixed_batch_penalizes_only_bad_candidates(self, inflation, obs_variance):
         # P is indefinite: rows along u = (1, 1, 0)/sqrt2 and e3 see a
         # positive S, a row along (1, -1, 0)/sqrt2 a negative one. With no
-        # measurement noise the visible S are singular (repeated rows) and
-        # pass on the jitter retry.
+        # measurement noise the visible S are singular (parallel rows), so
+        # they are bad candidates too.
         cov = (np.array([[1.0, 2.0, 0.0], [2.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
                + inflation * np.eye(3))
         u = np.array([1.0, 1.0, 0.0]) / np.sqrt(2.0)
@@ -171,12 +171,16 @@ class TestLookaheadCosts:
         costs = lookahead_costs(problem, configs)
 
         penalty = 2 * np.trace(cov)
-        np.testing.assert_array_equal(costs[[1, 2]], [penalty, penalty])
-        with pytest.raises(DegenerateUpdateError):
-            joseph_trace(problem, configs[2])
-        for i in (0, 3, 4):
-            assert costs[i] < penalty
-            assert abs(costs[i] - joseph_trace(problem, configs[i])) <= 1e-10
+        singular = [] if obs_variance else [0, 3, 4]
+        for i in [2] + singular:
+            with pytest.raises(DegenerateUpdateError):
+                joseph_trace(problem, configs[i])
+        for i in range(5):
+            if i in [1, 2] + singular:
+                assert costs[i] == penalty
+            else:
+                assert costs[i] < penalty
+                assert abs(costs[i] - joseph_trace(problem, configs[i])) <= 1e-10
         assert costs[4] == costs[0]
 
 
@@ -331,20 +335,26 @@ class TestHandoff:
             assert out_of_view == 6
 
     def test_degenerate_chosen_row_raises_as_before(self):
-        state = EstimatorState(np.zeros(2), np.array([[1.0, 2.0], [2.0, 1.0]]))
-        row = np.array([[1.0, -1.0]]) / np.sqrt(2.0)
-        problem = SelectionProblem(state, LinearModel(row), NoiseConfig(obs_variance=0.0),
-                                   [[-1.0, 1.0], [-1.0, 1.0]],
-                                   optimizer=DirectConfig(max_evaluations=10))
-        chosen = select_next(problem)
-        assert not chosen.innovation.ok[0]
-        y = np.zeros(1)
-        with pytest.raises(DegenerateUpdateError) as handed:
-            rls_update(state, chosen.config, y, problem.noise, problem.model,
-                       chosen.innovation)
-        with pytest.raises(DegenerateUpdateError) as fresh:
-            rls_update(state, chosen.config, y, problem.noise, problem.model)
-        assert str(handed.value) == str(fresh.value)
+        # every candidate is degenerate: under an indefinite P, and under
+        # an SPD P with a repeated row and no noise, which makes S singular
+        for cov, rows in ((np.array([[1.0, 2.0], [2.0, 1.0]]),
+                           np.array([[1.0, -1.0]]) / np.sqrt(2.0)),
+                          (np.array([[2.0, 0.5], [0.5, 1.0]]),
+                           np.array([[1.0, 0.0], [1.0, 0.0]]))):
+            state = EstimatorState(np.zeros(2), cov)
+            problem = SelectionProblem(state, LinearModel(rows), NoiseConfig(obs_variance=0.0),
+                                       [[-1.0, 1.0], [-1.0, 1.0]],
+                                       optimizer=DirectConfig(max_evaluations=10))
+            chosen = select_next(problem)
+            assert not chosen.innovation.ok[0]
+            assert chosen.cost == 2 * np.trace(cov)
+            y = np.zeros(len(rows))
+            with pytest.raises(DegenerateUpdateError) as handed:
+                rls_update(state, chosen.config, y, problem.noise, problem.model,
+                           chosen.innovation)
+            with pytest.raises(DegenerateUpdateError) as fresh:
+                rls_update(state, chosen.config, y, problem.noise, problem.model)
+            assert str(handed.value) == str(fresh.value)
 
     def test_chosen_row_is_the_first_minimum_of_the_trace(self, monkeypatch):
         # every q[0] < 1 sees the second parameter, the best row, so many

@@ -98,6 +98,7 @@ _BAD_CONFIG_VALUES = [(key, place(bad)) for key, place in _NUMERIC_LEAVES
     ("joint_limits", [-0.5, 0.5]),
     ("joint_limits", [[0.5, -0.5]] * 3),
     ("joint_limits", 0.0),
+    ("init_variance", 10 ** 400),        # an integer no float holds
     ("seeds", [0, 0]),
     ("seeds", 0),
     ("iterations", "3"),
@@ -329,6 +330,15 @@ class TestRunExperiment:
         config = write_config(tmp_path, chain=str(path))
         assert main(["run", "--config", config, "--out", str(tmp_path / "r.jsonl")]) == 1
         assert "unit norm" in capsys.readouterr().err
+        assert not (tmp_path / "r.jsonl").exists()
+
+    def test_chain_file_holding_an_array(self, tmp_path, capsys):
+        path = tmp_path / "chain.json"
+        path.write_text("[1, 2]")
+        config = write_config(tmp_path, chain=str(path))
+        assert main(["run", "--config", config, "--out", str(tmp_path / "r.jsonl")]) == 1
+        err = capsys.readouterr().err
+        assert "error:" in err and "Traceback" not in err
         assert not (tmp_path / "r.jsonl").exists()
 
     def test_missing_chain(self):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from kincal.estimator import (_JITTER, DegenerateUpdateError, EstimatorState, GradientConfig,
+from kincal.estimator import (DegenerateUpdateError, EstimatorState, GradientConfig,
                               NoiseConfig, _solve_innovation, apply_stabilizing_noise,
                               gradient_update, kalman_terms, prediction_error, rls_update)
 from kincal.kinematics import ChainObservationModel, ChainParams, Pose, Twist
@@ -270,16 +270,16 @@ class TestInnovationSolve:
         np.testing.assert_allclose(x[good], np.linalg.solve(s[good], rhs[good]),
                                    rtol=1e-12, atol=0)
 
-    def test_singular_entry_passes_on_the_jitter_retry(self):
+    def test_singular_entry_is_not_ok(self):
+        # no repair is tried: an S with no Cholesky factor gets zeros, and
+        # the rest of the stack is solved as before
         s = np.array([[[1.0, 1.0], [1.0, 1.0]], [[2.0, 0.0], [0.0, 1.0]]])
         with pytest.raises(np.linalg.LinAlgError):
             np.linalg.cholesky(s[0])
         rhs = np.array([[[1.0, 2.0], [1.0, 2.0]], [[1.0, 2.0], [3.0, 4.0]]])
         x, ok = _solve_innovation(s, rhs)
-        assert ok.all()
-        jittered = s[0] + _JITTER * np.eye(2)
-        np.testing.assert_allclose(x[0], np.linalg.solve(jittered, rhs[0]), rtol=1e-12)
-        np.testing.assert_allclose(s[0] @ x[0], rhs[0], rtol=1e-9)
+        np.testing.assert_array_equal(ok, [False, True])
+        np.testing.assert_array_equal(x[0], 0.0)
         np.testing.assert_allclose(x[1], np.linalg.solve(s[1], rhs[1]), rtol=1e-12)
 
     @pytest.mark.parametrize("stack", ["clean", "fallback", "empty"])
@@ -293,7 +293,7 @@ class TestInnovationSolve:
             # a negative variance seen only by entry 1 makes its S
             # indefinite and sends the stack entry by entry; a NaN makes
             # entry 4 non-finite, and a repeated row with no noise makes
-            # entry 6 singular, passing on the jitter retry
+            # entry 6 singular, so it fails the gate too
             cov[0, :] = cov[:, 0] = 0.0
             cov[0, 0] = -1.0
             jac[:, :, 0] = 0.0
@@ -308,7 +308,8 @@ class TestInnovationSolve:
         assert hp.shape == solved.shape == jac.shape and ok.shape == (len(jac),)
         if stack == "fallback":
             np.testing.assert_array_equal(ok, [True, False, True, True, False,
-                                               True, True, True, True])
+                                               True, False, True, True])
+            np.testing.assert_array_equal(solved[[1, 4, 6]], 0.0)
         for i in range(len(jac)):
             one = kalman_terms(cov, jac[i:i + 1], obs_variance)
             for stacked, own in zip((hp, solved, ok), one):

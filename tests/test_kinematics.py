@@ -265,12 +265,25 @@ class TestSerialization:
                                       chain.zero_pose.rotation)
 
     def test_bad_documents_rejected(self):
-        with pytest.raises(ValueError):
-            chain_from_dict({"joints": [], "zero_pose": [0.0] * 12})
-        with pytest.raises(ValueError):
-            chain_from_dict({"joints": [[0, 0, 1, 0, 0, 0]], "zero_pose": [0.0] * 11})
-        with pytest.raises(ValueError):
-            chain_from_dict({"joints": [[0, 0, 1, 0, 0]], "zero_pose": [0.0] * 12})
+        joint, pose = [0, 0, 1, 0, 0, 0], [1, 0, 0, 0, 1, 0, 0, 0, 1, 0, 0, 0]
+        chain_from_dict({"joints": [joint], "zero_pose": pose})
+        # the config's number rule: finite, and neither a string nor a boolean
+        for doc in ({"joints": [], "zero_pose": pose},
+                    {"joints": [joint], "zero_pose": pose[:11]},
+                    {"joints": [joint[:5]], "zero_pose": pose},
+                    [1, 2],
+                    "chain",
+                    {"joints": [joint[:5] + [{"v": 0}]], "zero_pose": pose},
+                    {"joints": [joint], "zero_pose": pose[:11] + [{"t": 0}]},
+                    {"joints": [joint[:5] + ["0.5"]], "zero_pose": pose},
+                    {"joints": [joint], "zero_pose": pose[:11] + ["0.5"]},
+                    {"joints": [[True] + joint[1:]], "zero_pose": pose},
+                    {"joints": [joint], "zero_pose": [True] + pose[1:]},
+                    {"joints": [joint[:5] + [float("nan")]], "zero_pose": pose},
+                    {"joints": [joint], "zero_pose": pose[:11] + [float("inf")]},
+                    {"joints": [joint[:5] + [10 ** 400]], "zero_pose": pose}):
+            with pytest.raises(ValueError):
+                chain_from_dict(doc)
 
     def test_non_orthonormal_zero_pose_rejected(self):
         doc = {"joints": [[0, 0, 1, 0, 0, 0]],
