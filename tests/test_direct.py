@@ -1,5 +1,7 @@
+import hashlib
 import itertools
 import logging
+import math
 
 import numpy as np
 import pytest
@@ -187,6 +189,8 @@ class TestPotentiallyOptimal:
     def test_bad_variant(self):
         with pytest.raises(ValueError):
             potentially_optimal([rect1(0, 1.0)], 1.0, 0.0, "direct_xl")
+        with pytest.raises(ValueError):
+            potentially_optimal([], 1.0, 0.0, "direct_xl")
 
 
 class TestMinimize:
@@ -510,6 +514,96 @@ class TestSweeps:
         with pytest.raises(Failure) as caught:
             minimize_batch(failing, DirectConfig(bounds=[(0.0, 1.0)] * 2, max_evaluations=40))
         assert caught.value is error and len(calls) == 3
+
+
+def rugged(x):
+    """Pure-Python objective on (-1, 2)^dim: +inf where x0 > 1.4, NaN
+    where the last coordinate is below -0.4, elsewhere the squared distance
+    to (0.2, 0.5, ..., 0.5) floored to sixteenths. Many values tie, the two
+    offsets of a side along every dimension but the first among them, so
+    the variants part ways; the first sweep already reaches both regions."""
+    x = [float(v) for v in x]
+    if x[0] > 1.4:
+        return math.inf
+    if x[-1] < -0.4:
+        return math.nan
+    return math.floor(16.0 * sum((v - (0.5 if i else 0.2)) ** 2
+                                 for i, v in enumerate(x))) / 16.0
+
+
+def sweeps_digest(dim, variant):
+    """sha256 over rugged runs at budgets 1, 2·dim, 1 + 2·dim and 37:
+    each block's shape, every on_iteration argument (centers and depths
+    as bytes, values as hex) and the returned trace's point bytes and
+    values."""
+    digest = hashlib.sha256()
+
+    def snapshot(iteration, rects, selected):
+        digest.update(repr((iteration, selected)).encode())
+        for rect in rects:
+            digest.update(rect.center.tobytes() + rect.depth.astype(np.int64).tobytes())
+            digest.update(float(rect.value).hex().encode())
+
+    for budget in sorted({1, 2 * dim, 1 + 2 * dim, 37}):
+        cfg = DirectConfig(bounds=[(-1.0, 2.0)] * dim, max_evaluations=budget,
+                           variant=variant)
+        run = sweeps(cfg, snapshot)
+        points = next(run)
+        try:
+            while True:
+                digest.update(repr(points.shape).encode())
+                points = run.send([rugged(x) for x in points])
+        except StopIteration as done:
+            trace = done.value
+        for x, value in trace:
+            digest.update(x.tobytes() + value.hex().encode())
+    return digest.hexdigest()
+
+
+class TestBitForBit:
+    # digests taken when each run center was a numpy array; a change to
+    # DIRECT's bookkeeping must not move a bit. At dim 7 the budget of 37
+    # ends before the variants part ways.
+    DIGESTS = {
+        (1, "direct"): "be500fa7a12713e669ecdc6a18b3c677ff0b6e77f4c96bbb7283f58796c7a21c",
+        (1, "direct_l"): "1ee99cacd2e8a3a01cc2981079ade4bf912b89e5896d945e1cce811efdf85ef4",
+        (2, "direct"): "e0aa49850c972a779e175b825ee0c6ea4bb38d2f2c1c972f3ed34ae52cd3b505",
+        (2, "direct_l"): "2436fdaa73cbfe1105a51051333e8c6f20d6bc9baa5ad101ffcfd97ad0329987",
+        (3, "direct"): "e3d7027b91bd4c27fd6c370b39ea033dc5015d86924ebed467d8128d72dd8c6e",
+        (3, "direct_l"): "452f9d461a9e5c013fdb0a753d09218092f1f22f3784e5937ae79b89028b3f66",
+        (4, "direct"): "0e68240dccf332967a0ba08dfef9bfffc8c2c749bc934cacbf9eed5eecc311bb",
+        (4, "direct_l"): "363677c5866c1d7e1579fe4b78e7dd1c882aa6dc34263e6382195999a1a25f59",
+        (5, "direct"): "589a308337a34c539edc0c07549a765873139c2ada09be32d3200fdebab1dd4e",
+        (5, "direct_l"): "4887c72b0004653f5edf793a37ad581c13259c8c60b30006d8f98ae2bf3e38f3",
+        (6, "direct"): "9a3a8ee83ca7d926491113c0cc8d315e0f6fa6f0a7b6fe2b39f37bc0e145e4ac",
+        (6, "direct_l"): "cfd3c4b3a6a8c54e94e1b6419bd9ae8ce3cb7dac88a40402bb9b21e2199cfd60",
+        (7, "direct"): "6c99c52357d50288fbe5ad28c08692530d0df6acef6b999bc440dea394d3a74c",
+        (7, "direct_l"): "6c99c52357d50288fbe5ad28c08692530d0df6acef6b999bc440dea394d3a74c",
+    }
+
+    @pytest.mark.parametrize("dim", range(1, 8))
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_traces_blocks_and_snapshots_are_frozen(self, dim, variant, caplog):
+        with caplog.at_level(logging.ERROR, logger="kincal.direct"):
+            assert sweeps_digest(dim, variant) == self.DIGESTS[dim, variant]
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_callback_that_mutates_its_views_leaves_the_run_alone(self, variant):
+        def vandal(_, rects, selected):
+            for rect in rects:
+                rect.center += 1.0
+                rect.depth += 1
+
+        cfg = DirectConfig(bounds=[(-1.0, 2.0)] * 3, max_evaluations=60, variant=variant)
+        calm = minimize(rugged, cfg, collect_trace=True)
+        disturbed = minimize(rugged, cfg, on_iteration=vandal, collect_trace=True)
+        assert disturbed.evaluations_used == calm.evaluations_used == 60
+        for (x_d, v_d), (x_c, v_c) in zip(disturbed.trace, calm.trace):
+            np.testing.assert_array_equal(x_d, x_c)
+            assert v_d == v_c or (math.isinf(v_d) and math.isinf(v_c))
+        np.testing.assert_array_equal(disturbed.best_point, calm.best_point)
+        assert (disturbed.best_index, disturbed.best_value) == (calm.best_index,
+                                                                 calm.best_value)
 
 
 class TestVariantStructure:
