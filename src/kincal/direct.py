@@ -20,12 +20,17 @@ per measure class per sweep (Gablonsky's locally biased rule).
 
 Side lengths are exact powers of 1/3, tracked as integer trisection
 depths, so measure classes group exactly with no float comparisons.
-During a run the rectangles are one list of (center array, depth tuple,
-class key, value) records, the class key being the sorted depths, with
-each depth tuple's measure computed once. HyperRect objects exist only
-at the edges: the views handed to on_iteration, and the arguments of
-potentially_optimal, which turns them into the same records, so there is
-one selection rule.
+During a run the rectangles are one list of (center, depth, class key,
+value) records of plain Python values: the center a tuple of floats, the
+depths a tuple of ints, the class key the sorted depths, each depth
+tuple's measure computed once. An offset center is its rectangle's
+center with one coordinate c replaced by c + delta or c - delta, the
+same float operation on an array would give; each block is one array of
+those tuples, scaled to the box. At DIRECT's usual few dozen rectangles
+tuples cost less than numpy arrays. HyperRect objects exist only at the
+edges, on fresh arrays: the views handed to on_iteration, which cannot
+reach the run's records, and the arguments of potentially_optimal, which
+turns them into the same records, so there is one selection rule.
 """
 
 from __future__ import annotations
@@ -127,12 +132,10 @@ def potentially_optimal(rects, f_min: float, epsilon: float, variant: str = "dir
     keeps one rectangle per measure class, lowest value then lowest
     index.
     """
-    if not rects:
-        return []
     if variant not in VARIANTS:
         raise ValueError(f"variant must be one of {VARIANTS}")
     depths = (tuple(rect.depth.tolist()) for rect in rects)
-    return _select([(rect.center, depth, tuple(sorted(depth)), rect.value)
+    return _select([(None, depth, tuple(sorted(depth)), rect.value)
                     for rect, depth in zip(rects, depths)], f_min, epsilon, variant)
 
 
@@ -147,32 +150,39 @@ def _select(rects, f_min, epsilon, variant):
             classes[key] = [_measure(depth), value, idx, [idx]]
         else:
             if value < entry[1]:
-                entry[1] = value
-                entry[2] = idx
+                entry[1], entry[2] = value, idx
             entry[3].append(idx)
 
     candidates = sorted(classes.values(), key=lambda e: e[0])
-    measures = [e[0] for e in candidates]
-    minima = [e[1] for e in candidates]
     threshold = f_min - epsilon * abs(f_min)
 
+    # A NaN slope (two +inf minima) compares false, so it never replaces
+    # a bound. A class whose upper slope reaches 0 fails whatever its
+    # lower slope, so its scans stop there.
     selected = []
-    for k, entry in enumerate(candidates):
-        d_k, f_k = measures[k], minima[k]
-        lower_slope = -math.inf
-        for i in range(k):
-            lower_slope = max(lower_slope, (f_k - minima[i]) / (d_k - measures[i]))
+    for k, (d_k, f_k, best, members) in enumerate(candidates):
         upper_slope = math.inf
-        for i in range(k + 1, len(candidates)):
-            upper_slope = min(upper_slope, (minima[i] - f_k) / (measures[i] - d_k))
-        if upper_slope <= 0.0 or lower_slope > upper_slope:
+        for d_i, f_i, _, _ in candidates[k + 1:]:
+            slope = (f_i - f_k) / (d_i - d_k)
+            if slope < upper_slope:
+                upper_slope = slope
+                if slope <= 0.0:
+                    break
+        if upper_slope <= 0.0:
             continue
-        if math.isfinite(upper_slope) and f_k - upper_slope * d_k > threshold:
+        lower_slope = -math.inf
+        for d_i, f_i, _, _ in candidates[:k]:
+            slope = (f_k - f_i) / (d_k - d_i)
+            if slope > lower_slope:
+                lower_slope = slope
+        if lower_slope > upper_slope:
+            continue
+        if upper_slope < math.inf and f_k - upper_slope * d_k > threshold:
             continue
         if variant == "direct_l":
-            selected.append(entry[2])
+            selected.append(best)
         else:
-            selected.extend(i for i in entry[3] if rects[i][3] == f_k)
+            selected.extend(i for i in members if rects[i][3] == f_k)
     return sorted(selected)
 
 
@@ -184,11 +194,10 @@ def _offset_centers(center, depth) -> list:
     offsets = []
     for dim, d in enumerate(depth):
         if d == depth_min:
-            plus = center.copy()
+            plus, minus = list(center), list(center)
             plus[dim] += delta
-            minus = center.copy()
             minus[dim] -= delta
-            offsets.append((dim, plus, minus))
+            offsets.append((dim, tuple(plus), tuple(minus)))
     return offsets
 
 
@@ -209,27 +218,23 @@ def _split(rect, offsets, values) -> list:
     if not completed:
         return []
 
-    # Best new value splits first and keeps the largest child; the sort
-    # is stable, so equal values fall back to dimension order.
-    completed.sort(key=lambda item: item[0])
+    # Best new value splits first and keeps the largest child; equal
+    # values fall back to dimension order, which is unique.
+    completed.sort()
     children = []
     depth = list(depth)
     for _, dim, plus, v_plus, minus, v_minus in completed:
         depth[dim] += 1
-        key = tuple(sorted(depth))
-        children.append((plus, tuple(depth), key, v_plus))
-        children.append((minus, tuple(depth), key, v_minus))
-    children.append((center, tuple(depth), key, value))
+        shrunk, key = tuple(depth), tuple(sorted(depth))
+        children += (plus, shrunk, key, v_plus), (minus, shrunk, key, v_minus)
+    children.append((center, shrunk, key, value))
     return children
 
 
-def _unit_points(offsets: list) -> list:
-    return [point for _, plus, minus in offsets for point in (plus, minus)]
-
-
 def _views(records) -> list:
-    """HyperRect views of (center, depth, class key, value) records."""
-    return [HyperRect(center, np.array(depth), value) for center, depth, _, value in records]
+    """HyperRect views of (center, depth, class key, value) records, on
+    fresh arrays: a callback that changes one leaves the run alone."""
+    return [HyperRect(center, depth, value) for center, depth, _, value in records]
 
 
 def minimize(f, cfg: DirectConfig, on_iteration=None, collect_trace: bool = False) -> DirectResult:
@@ -256,7 +261,8 @@ def minimize_batch(f_batch, cfg: DirectConfig, on_iteration=None,
             trace = done.value
             break
         values = f_batch(points)
-    best_index = min(range(len(trace)), key=lambda i: trace[i][1])
+    values = [value for _, value in trace]
+    best_index = values.index(min(values))
     best_point, best_value = trace[best_index]
     return DirectResult(best_point=best_point, best_value=best_value,
                         evaluations_used=len(trace), trace=trace if collect_trace else None,
@@ -281,7 +287,8 @@ def sweeps(cfg: DirectConfig, on_iteration=None):
     if cfg.bounds is None:
         raise ValueError("minimize requires cfg.bounds")
     lower, upper = np.asarray(cfg.bounds, dtype=float).T
-    center, depth = np.full(len(lower), 0.5), (0,) * len(lower)
+    span = upper - lower
+    center, depth = (0.5,) * len(lower), (0,) * len(lower)
     # the rectangles, as (center, depth, class key, value) records. The
     # lone first one is the largest class, so it is selected, and its
     # center leads the first block; its value is +inf until then.
@@ -290,16 +297,15 @@ def sweeps(cfg: DirectConfig, on_iteration=None):
     while len(trace) < cfg.max_evaluations:
         selected = _select(rects, f_min, _EPSILON, cfg.variant)
         offsets = {idx: _offset_centers(*rects[idx][:2]) for idx in selected}
-        unit = lead + [p for o in offsets.values() for p in _unit_points(o)]
-        points = lower + np.array(unit[:cfg.max_evaluations - len(trace)]) * (upper - lower)
-        values = [float(v) for v in (yield points)]
+        unit = lead + [p for o in offsets.values() for _, plus, minus in o for p in (plus, minus)]
+        points = lower + np.array(unit[:cfg.max_evaluations - len(trace)], dtype=float) * span
+        values = list(map(float, (yield points)))
         if len(values) != len(points):
             raise ValueError(f"objective returned {len(values)} values for {len(points)} points")
-        for i, x in enumerate(points):
-            if math.isnan(values[i]):
-                logger.warning("objective returned NaN at %s; treating as +inf", x)
-                values[i] = math.inf
-            trace.append((x, values[i]))
+        for i in [i for i, v in enumerate(values) if v != v]:
+            logger.warning("objective returned NaN at %s; treating as +inf", points[i])
+            values[i] = math.inf
+        trace += zip(points, values)
         f_min = min(f_min, *values)
         new_values = iter(values)
         if lead:
