@@ -56,8 +56,9 @@ class SelectionProblem:
         if self.joint_limits.ndim != 2 or self.joint_limits.shape[1] != 2:
             raise ValueError("joint_limits must be (n, 2) low/high pairs")
         # DIRECT searches an open box: a pinned joint (low == high) has none
-        if not (self.joint_limits[:, 0] < self.joint_limits[:, 1]).all():
-            raise ValueError("joint limits need low < high")
+        if not (np.isfinite(self.joint_limits).all()
+                and (self.joint_limits[:, 0] < self.joint_limits[:, 1]).all()):
+            raise ValueError("joint limits need finite low < high")
         if self.optimizer is None:
             self.optimizer = direct.DirectConfig()
         elif self.optimizer.bounds is not None:

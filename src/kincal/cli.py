@@ -38,7 +38,7 @@ from .estimator import (DegenerateUpdateError, EstimatorState, GradientConfig,
                         NoiseConfig, apply_stabilizing_noise, gradient_update,
                         prediction_error, rls_update)
 from .fov import FovConfig
-from .kinematics import ChainObservationModel, is_number, load_chain
+from .kinematics import ChainObservationModel, _numbers, is_number, load_chain
 from .sim import (DEFAULT_JOINT_LIMIT, FIXTURE_NAMES, GroundTruth, builtin_chain,
                   fixture_description, make_rng, measure, metrics, random_config)
 
@@ -60,27 +60,6 @@ _ACTIVE_OPTIMIZER = {"max_evaluations": 60, "variant": "direct_l"}
 
 class ConfigError(Exception):
     """Bad experiment configuration or unresolvable inputs."""
-
-
-@dataclass
-class ExperimentConfig:
-    """The typed view of a checked config document, None where it leaves out
-    a key that has no default; meta is the document with its defaults filled."""
-
-    chain: str
-    strategy: str
-    iterations: int
-    seeds: list
-    noise: NoiseConfig
-    optimizer: DirectConfig
-    gradient: GradientConfig
-    init_hypercube: object
-    init_variance: float
-    probe_set_size: int
-    probe_seed: int
-    joint_limits: object
-    fov: FovConfig
-    meta: dict
 
 
 @dataclass
@@ -425,16 +404,14 @@ def _apply_override(doc: dict, text: str) -> None:
 def _pairs(value) -> bool:
     """value is a non-empty list of [lo, hi] rows of numbers with lo <= hi."""
     return isinstance(value, (list, tuple)) and len(value) > 0 and all(
-        isinstance(row, (list, tuple)) and len(row) == 2 and all(map(is_number, row))
-        and row[0] <= row[1] for row in value)
+        _numbers(row, 2) and row[0] <= row[1] for row in value)
 
 
 _COUNT = ("an integer >= 1", lambda v: type(v) is int and v >= 1)
 _NATURAL = ("an integer >= 0", lambda v: type(v) is int and v >= 0)
 _POSITIVE = ("a number in (0, inf)", lambda v: is_number(v) and v > 0)
 _NON_NEGATIVE = ("a number in [0, inf)", lambda v: is_number(v) and v >= 0)
-_VECTOR = ("a list of 3 numbers",
-           lambda v: isinstance(v, (list, tuple)) and len(v) == 3 and all(map(is_number, v)))
+_VECTOR = ("a list of 3 numbers", lambda v: _numbers(v, 3))
 _PAIRS = "a list of [lo, hi] rows of numbers with lo <= hi"
 
 # The fields of each line type after the meta line, as write_records writes them.
@@ -472,6 +449,11 @@ _REQUIRED = {"chain", "strategy", "iterations", "seeds", "gradient.learning_rate
              "fov.camera_position", "fov.axis", "fov.half_angle"}
 _SECTIONS = {"noise": NoiseConfig, "optimizer": DirectConfig, "gradient": GradientConfig,
              "fov": FovConfig}
+# The typed view of a checked config document, one field per _CONFIG key,
+# None where it leaves out a key that has no default; meta is the document
+# with its defaults filled.
+ExperimentConfig = dataclasses.make_dataclass("ExperimentConfig", [*_CONFIG, "meta"],
+                                              namespace={"__module__": __name__})
 # The value of each key a document may leave out; noise is filled key by key.
 _DEFAULTS = {"noise": dataclasses.asdict(NoiseConfig()), "init_hypercube": [-1.0, 1.0],
              "init_variance": 1.0, "probe_set_size": 100, "probe_seed": 0}

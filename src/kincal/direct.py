@@ -99,8 +99,8 @@ class DirectConfig:
             b = np.asarray(self.bounds, dtype=float)
             if b.ndim != 2 or b.shape[1] != 2 or b.shape[0] < 1:
                 raise ValueError("bounds must be a non-empty sequence of (low, high) pairs")
-            if not (b[:, 0] < b[:, 1]).all():
-                raise ValueError("each bound must satisfy low < high")
+            if not (np.isfinite(b).all() and (b[:, 0] < b[:, 1]).all()):
+                raise ValueError("each bound must satisfy finite low < high")
             self.bounds = b
 
 

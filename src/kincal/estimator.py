@@ -78,8 +78,8 @@ class NoiseConfig:
     stabilizing_variance: float = 0.0
 
     def __post_init__(self):
-        if not (self.obs_variance >= 0 and self.stabilizing_variance >= 0):
-            raise ValueError("variances must be non-negative")
+        if not (0 <= self.obs_variance < np.inf and 0 <= self.stabilizing_variance < np.inf):
+            raise ValueError("variances must be finite and non-negative")
 
 
 @dataclass
@@ -88,10 +88,10 @@ class GradientConfig:
     decay: float = 0.0
 
     def __post_init__(self):
-        if not self.learning_rate > 0:
-            raise ValueError("learning_rate must be positive")
-        if not self.decay >= 0:
-            raise ValueError("decay must be non-negative")
+        if not 0 < self.learning_rate < np.inf:
+            raise ValueError("learning_rate must be finite and positive")
+        if not 0 <= self.decay < np.inf:
+            raise ValueError("decay must be finite and non-negative")
 
     def rate_at(self, step: int) -> float:
         """Effective learning rate at a 0-based update count."""
@@ -240,7 +240,11 @@ def prediction_error(means, configs, targets, model):
     if len(configs) == 0:
         raise ValueError("prediction_error needs a non-empty probe set")
     means = np.asarray(means, dtype=float)
-    residuals = targets - model.predict_batch(means, configs)
+    predictions = model.predict_batch(means, configs)
+    if np.shape(targets) != predictions.shape[-2:]:
+        raise ValueError(f"targets of shape {np.shape(targets)} do not match the "
+                         f"predictions' {predictions.shape[-2:]}")
+    residuals = targets - predictions
     totals = np.sum(residuals * residuals, axis=(-2, -1))
     rms = np.sqrt(totals / len(configs))
     return float(rms) if means.ndim == 1 else rms

@@ -70,10 +70,11 @@ class GroundTruth:
         n = self.params.n_joints
         if self.joint_limits.shape != (n, 2):
             raise ValueError(f"joint_limits must be ({n}, 2)")
-        if not (self.joint_limits[:, 0] <= self.joint_limits[:, 1]).all():
-            raise ValueError("joint limits need low <= high")
-        if not self.obs_variance >= 0:
-            raise ValueError("obs_variance must be non-negative")
+        if not (np.isfinite(self.joint_limits).all()
+                and (self.joint_limits[:, 0] <= self.joint_limits[:, 1]).all()):
+            raise ValueError("joint limits need finite low <= high")
+        if not 0 <= self.obs_variance < np.inf:
+            raise ValueError("obs_variance must be finite and non-negative")
         for i, t in enumerate(self.params.twists):
             if abs(np.linalg.norm(t.w) - 1.0) > 1e-6:
                 raise ValueError(f"joint {i}: ground-truth axis must be unit norm")

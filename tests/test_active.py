@@ -281,6 +281,9 @@ class TestSelectNext:
         with pytest.raises(ValueError, match="low < high"):
             SelectionProblem(problem.state, problem.model, problem.noise,
                              [[0.0, 0.0], [-1.0, 1.0], [-1.0, 1.0]])
+        with pytest.raises(ValueError, match="finite"):
+            SelectionProblem(problem.state, problem.model, problem.noise,
+                             [[-np.inf, 1.0], [-1.0, 1.0], [-1.0, 1.0]])
 
     def test_rejects_optimizer_bounds(self):
         state = EstimatorState(np.zeros(1), np.eye(1))

@@ -390,6 +390,9 @@ class TestMinimize:
             DirectConfig(bounds=[(1.0, 0.0)])
         with pytest.raises(ValueError):
             DirectConfig(bounds=[])
+        # an infinite box would have DIRECT evaluate f at inf
+        with pytest.raises(ValueError):
+            DirectConfig(bounds=[(0.0, math.inf)], max_evaluations=5)
         with pytest.raises(ValueError):
             minimize(sphere, DirectConfig(max_evaluations=5))
 

@@ -401,6 +401,15 @@ class TestPredictionError:
         with pytest.raises(ValueError):
             prediction_error(np.zeros(2), np.zeros((0, 1)), np.zeros((0, 3)), ZeroModel(2))
 
+    @pytest.mark.parametrize("shape", [(1, 3), (5, 1)])
+    def test_targets_must_match_predictions(self, shape):
+        # numpy would broadcast these against the (5, 3) predictions
+        chain = builtin_chain("planar3").params
+        configs = np.random.default_rng(3).uniform(-1.0, 1.0, size=(5, 3))
+        with pytest.raises(ValueError, match="do not match"):
+            prediction_error(chain.to_vector(), configs, np.zeros(shape),
+                             ChainObservationModel.from_chain(chain))
+
     @pytest.mark.parametrize("name", FIXTURE_NAMES + ("random",))
     def test_stack_matches_single_calls(self, name, perturbed_stack):
         rng = np.random.default_rng(89)

@@ -383,16 +383,20 @@ class TestGroundTruthValidation:
             GroundTruth(params, np.tile([-1.0, 1.0], (3, 1)), obs_variance=-1.0)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
 @pytest.mark.parametrize("build", [
-    lambda: NoiseConfig(obs_variance=math.nan),
-    lambda: NoiseConfig(stabilizing_variance=math.nan),
-    lambda: GradientConfig(learning_rate=math.nan),
-    lambda: GradientConfig(learning_rate=0.1, decay=math.nan),
-    lambda: GroundTruth(builtin_chain("planar3").params, np.tile([-1.0, 1.0], (3, 1)),
-                        obs_variance=math.nan),
+    lambda bad: NoiseConfig(obs_variance=bad),
+    lambda bad: NoiseConfig(stabilizing_variance=bad),
+    lambda bad: GradientConfig(learning_rate=bad),
+    lambda bad: GradientConfig(learning_rate=0.1, decay=bad),
+    lambda bad: GroundTruth(builtin_chain("planar3").params, np.tile([-1.0, 1.0], (3, 1)),
+                            obs_variance=bad),
+    lambda bad: GroundTruth(builtin_chain("planar3").params,
+                            [[-1.0, 1.0], [-1.0, 1.0], [-1.0, bad]]),
 ], ids=["obs_variance", "stabilizing_variance", "learning_rate", "decay",
-        "ground_truth_obs_variance"])
-def test_library_configs_reject_nan(build):
-    # NaN fails every comparison, so each check is written to fail on it
+        "ground_truth_obs_variance", "ground_truth_joint_limits"])
+def test_library_configs_reject_non_finite(build, bad):
+    # NaN fails every comparison and inf passes the sign checks, so each
+    # check is written to fail on both
     with pytest.raises(ValueError):
-        build()
+        build(bad)
