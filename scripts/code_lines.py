@@ -5,16 +5,17 @@ lines, then their sums. A code line holds a token that is neither a
 comment nor part of a docstring (the leading string of a module, class or
 function), so blank lines, comments and docstrings do not count.
 
-Usage: python3 scripts/code_lines.py [PACKAGE_DIR]   (default: src/kincal)
+Usage: python3 scripts/code_lines.py   (from any working directory)
 """
 
-import argparse
 import ast
+import io
 import pathlib
 import tokenize
 
+_PACKAGE = pathlib.Path(__file__).resolve().parent.parent / "src" / "kincal"
 _NOT_CODE = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,
-             tokenize.DEDENT, tokenize.ENCODING, tokenize.ENDMARKER}
+             tokenize.DEDENT, tokenize.ENDMARKER}
 
 
 def _docstring_lines(tree) -> set:
@@ -33,21 +34,15 @@ def count(path: pathlib.Path) -> tuple:
     """(total lines, code lines) of one Python source file."""
     source = path.read_text()
     code = set()
-    with path.open("rb") as fh:
-        for tok in tokenize.tokenize(fh.readline):
-            if tok.type not in _NOT_CODE:
-                code.update(range(tok.start[0], tok.end[0] + 1))
+    for tok in tokenize.generate_tokens(io.StringIO(source).readline):
+        if tok.type not in _NOT_CODE:
+            code.update(range(tok.start[0], tok.end[0] + 1))
     code -= _docstring_lines(ast.parse(source))
     return len(source.splitlines()), len(code)
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("package", nargs="?", default="src/kincal",
-                        help="directory of the modules to count")
-    args = parser.parse_args(argv)
-    rows = [(path.name, *count(path))
-            for path in sorted(pathlib.Path(args.package).glob("*.py"))]
+def main() -> int:
+    rows = [(path.name, *count(path)) for path in sorted(_PACKAGE.glob("*.py"))]
     rows.append(("total", sum(r[1] for r in rows), sum(r[2] for r in rows)))
     print(f"{'module':<16}{'lines':>8}{'code':>8}")
     for name, total, code in rows:
