@@ -34,9 +34,9 @@ import numpy as np
 
 from .active import SelectionProblem, select_next
 from .direct import VARIANTS, DirectConfig
-from .estimator import (DegenerateUpdateError, EstimatorState, GradientConfig,
+from .estimator import (DegenerateUpdateError, EstimatorState, GradientConfig, Innovation,
                         NoiseConfig, apply_stabilizing_noise, gradient_update,
-                        prediction_error, rls_update)
+                        kalman_terms, prediction_error, rls_update)
 from .fov import FovConfig
 from .kinematics import ChainObservationModel, _numbers, is_number, load_chain
 from .sim import (DEFAULT_JOINT_LIMIT, FIXTURE_NAMES, GroundTruth, builtin_chain,
@@ -45,6 +45,7 @@ from .sim import (DEFAULT_JOINT_LIMIT, FIXTURE_NAMES, GroundTruth, builtin_chain
 logger = logging.getLogger(__name__)
 
 STRATEGIES = ("random_rls", "random_gradient", "active_rls")
+_RLS_STRATEGIES = ("random_rls", "active_rls")
 
 ORIENTATION_THRESHOLD = 0.05   # rad
 LOCATION_THRESHOLD = 0.02      # m
@@ -126,15 +127,24 @@ def _probe_set(gt: GroundTruth, size: int, probe_seed: int):
                       f"of {size * _PROBE_ATTEMPT_FACTOR} draws in view, {size} needed")
 
 
-def _run_seed(cfg: ExperimentConfig, gt: GroundTruth, model, probes, box, seed: int):
-    """One seed's (steps, errors): per iteration, (q, y or None, (cost,
-    selection seconds), both None without a selection) and (orientation,
-    location, prediction). An active update takes the innovation row of
-    its selection; steps keep none of it.
+def _run_seed(cfg: ExperimentConfig, gt: GroundTruth, model, probes, box, seed: int,
+              observe: bool):
+    """One seed as an ask/tell generator that yields once per iteration.
+
+    Each iteration draws or selects q and measures there. A random
+    strategy whose measurement was accepted yields its request (mean,
+    covariance or None for gradient descent, q), and send takes back the
+    linearization at (mean, q): a one-entry Innovation under RLS,
+    (predicted, Jacobian) under gradient descent. Otherwise the iteration
+    yields None and send takes None: a rejected measurement has nothing
+    to update with, and an active update takes the innovation row of its
+    selection. When the iterations are spent it returns the seed's
+    records and, with observe, its (q, y, accepted) dicts.
 
     Scoring feeds nothing back, so the errors come in blocks of
-    _SCORE_BLOCK iterations, one metrics and prediction_error call each;
-    it stays in the loop, where a run's iterations are timed."""
+    _SCORE_BLOCK iterations, one metrics and prediction_error call each,
+    and each block becomes records at once; it stays in the loop, where a
+    run's iterations are timed."""
     dim = 6 * gt.n_joints
     init_rng, config_rng, noise_rng = (make_rng(ss)
                                        for ss in np.random.SeedSequence(seed).spawn(3))
@@ -144,10 +154,9 @@ def _run_seed(cfg: ExperimentConfig, gt: GroundTruth, model, probes, box, seed: 
     if cfg.strategy != "random_gradient":
         state = EstimatorState(mean, cfg.init_variance * np.eye(dim))
 
-    steps = []
-    errors = []
-    block_means = []
-    updates = 0
+    records, observations = [], []
+    block = []          # (iteration, mean, selection, rejections) of the unscored iterations
+    updates = rejections = 0
     for iteration in range(1, cfg.iterations + 1):
         innovation, selection = None, (None, None)
         if cfg.strategy == "active_rls":
@@ -160,66 +169,111 @@ def _run_seed(cfg: ExperimentConfig, gt: GroundTruth, model, probes, box, seed: 
             q = random_config(gt, config_rng)
 
         y = measure(gt, q, noise_rng)
-        if y is not None:
-            if cfg.strategy == "random_gradient":
-                mean = gradient_update(mean, q, y, cfg.gradient, model, step=updates)
+        if y is None or innovation is not None:
+            yield None
+        else:
+            innovation = yield mean, None if state is None else state.covariance, q
+        if y is None:
+            rejections += 1
+        elif cfg.strategy == "random_gradient":
+            mean = gradient_update(mean, q, y, cfg.gradient, model, updates, innovation)
+            updates += 1
+        else:
+            try:
+                state = rls_update(state, q, y, cfg.noise, model, innovation)
                 updates += 1
-            else:
-                try:
-                    state = rls_update(state, q, y, cfg.noise, model, innovation)
-                    updates += 1
-                    if (cfg.noise.stabilizing_variance > 0.0
-                            and updates % _STABILIZING_PERIOD == 0):
-                        state = apply_stabilizing_noise(state, cfg.noise)
-                except DegenerateUpdateError:
-                    logger.warning("seed %d iteration %d: degenerate update skipped",
-                                   seed, iteration)
-                mean = state.mean
+                if cfg.noise.stabilizing_variance > 0.0 and updates % _STABILIZING_PERIOD == 0:
+                    state = apply_stabilizing_noise(state, cfg.noise)
+            except DegenerateUpdateError:
+                logger.warning("seed %d iteration %d: degenerate update skipped",
+                               seed, iteration)
+            mean = state.mean
+        if observe:
+            observations.append({"seed": seed, "iteration": iteration,
+                                 "q": [float(a) for a in q],
+                                 "y": None if y is None else [float(a) for a in y],
+                                 "accepted": y is not None})
 
-        steps.append((q, y, selection))
-        block_means.append(mean)
-        if len(block_means) == _SCORE_BLOCK or iteration == cfg.iterations:
-            means = np.stack(block_means)
+        block.append((iteration, mean, selection, rejections))
+        if len(block) == _SCORE_BLOCK or iteration == cfg.iterations:
+            means = np.stack([entry[1] for entry in block])
             orientation, location = metrics(means, gt)
-            errors += zip(orientation.tolist(), location.tolist(),
-                          prediction_error(means, *probes, model).tolist())
-            block_means = []
-    return steps, errors
+            errors = zip(orientation.tolist(), location.tolist(),
+                         prediction_error(means, *probes, model).tolist())
+            records += (ExperimentRecord(seed, i, *error, *selection, rejected)
+                        for (i, _, selection, rejected), error in zip(block, errors))
+            block = []
+    return records, observations
+
+
+def _linearize_round(cfg: ExperimentConfig, model, requests: dict) -> dict:
+    """seed -> the reply to its request (see _run_seed), for a round's
+    requests (seed -> (mean, covariance, q)): one linearize call over the
+    stack of means, one configuration each, and under RLS one kalman_terms
+    call over the stack of covariances. Every row has the bits of its own
+    call."""
+    if not requests:
+        return {}
+    means, covariances, configs = zip(*requests.values())
+    predicted, jac = model.linearize(np.stack(means), np.stack(configs))
+    if cfg.strategy == "random_gradient":
+        return dict(zip(requests, zip(predicted, jac)))
+    stack = Innovation(predicted, jac, *kalman_terms(np.stack(covariances), jac,
+                                                     cfg.noise.obs_variance))
+    return {seed: stack.row(i) for i, seed in enumerate(requests)}
 
 
 def run_experiment(cfg: ExperimentConfig, failures: list = None,
                    observations: list = None) -> list:
-    """All seeds sequentially. A degenerate gradient update fails its
-    seed as a failure entry; a degenerate recursive least-squares update
-    is logged and skipped, and its seed runs on. observations, if a
-    list, gets (q, y, accepted) dicts.
+    """All seeds in lockstep rounds. A degenerate gradient update fails
+    its seed as a failure entry; a degenerate recursive least-squares
+    update is logged and skipped, and its seed runs on. observations, if
+    a list, gets (q, y, accepted) dicts.
 
-    Seeds are independent of one another (records depend only on
-    (config, seed)), so they could equally run in parallel and be merged
-    by (seed, iteration).
+    Each round resumes every running seed in cfg.seeds order for one
+    iteration (see _run_seed), then answers the round's requests with one
+    stacked linearization. Records depend only on (config, seed), and
+    records, failures and observations come in cfg.seeds order, each
+    seed's in iteration order, as if the seeds had run one by one.
     """
     gt = resolve_ground_truth(cfg)
     model = ChainObservationModel.from_chain(gt.params)
     probes = _probe_set(gt, cfg.probe_set_size, cfg.probe_seed)
     box = _resolve_box(cfg.init_hypercube, 6 * gt.n_joints, "init_hypercube")
+    # a model per seed: its term cache keeps the seed's mean between
+    # selections, which a rejected measurement leaves unchanged
+    running = {seed: _run_seed(cfg, gt, ChainObservationModel.from_chain(gt.params), probes,
+                               box, seed, observations is not None)
+               for seed in cfg.seeds}
+    finished, failed = {}, {}   # seed -> (records, observations), seed -> failure entry
+    replies = {}
+    while running:
+        requests = {}
+        for seed, run in running.items():
+            try:
+                request = run.send(replies.get(seed))
+            except StopIteration as done:
+                finished[seed] = done.value
+            except DegenerateUpdateError as exc:
+                logger.error("seed %d failed: %s", seed, exc)
+                failed[seed] = {"seed": seed, "error": str(exc)}
+            else:
+                if request is not None:
+                    requests[seed] = request
+        running = {seed: run for seed, run in running.items()
+                   if seed not in finished and seed not in failed}
+        replies = _linearize_round(cfg, model, requests)
+
     records = []
     for seed in cfg.seeds:
-        try:
-            steps, errors = _run_seed(cfg, gt, model, probes, box, seed)
-        except DegenerateUpdateError as exc:
-            logger.error("seed %d failed: %s", seed, exc)
+        if seed in failed:
             if failures is not None:
-                failures.append({"seed": seed, "error": str(exc)})
+                failures.append(failed[seed])
             continue
-        rejections = itertools.accumulate(int(y is None) for _, y, _ in steps)
-        for iteration, ((q, y, selection), error, rejected) in enumerate(
-                zip(steps, errors, rejections), 1):
-            records.append(ExperimentRecord(seed, iteration, *error, *selection, rejected))
-            if observations is not None:
-                observations.append({"seed": seed, "iteration": iteration,
-                                     "q": [float(a) for a in q],
-                                     "y": None if y is None else [float(a) for a in y],
-                                     "accepted": y is not None})
+        seed_records, seed_observations = finished[seed]
+        records += seed_records
+        if observations is not None:
+            observations += seed_observations
     return records
 
 
@@ -495,6 +549,12 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
         elif key in doc:
             raise ConfigError(f"the {key} section is read only by {strategy}, "
                               f"not by {doc['strategy']}")
+    # with R = 0 the filter's covariance turns indefinite after d/3 updates
+    # and every later update is skipped
+    variance = doc["noise"]["obs_variance"]
+    if doc["strategy"] in _RLS_STRATEGIES and not _POSITIVE[1](variance):
+        raise ConfigError(f"noise.obs_variance must be {_POSITIVE[0]} under "
+                          f"{doc['strategy']}, got {variance!r}")
     try:
         typed = {key: _SECTIONS[key](**value) if key in _SECTIONS else value
                  for key, value in doc.items()}

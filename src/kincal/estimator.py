@@ -15,17 +15,18 @@ Two updates over the same observation model:
     inverse per stack entry in place of a solve against all d columns
     of H P. An S that fails the gate, numerically singular ones
     included, is degenerate: no repair is tried. The terms come as an
-    Innovation stack, and an update given the selection's row for its
-    configuration reuses it: no second kernel or kalman_terms call.
+    Innovation stack, and an update given its row, from a selection or
+    from a stacked call over several estimators, reuses it: no kernel or
+    kalman_terms call of its own.
   * gradient_update: plain stochastic gradient on the squared residual,
-    kept as a baseline. No covariance.
+    kept as a baseline. No covariance. It too may be given its
+    linearization.
 
 Models are duck-typed: anything with predict(x, q) and jacobian(x, q);
 prediction_error also needs predict_batch(x, configs), which takes a
-stack of parameter vectors when prediction_error is given one. Both
-updates, when rls_update is not given an Innovation row, ask for the
-Jacobian first and then the prediction at the same (x, q), so a model
-can answer the second from the linearization behind the first.
+stack of parameter vectors when prediction_error is given one. An update
+that is given no linearization asks the model for the Jacobian and the
+prediction at (x, q), one call each.
 Observations may have any dimension; the chain model returns 3-vectors.
 """
 
@@ -130,9 +131,11 @@ def _solve_innovation(s, rhs):
 
 def kalman_terms(cov, jac, obs_variance):
     """(H P, S^-1 H P, ok mask of _solve_innovation) for a (k, m, d) stack
-    of Jacobians H and one covariance P, with S = H P H^T + obs_variance I
-    symmetrized. Products are taken per stack entry, so an entry's terms
-    do not depend on the rest of the stack."""
+    of Jacobians H and one covariance P, or a (k, d, d) stack of them,
+    one per Jacobian, with S = H P H^T + obs_variance I symmetrized.
+    Products are taken per stack entry, so an entry's terms do not
+    depend on the rest of the stack: a stack in which some S fails the
+    gate still gives every other entry the bits of its own call."""
     cov_ht = cov @ jac.transpose(0, 2, 1)
     s = jac @ cov_ht + obs_variance * np.eye(jac.shape[1])
     s = 0.5 * (s + s.transpose(0, 2, 1))
@@ -180,9 +183,10 @@ def rls_update(state: EstimatorState, q, y, noise: NoiseConfig, model,
     has m as one of its dimensions, O(d^2 m) in all for d parameters.
 
     innovation, when given, is the one-entry Innovation of (state, q)
-    under noise.obs_variance, as selection scored it; the step then
-    calls neither the model nor kalman_terms. Without it the model is
-    linearized at (state.mean, q), which gives the same terms.
+    under noise.obs_variance, as selection scored it or a stacked
+    linearization gave it; the step then calls neither the model nor
+    kalman_terms. Without it the model is linearized at (state.mean, q),
+    which gives the same terms.
     """
     mean = state.mean
     cov = state.covariance
@@ -219,11 +223,16 @@ def apply_stabilizing_noise(state: EstimatorState, noise: NoiseConfig) -> Estima
     return EstimatorState(state.mean.copy(), cov)
 
 
-def gradient_update(mean, q, y, cfg: GradientConfig, model, step: int = 0) -> np.ndarray:
-    """One gradient step x + rate * H^T (y - h(x, q)) on the residual."""
+def gradient_update(mean, q, y, cfg: GradientConfig, model, step: int = 0,
+                    linearization=None) -> np.ndarray:
+    """One gradient step x + rate * H^T (y - h(x, q)) on the residual.
+    linearization, when given, is (h(x, q), H) and the model is not called."""
     mean = np.asarray(mean, dtype=float)
-    jac = np.atleast_2d(np.asarray(model.jacobian(mean, q), dtype=float))
-    residual = _observation(y, jac) - model.predict(mean, q)
+    if linearization is None:
+        linearization = model.predict(mean, q), model.jacobian(mean, q)
+    predicted, jac = linearization
+    jac = np.atleast_2d(np.asarray(jac, dtype=float))
+    residual = _observation(y, jac) - predicted
     with np.errstate(over="ignore", invalid="ignore"):
         new_mean = mean + cfg.rate_at(step) * (jac.T @ residual)
     if not np.isfinite(new_mean).all():

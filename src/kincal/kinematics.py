@@ -19,7 +19,8 @@ configuration: it builds the blocks and composes them with no loop over
 joints, by a strided tree for positions and by one Hillis-Steele scan for
 Jacobians, which also gives every joint's prefix rotation, so that
 positions have the same bits either way. Positions also take a stack of
-parameter vectors, one block of configurations for each; every row gives
+parameter vectors, one block of configurations for each, and
+linearizations a stack with one configuration per vector; every row gives
 the same bits as the row alone.
 ChainObservationModel keeps the first part for the last parameter vector
 it saw. twist_exp is the scalar reference the kernel is checked against.
@@ -266,8 +267,9 @@ def _chain_terms(terms: _TwistTerms, zero_translation, Q, jacobian=False):
     at the all-zero configuration. Returns the positions (m, 3); with
     jacobian=True returns (positions, Jacobians (m, 3, 6n) w.r.t. x).
     Positions also take the terms of a stack (..., 6n) of parameter
-    vectors and return (..., m, 3), the block Q for every vector; the
-    Jacobians take one vector and raise ValueError on a stack.
+    vectors and return (..., m, 3), the block Q for every vector. With
+    Jacobians, a stack (m, 6n) gives each vector its own configuration,
+    the row of Q with its index.
 
     Joint i moves by R_i = exp(skew(w_i) q_i) and
     t_i = (I - R_i)(w_i x v_i) + q_i w_i (w_i . v_i), or by the pure
@@ -293,7 +295,9 @@ def _chain_terms(terms: _TwistTerms, zero_translation, Q, jacobian=False):
     Jacobians. Every product is one 4x4 (or 3x3, or coefficient row)
     product per entry, so a configuration's bits do not depend on the
     block it comes in, and each row of a stack keeps the bits of its
-    own call.
+    own call. The Jacobian path lays the terms out joints first, then a
+    row axis: of size 1 for one vector, broadcast over the block, and of
+    size m for a stack, matched row by row.
 
     The blocks of joint i are
         d/dw_i = P_i (D(s_{i+1} - w x v) + (R - I) skew(v) + q ((w . v) I + w v^T))
@@ -314,14 +318,23 @@ def _chain_terms(terms: _TwistTerms, zero_translation, Q, jacobian=False):
         raise ValueError(f"expected {6 * n} parameters for {n} joints, got {6 * t.n}")
     if not np.isfinite(Q).all():
         raise ValueError("joint angles must be finite")
-    if jacobian and t.norm.ndim != 1:
-        raise ValueError("Jacobians take one parameter vector, not a stack")
-    if jacobian and t.jac_gen is None:
+    if not jacobian:
+        # joints, then a row axis of 1 that serves the whole block; a
+        # stack's axes lead
+        norm, gen = t.norm[..., None], t.gen[..., None, :, :]
+    elif t.jac_gen is None:
         raise ValueError("these terms were built for positions only")
+    elif t.norm.ndim == 1:
+        # joints first, then a row axis of 1 that serves the whole block
+        norm, wxv, gen, jac_gen = (a[:, None] for a in t[1:])
+    elif t.norm.shape[:-1] == (m,):
+        # joints first, then one row per configuration of the stack
+        norm, wxv, gen, jac_gen = (a.swapaxes(0, 1) for a in t[1:])
+    else:
+        raise ValueError(f"Jacobians take one parameter vector or a stack of {m}, one per "
+                         f"configuration; got a stack of shape {t.norm.shape[:-1]}")
 
-    # joints before configurations: (..., n, m), the terms of a stack
-    # adding their leading axes in front
-    angle = t.norm[..., None] * Q.T
+    angle = norm * Q.T                                  # (..., n, m)
     # coefficients q cos, q sin (Jacobians only), then sin, vers, q and 1
     coef = np.empty(angle.shape + (6,))
     sin = np.sin(angle, out=coef[..., 2])
@@ -330,7 +343,7 @@ def _chain_terms(terms: _TwistTerms, zero_translation, Q, jacobian=False):
     coef[..., 4] = Q.T
     coef[..., 5] = 1.0
     flat = np.empty(angle.shape[:-2] + (n + 1, m, 16))
-    np.matmul(coef[..., None, 2:], t.gen[..., None, :, :], out=flat[..., :n, :, None, :])
+    np.matmul(coef[..., None, 2:], gen, out=flat[..., :n, :, None, :])
     blocks = flat.reshape(flat.shape[:-1] + (4, 4))       # (..., n + 1, m, 4, 4)
     blocks[..., n, :, :, :] = _EYE4
     blocks[..., n, :, :3, 3] = zero_translation
@@ -348,11 +361,11 @@ def _chain_terms(terms: _TwistTerms, zero_translation, Q, jacobian=False):
     prefix = rot[0] @ rot.swapaxes(-1, -2)              # P_i (n, m, 3, 3)
     np.multiply(coef[..., 4], cos, out=coef[..., 0])
     np.multiply(coef[..., 4], sin, out=coef[..., 1])
-    z = blocks[1:, :, :3, 3] - t.wxv[:, None, :]      # s_{i+1} - w x v (n, m, 3)
+    z = blocks[1:, :, :3, 3] - wxv                    # s_{i+1} - w x v (n, m, 3)
     u = np.empty((n, m, 5, 3))                         # jac_gen's coefficients
     np.multiply(coef[..., :4, None], z[..., None, :], out=u[..., :4, :])
     u[..., 4, :] = coef[..., 2:5]
-    d = u.reshape(n, m, 1, 15) @ t.jac_gen[:, None, :, :]
+    d = u.reshape(n, m, 1, 15) @ jac_gen
     jac = prefix @ d.reshape(n, m, 3, 6)                # (n, m, 3, 6)
     return blocks[0, :, :3, 3], jac.transpose(1, 2, 0, 3).reshape(m, 3, 6 * n)
 
@@ -391,16 +404,12 @@ class ChainObservationModel:
 
     The zero pose is fixed and known; only the 6n twist entries are
     estimated. predict/jacobian is the interface the estimators expect;
-    linearize is the batched form that selection scores candidates with.
-    The model keeps the _twist_terms of the last x it saw, matched bit for
-    bit, so the sweeps of one selection and an update, which all
-    linearize about one mean, compute them once. A stack of parameter
-    vectors (predict_batch only) gets fresh terms and leaves the kept
-    ones in place. The model also keeps the position its last jacobian
-    call computed, so an update that asks for the Jacobian and then the
-    prediction at the same (x, q) makes one kernel call; an active
-    update asks for neither, since it is handed the innovation row that
-    its selection's linearize call gave.
+    linearize is the batched form that selection scores candidates with,
+    and that the experiment driver linearizes a round's seeds with, one
+    mean per configuration. The model keeps the _twist_terms of the last
+    x it saw, matched bit for bit, so the sweeps of one selection, which
+    all linearize about one mean, compute them once. A stack of
+    parameter vectors gets fresh terms and leaves the kept ones in place.
     """
 
     def __init__(self, zero_pose: Pose, n_joints: int):
@@ -408,16 +417,15 @@ class ChainObservationModel:
         self.n_joints = n_joints
         self._key = None        # (shape, bytes) of the last x seen
         self._terms = None      # and its _twist_terms
-        self._position = (None, None)   # ((x key, q bytes), position) of the last jacobian
 
     @classmethod
     def from_chain(cls, params: ChainParams) -> "ChainObservationModel":
         return cls(params.zero_pose, params.n_joints)
 
-    def _terms_of(self, x) -> _TwistTerms:
+    def _terms_of(self, x, jacobian=True) -> _TwistTerms:
         x = np.asarray(x, dtype=float)
         if x.ndim > 1:
-            return _twist_terms(x, False)
+            return _twist_terms(x, jacobian)
         key = (x.shape, x.tobytes())
         if key != self._key:
             self._terms = _twist_terms(x)
@@ -425,26 +433,21 @@ class ChainObservationModel:
         return self._terms
 
     def predict(self, x, q) -> np.ndarray:
-        terms = self._terms_of(x)
-        q = _one_config(q, self.n_joints)
-        key, position = self._position
-        if key == (self._key, q.tobytes()):
-            return position.copy()
-        return _chain_terms(terms, self.zero_pose.translation, q)[0]
+        return _chain_terms(self._terms_of(x), self.zero_pose.translation,
+                            _one_config(q, self.n_joints))[0]
 
     def jacobian(self, x, q) -> np.ndarray:
-        q = _one_config(q, self.n_joints)
-        positions, jac = self.linearize(x, q)
-        self._position = ((self._key, q.tobytes()), positions[0])
-        return jac[0]
+        return self.linearize(x, _one_config(q, self.n_joints))[1][0]
 
     def predict_batch(self, x, configs) -> np.ndarray:
         """Positions (m, 3) for an (m, n) block of configurations; for a
         stack (..., 6n) of parameter vectors, (..., m, 3)."""
-        return _chain_terms(self._terms_of(x), self.zero_pose.translation, configs)
+        return _chain_terms(self._terms_of(x, False), self.zero_pose.translation, configs)
 
     def linearize(self, x, configs):
-        """Positions (m, 3) and Jacobians (m, 3, 6n) for an (m, n) block of configurations."""
+        """Positions (m, 3) and Jacobians (m, 3, 6n) for an (m, n) block of
+        configurations, about one parameter vector x or, for an (m, 6n)
+        stack, about the row of x with each configuration's index."""
         return _chain_terms(self._terms_of(x), self.zero_pose.translation, configs,
                             jacobian=True)
 

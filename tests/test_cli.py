@@ -212,16 +212,23 @@ class TestRunExperiment:
                                                ("active_rls", PLANAR3_CONE),
                                                ("random_rls", None)])
     def test_active_updates_make_no_jacobian_call(self, monkeypatch, strategy, fov):
-        # an active update takes its selection's innovation row; only a
-        # random strategy's update linearizes the model itself
-        calls = []
-        jacobian = ChainObservationModel.jacobian
+        # an active update takes its selection's innovation row; a random
+        # strategy's updates take rows of one linearization per round, over
+        # the stack of the round's means. No update calls jacobian.
+        calls, stacked = [], []
+        jacobian, linearize = ChainObservationModel.jacobian, ChainObservationModel.linearize
 
         def counted(self, x, q):
             calls.append(q)
             return jacobian(self, x, q)
 
+        def counted_linearize(self, x, configs):
+            if np.ndim(x) == 2:
+                stacked.append(len(x))
+            return linearize(self, x, configs)
+
         monkeypatch.setattr(ChainObservationModel, "jacobian", counted)
+        monkeypatch.setattr(ChainObservationModel, "linearize", counted_linearize)
         doc = base_config(strategy=strategy, iterations=4, seeds=[0, 1])
         if strategy == "active_rls":
             doc["optimizer"] = {"max_evaluations": 15, "variant": "direct_l"}
@@ -230,31 +237,33 @@ class TestRunExperiment:
         observations = []
         assert len(run_experiment(config_from_dict(doc), observations=observations)) == 8
         accepted = sum(o["accepted"] for o in observations)
-        assert accepted > 0
-        assert len(calls) == (0 if strategy == "active_rls" else accepted)
+        assert accepted > 0 and calls == []
+        assert stacked == ([] if strategy == "active_rls" else [2] * 4)
+        assert sum(stacked) == (0 if strategy == "active_rls" else accepted)
 
     def test_steps_keep_no_sweep_arrays(self, monkeypatch):
-        # steps outlive their selection; they keep the cost and duration,
-        # and a q that owns its data, never the chosen innovation row
+        # a seed's results outlive its selections; its records keep the
+        # cost and duration as floats and its observations plain lists,
+        # never the chosen innovation row
         kept = []
         run_seed = kincal.cli._run_seed
 
         def keeping(*args):
-            steps, errors = run_seed(*args)
-            kept.extend(steps)
-            return steps, errors
+            records, observations = yield from run_seed(*args)
+            kept.append((records, observations))
+            return records, observations
 
         monkeypatch.setattr(kincal.cli, "_run_seed", keeping)
         doc = base_config(strategy="active_rls", iterations=4, seeds=[0],
                           optimizer={"max_evaluations": 15, "variant": "direct_l"},
                           fov=PLANAR3_CONE)
-        run_experiment(config_from_dict(doc))
-        assert len(kept) == 4
-        for q, y, selection in kept:
-            assert isinstance(q, np.ndarray) and q.base is None
-            assert y is None or (isinstance(y, np.ndarray) and y.shape == (3,))
-            assert type(selection) is tuple and len(selection) == 2
-            assert all(type(value) is float for value in selection)
+        run_experiment(config_from_dict(doc), observations=[])
+        [(records, observations)] = kept
+        assert len(records) == len(observations) == 4
+        for record, observation in zip(records, observations):
+            assert type(record.cost) is float and type(record.selection_seconds) is float
+            assert all(type(a) is float for a in observation["q"])
+            assert observation["y"] is None or all(type(a) is float for a in observation["y"])
 
     @pytest.mark.parametrize("variance, calls", [(1e-3, 2), (0.0, 0)])
     def test_stabilizing_noise_every_tenth_update(self, monkeypatch, variance, calls):
@@ -313,6 +322,42 @@ class TestRunExperiment:
         assert records == [r for r in longer if r.iteration <= iterations]
         assert all(type(getattr(r, field)) is float for r in longer
                    for field in ("orientation_error", "location_error", "prediction_error"))
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("extra, failed", [
+        ({}, []),
+        # seeds 2 and 0 diverge at iterations 6 and 7; 1 and 3 run on
+        ({"strategy": "random_gradient", "gradient": {"learning_rate": 2.0}}, [0, 2]),
+        # rejected measurements: rounds in which some seeds make no request
+        ({"fov": PLANAR3_CONE, "joint_limits": 3.14}, []),
+    ])
+    def test_seeds_in_lockstep_match_seeds_alone(self, tmp_path, extra, failed):
+        # the records, CSV rows and observations of seeds run together are
+        # those of each seed run alone, in seed order, failures after
+        # every record
+        def run(name, seeds):
+            config = tmp_path / f"{name}.json"
+            config.write_text(json.dumps(base_config(iterations=12, seeds=seeds, **extra)))
+            out, observed = tmp_path / f"{name}.jsonl", tmp_path / f"{name}.obs.jsonl"
+            main(["run", "--config", str(config), "--out", str(out),
+                  "--observations", str(observed)])
+            lines = out.read_text().splitlines()[1:]
+            return ([line for line in lines if '"type": "record"' in line],
+                    [line for line in lines if '"type": "failure"' in line],
+                    out.with_suffix(".csv").read_text().splitlines(),
+                    observed.read_text().splitlines())
+
+        seeds = [0, 1, 2, 3]
+        together = run("together", seeds)
+        alone = [run(f"alone-{seed}", [seed]) for seed in seeds]
+        assert together[0] == [line for one in alone for line in one[0]]
+        assert together[1] == [line for one in alone for line in one[1]]
+        assert together[2] == alone[0][2][:1] + [row for one in alone for row in one[2][1:]]
+        assert together[3] == [line for one in alone for line in one[3]]
+        assert [json.loads(line)["seed"] for line in together[1]] == failed
+        assert len(together[0]) == 12 * (len(seeds) - len(failed))
+        if "fov" in extra:
+            assert any('"accepted": false' in line for line in together[3])
 
     def test_chain_file_input(self, tmp_path):
         path = tmp_path / "chain.json"
@@ -560,6 +605,32 @@ class TestConfigParsing:
         err = capsys.readouterr().err
         assert "error:" in err and key in err and strategy in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("strategy", ["random_rls", "active_rls"])
+    def test_rls_strategies_refuse_a_zero_obs_variance(self, tmp_path, capsys, strategy):
+        # with R = 0 the filter's covariance turns indefinite and later
+        # updates are skipped: refused before any seed runs, and a record
+        # file whose meta line holds it does not read
+        noise = {"obs_variance": 0.0}
+        with pytest.raises(ConfigError, match=f"noise.obs_variance .*{strategy}"):
+            config_from_dict(base_config(strategy=strategy, noise=noise))
+        out = tmp_path / "r.jsonl"
+        assert main(["run", "--config", write_config(tmp_path, strategy=strategy, noise=noise),
+                     "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "error:" in err and "noise.obs_variance" in err and strategy in err
+        assert not out.exists()
+        meta = config_to_meta(config_from_dict(base_config(strategy=strategy)))
+        meta["noise"]["obs_variance"] = 0.0
+        out.write_text(json.dumps({"type": "meta", "config": meta}) + "\n")
+        with pytest.raises(ConfigError, match="noise.obs_variance"):
+            read_records(str(out))
+
+    def test_gradient_descent_accepts_a_zero_obs_variance(self):
+        cfg = config_from_dict(base_config(strategy="random_gradient",
+                                           noise={"obs_variance": 0.0}))
+        assert cfg.noise.obs_variance == 0.0
+        assert len(run_experiment(cfg)) == 6
 
     def test_readme_example_config_is_accepted(self):
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()

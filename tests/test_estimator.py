@@ -316,6 +316,25 @@ class TestInnovationSolve:
                 np.testing.assert_array_equal(stacked[i], own[0])
 
 
+    @pytest.mark.parametrize("failing", [None, 2])
+    def test_covariance_stack_entries_match_their_own_calls(self, failing):
+        # one covariance per Jacobian: each entry has the bits of its own
+        # call, also when one entry's S fails the gate and sends the stack
+        # entry by entry
+        rng = np.random.default_rng(19)
+        dim, k = 12, 6
+        covs = np.stack([random_spd(rng, dim, scale=0.01) for _ in range(k)])
+        jac = rng.normal(size=(k, 3, dim))
+        if failing is not None:
+            covs[failing] *= -1.0
+        hp, solved, ok = kalman_terms(covs, jac, 1e-4)
+        np.testing.assert_array_equal(ok, np.arange(k) != failing)
+        for i in range(k):
+            one = kalman_terms(covs[i], jac[i:i + 1], 1e-4)
+            for stacked, own in zip((hp, solved, ok), one):
+                np.testing.assert_array_equal(stacked[i], own[0])
+
+
 class TestStabilizingNoise:
     def test_adds_to_diagonal_only(self):
         rng = np.random.default_rng(8)
@@ -369,6 +388,20 @@ class TestGradientUpdate:
         model = LinearModel([np.eye(1)])
         out = gradient_update(np.zeros(1), 0, np.ones(1), cfg, model, step=2)
         np.testing.assert_allclose(out, [0.5])
+
+
+    def test_given_linearization_replaces_the_model(self):
+        rng = np.random.default_rng(23)
+        gt = builtin_chain("arm6")
+        model = ChainObservationModel.from_chain(gt.params)
+        x = gt.params.to_vector() + rng.normal(scale=0.05, size=36)
+        q = rng.uniform(-1.0, 1.0, 6)
+        y = model.predict(gt.params.to_vector(), q)
+        cfg = GradientConfig(learning_rate=0.05)
+        positions, jacs = model.linearize(x, q[None])
+        np.testing.assert_array_equal(
+            gradient_update(x, q, y, cfg, None, 3, (positions[0], jacs[0])),
+            gradient_update(x, q, y, cfg, model, 3))
 
 
 @pytest.mark.parametrize("y", [np.zeros(1), 0.0, np.zeros(4), np.zeros((1, 3))],

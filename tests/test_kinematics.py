@@ -328,32 +328,6 @@ class TestObservationModel:
         with pytest.raises(ValueError):
             model.linearize(x[:18], configs)
 
-    def test_predict_after_jacobian_reuses_its_positions(self, monkeypatch):
-        # an update asks for jacobian, then predict, at one (x, q): one
-        # kernel call, and the same bits as a fresh model's predict
-        rng = np.random.default_rng(67)
-        chain = random_chain(rng, 4)
-        model = ChainObservationModel.from_chain(chain)
-        x = rng.normal(size=24)
-        q = rng.uniform(-1.0, 1.0, 4)
-        kernel_calls = []
-
-        def counted(*args, **kwargs):
-            kernel_calls.append(kwargs.get("jacobian", False))
-            return _chain_terms(*args, **kwargs)
-
-        monkeypatch.setattr("kincal.kinematics._chain_terms", counted)
-        model.jacobian(x, q)
-        first = model.predict(x, q)
-        first[:] = np.nan                       # callers get a copy
-        np.testing.assert_array_equal(model.predict(x, q),
-                                      ChainObservationModel.from_chain(chain).predict(x, q))
-        assert kernel_calls == [True, False]    # the jacobian and the fresh model
-        # another configuration or parameter vector runs the kernel again
-        model.predict(x, q + 0.1)
-        model.predict(x + 0.1, q)
-        assert kernel_calls == [True, False, False, False]
-
     def test_predict_batch_matches_loop(self):
         rng = np.random.default_rng(53)
         chain = random_chain(rng, 5)
@@ -390,14 +364,35 @@ class TestStackedParameters:
         deeper = _chain_terms(_twist_terms(stack.reshape(2, -1, stack.shape[1])), zero, configs)
         np.testing.assert_array_equal(deeper.reshape(positions.shape), positions)
 
-    def test_jacobians_refuse_a_stack(self):
+    @pytest.mark.parametrize("name", FIXTURE_NAMES)
+    def test_linearize_rows_match_single_vectors(self, name, perturbed_stack):
+        # a stack linearizes each vector at its own configuration, and
+        # each row has the bits of its own one-vector call, rows with a
+        # zero and a 1e-13 axis among them
+        rng = np.random.default_rng(73)
+        chain = builtin_chain(name).params
+        rows = np.roll(perturbed_stack(rng, chain.to_vector(), rows=24), -1, axis=0)
+        for size in (1, 4, 24):
+            stack = rows[:size]
+            configs = rng.uniform(-2.0, 2.0, size=(size, chain.n_joints))
+            positions, jacs = ChainObservationModel.from_chain(chain).linearize(stack, configs)
+            assert positions.shape == (size, 3) and jacs.shape == (size, 3, stack.shape[1])
+            for x, q, position, jac in zip(stack, configs, positions, jacs):
+                alone = ChainObservationModel.from_chain(chain).linearize(x, q[None])
+                np.testing.assert_array_equal(alone[0][0], position)
+                np.testing.assert_array_equal(alone[1][0], jac)
+
+    def test_jacobians_take_one_configuration_per_vector(self):
         chain = random_chain(np.random.default_rng(73), 3)
         stack = np.tile(chain.to_vector(), (2, 1))
         with pytest.raises(ValueError, match="stack"):
             _chain_terms(_twist_terms(stack), chain.zero_pose.translation,
-                         np.zeros((1, 3)), jacobian=True)
+                         np.zeros((3, 3)), jacobian=True)
         with pytest.raises(ValueError, match="stack"):
-            ChainObservationModel.from_chain(chain).linearize(stack, np.zeros((1, 3)))
+            ChainObservationModel.from_chain(chain).linearize(stack[None], np.zeros((2, 3)))
+        with pytest.raises(ValueError, match="positions only"):
+            _chain_terms(_twist_terms(stack, False), chain.zero_pose.translation,
+                         np.zeros((2, 3)), jacobian=True)
         with pytest.raises(ValueError, match="multiple of 6"):
             _twist_terms(np.zeros((2, 17)))
 
