@@ -7,20 +7,31 @@ the posterior trace is the closed form
     tr(P) - sum((H P) * S^-1 (H P)),    S = H P H^T + R,
 whose terms come from estimator.kalman_terms, the innovation algebra
 rls_update applies: a Cholesky factorization gates S, then S is
-inverted. Each DIRECT sweep lists its candidates first, so a whole
-sweep is scored in one call: one kernel call for the predicted points
-and Jacobians, then one stacked Kalman-terms call over every candidate.
-A candidate costs 2 tr(P) when its predicted observation falls outside
-the field of view, when its S fails the innovation solve (not finite,
-or no Cholesky factor, as for a numerically singular S), or when its
-result is not finite. So visible candidates always win when any exist.
-Visibility decides only the cost: every candidate has its innovation
-row. select_next keeps every sweep's rows and hands the chosen one's,
-found by its trace index, to the update, which then runs with no
-kernel or Kalman-terms call of its own.
+inverted. A candidate costs 2 tr(P) when its predicted observation
+falls outside the field of view, when its S fails the innovation solve
+(not finite, or no Cholesky factor, as for a numerically singular S),
+or when its result is not finite. So visible candidates always win when
+any exist. Visibility decides only the cost: every candidate has its
+innovation row.
 
-Models provide linearize(x, configs), returning predicted points (k, m)
-and Jacobians (k, m, d) for a (k, n) block of configurations.
+Selections run in lockstep. select_lockstep takes a list of problems
+that share model, noise, field of view, optimizer and joint limits, and
+runs one direct.sweeps generator per problem. Each DIRECT sweep lists
+its candidates first, so at each step the live runs' blocks become one
+(k, n) block with a (k,) row -> problem index, scored in one
+lookahead_costs call: one kernel call about the stack of the problems'
+means, one Kalman-terms call over each row's covariance and one
+field-of-view call. Each run is sent its slice of the costs. Every row
+has the bits it has when its problem is selected alone, so a problem's
+result does not depend on the problems it runs with, and select_next is
+the one-problem call. A run keeps its blocks' innovation rows and hands
+the chosen one's, found by its trace index, to the update, which then
+runs with no kernel or Kalman-terms call of its own.
+
+Models provide linearize(means, configs, index), returning predicted
+points (k, m) and Jacobians (k, m, d) for a (k, n) block of
+configurations, configuration i about row index[i] of an (S, d) stack of
+means.
 """
 
 from __future__ import annotations
@@ -68,7 +79,9 @@ class SelectionProblem:
 @dataclass
 class SelectionResult:
     """The chosen configuration and its cost; innovation is its one-entry
-    Innovation row, copied out of its sweep, for rls_update."""
+    Innovation row, copied out of its block, for rls_update. duration is
+    the problem's share of its selection call's wall time: the call's time
+    over the number of problems it selected for."""
 
     config: np.ndarray
     cost: float
@@ -77,47 +90,109 @@ class SelectionResult:
     innovation: Innovation
 
 
-def lookahead_costs(problem: SelectionProblem, configs, rows: list = None) -> np.ndarray:
-    """Posterior covariance traces (k,) for a (k, n) block of candidates.
+def _beliefs(problems) -> tuple:
+    """The problems' means (S, d), covariances (S, d, d) and covariance
+    traces (S,), stacked once for all the blocks of a selection call."""
+    covariances = np.stack([p.state.covariance for p in problems])
+    return (np.stack([p.state.mean for p in problems]), covariances,
+            np.array([np.trace(cov) for cov in covariances]))
 
-    Visibility is judged on the point predicted from the current mean,
-    not the unknown truth. Invisible candidates, candidates whose S fails
-    the innovation solve, and non-finite results cost 2 tr(P). rows, if
-    a list, gets the block's Innovation appended.
+
+def lookahead_costs(problems, configs, index, beliefs: tuple = None):
+    """Posterior covariance traces (k,) for a (k, n) block of candidates,
+    candidate i scored for problems[index[i]], and the block's Innovation.
+    index is a (k,) row -> problem index, or one problem's index when the
+    block is that problem's alone; then its mean's terms and its
+    covariance serve every row as they are, with no gather.
+
+    The problems share model, noise and field of view; beliefs, if given,
+    is _beliefs(problems). Visibility is judged on the point predicted
+    from the current mean, not the unknown truth. Invisible candidates,
+    candidates whose S fails the innovation solve, and non-finite
+    results cost 2 tr(P).
     """
     configs = np.asarray(configs, dtype=float)
-    cov = problem.state.covariance
-    prior_trace = float(np.trace(cov))
+    means, covariances, traces = beliefs or _beliefs(problems)
+    prior = traces[index]
+    first = problems[0]
 
-    predicted, jac = problem.model.linearize(problem.state.mean, configs)
-    hp, solved, ok = kalman_terms(cov, jac, problem.noise.obs_variance)
+    predicted, jac = first.model.linearize(means, configs, index)
+    hp, solved, ok = kalman_terms(covariances[index], jac, first.noise.obs_variance)
     with np.errstate(over="ignore", invalid="ignore"):
-        posterior = prior_trace - np.einsum("kij,kij->k", hp, solved)
+        posterior = prior - np.einsum("kij,kij->k", hp, solved)
     keep = ok & np.isfinite(posterior)
-    if problem.fov is not None:
-        keep &= problem.fov.contains_points(predicted)
-    if rows is not None:
-        rows.append(Innovation(predicted, jac, hp, solved, ok))
-    return np.where(keep, posterior, prior_trace + prior_trace)
+    if first.fov is not None:
+        keep &= first.fov.contains_points(predicted)
+    return np.where(keep, posterior, prior + prior), Innovation(predicted, jac, hp, solved, ok)
 
 
 def lookahead_cost(problem: SelectionProblem, q) -> float:
     """Trace of the covariance after a hypothetical measurement at q: the
     one-candidate view of lookahead_costs."""
-    return float(lookahead_costs(problem, np.asarray(q, dtype=float)[None])[0])
+    costs, _ = lookahead_costs([problem], np.asarray(q, dtype=float)[None], 0)
+    return float(costs[0])
+
+
+def _shared(problem: SelectionProblem) -> tuple:
+    """What the problems of one lockstep call must have in common."""
+    fov = problem.fov
+    return (problem.model, problem.noise, problem.optimizer, problem.joint_limits.tolist(),
+            None if fov is None else (fov.camera_position.tolist(), fov.axis.tolist(),
+                                      fov.half_angle))
+
+
+def _chosen_row(blocks, i: int) -> Innovation:
+    """Entry i of a run's trace, whose blocks are the (Innovation, start,
+    stop) row slices of the steps that scored them, in order."""
+    for innovation, start, stop in blocks:
+        if i < stop - start:
+            return innovation.row(start + i)
+        i -= stop - start
+
+
+def select_lockstep(problems) -> list:
+    """A SelectionResult per problem: lookahead cost minimized over the
+    joint-limit box by one DIRECT run per problem, the runs stepped
+    together, each step's blocks scored in one lookahead_costs call.
+
+    The problems must share model, noise, field of view, optimizer and
+    joint limits, else ValueError. Each result is the one its problem
+    gets alone, bit for bit, but for duration.
+    """
+    problems = list(problems)
+    shared = _shared(problems[0])
+    if any(_shared(p) != shared for p in problems[1:]):
+        raise ValueError("problems selected in lockstep must share model, noise, fov, "
+                         "optimizer and joint limits")
+    cfg = replace(problems[0].optimizer, bounds=problems[0].joint_limits)
+    start = time.perf_counter()
+    beliefs = _beliefs(problems)
+    runs = [direct.sweeps(cfg) for _ in problems]
+    blocks = {i: next(run) for i, run in enumerate(runs)}   # the live runs' next blocks
+    scored = [[] for _ in problems]         # (Innovation, start, stop) per block
+    chosen = [None] * len(problems)         # (DirectResult, innovation row)
+    while blocks:
+        live, sizes = list(blocks), [len(block) for block in blocks.values()]
+        index = live[0] if len(live) == 1 else np.repeat(live, sizes)
+        costs, innovation = lookahead_costs(problems, np.concatenate(list(blocks.values())),
+                                            index, beliefs)
+        stop = 0
+        for i, size in zip(live, sizes):
+            begin, stop = stop, stop + size
+            scored[i].append((innovation, begin, stop))
+            try:
+                blocks[i] = runs[i].send(costs[begin:stop])
+            except StopIteration as done:
+                result = direct.result_of(done.value)
+                chosen[i] = result, _chosen_row(scored[i], result.best_index)
+                scored[i] = None
+                del blocks[i]
+    share = (time.perf_counter() - start) / len(problems)
+    return [SelectionResult(config=result.best_point.copy(), cost=result.best_value,
+                            evaluations=result.evaluations_used, duration=share, innovation=row)
+            for result, row in chosen]
 
 
 def select_next(problem: SelectionProblem) -> SelectionResult:
-    """Minimize lookahead cost over the joint-limit box, scoring each
-    DIRECT sweep in one lookahead_costs call. The result carries the
-    chosen candidate's innovation row, taken from the sweeps' stacked
-    rows by its trace index."""
-    cfg = replace(problem.optimizer, bounds=problem.joint_limits)
-    rows = []
-    start = time.perf_counter()
-    result = direct.minimize_batch(lambda configs: lookahead_costs(problem, configs, rows), cfg)
-    duration = time.perf_counter() - start
-    stacked = Innovation(*map(np.concatenate, zip(*rows)))
-    return SelectionResult(config=result.best_point.copy(), cost=result.best_value,
-                           evaluations=result.evaluations_used, duration=duration,
-                           innovation=stacked.row(result.best_index))
+    """The one-problem call of select_lockstep."""
+    return select_lockstep([problem])[0]

@@ -10,6 +10,14 @@ configuration draws, measurement noise), so random_rls and
 random_gradient visit the identical configuration sequence and the
 comparison isolates the estimator.
 
+The seeds of a run share one observation model and run in lockstep
+rounds: each seed is an ask/tell generator that yields once per
+iteration, and the driver answers a round's asks with one call. Active
+seeds ask for their selections, answered by one select_lockstep call
+whose wall time the seeds share; random seeds whose measurement was
+accepted ask for their linearizations, answered by one stacked kernel
+call. A seed's records do not depend on the seeds it runs with.
+
 Outputs are line-delimited JSON records plus a CSV projection. Record
 files are byte-identical across re-runs of the same config and seeds;
 wall-clock selection timings go to a separate .timing sidecar so they
@@ -32,7 +40,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .active import SelectionProblem, select_next
+# select_next is unused here; the benchmark looks it up on this module
+from .active import SelectionProblem, select_lockstep, select_next  # noqa: F401
 from .direct import VARIANTS, DirectConfig
 from .estimator import (DegenerateUpdateError, EstimatorState, GradientConfig, Innovation,
                         NoiseConfig, apply_stabilizing_noise, gradient_update,
@@ -131,15 +140,17 @@ def _run_seed(cfg: ExperimentConfig, gt: GroundTruth, model, probes, box, seed: 
               observe: bool):
     """One seed as an ask/tell generator that yields once per iteration.
 
-    Each iteration draws or selects q and measures there. A random
-    strategy whose measurement was accepted yields its request (mean,
-    covariance or None for gradient descent, q), and send takes back the
-    linearization at (mean, q): a one-entry Innovation under RLS,
-    (predicted, Jacobian) under gradient descent. Otherwise the iteration
-    yields None and send takes None: a rejected measurement has nothing
-    to update with, and an active update takes the innovation row of its
-    selection. When the iterations are spent it returns the seed's
-    records and, with observe, its (q, y, accepted) dicts.
+    Each iteration selects or draws q and measures there. An active seed
+    yields its SelectionProblem before it measures, and send takes back
+    the SelectionResult; the update takes the result's innovation row. A
+    random strategy draws q, measures, and if the measurement was
+    accepted yields its request (mean, covariance or None for gradient
+    descent, q), and send takes back the linearization at (mean, q): a
+    one-entry Innovation under RLS, (predicted, Jacobian) under gradient
+    descent. A rejected measurement has nothing to update with: the
+    iteration yields None and send takes None. When the iterations are
+    spent it returns the seed's records and, with observe, its
+    (q, y, accepted) dicts.
 
     Scoring feeds nothing back, so the errors come in blocks of
     _SCORE_BLOCK iterations, one metrics and prediction_error call each,
@@ -160,19 +171,16 @@ def _run_seed(cfg: ExperimentConfig, gt: GroundTruth, model, probes, box, seed: 
     for iteration in range(1, cfg.iterations + 1):
         innovation, selection = None, (None, None)
         if cfg.strategy == "active_rls":
-            problem = SelectionProblem(state, model, cfg.noise, gt.joint_limits,
-                                       fov=gt.fov, optimizer=cfg.optimizer)
-            chosen = select_next(problem)
+            chosen = yield SelectionProblem(state, model, cfg.noise, gt.joint_limits,
+                                            fov=gt.fov, optimizer=cfg.optimizer)
             q, innovation = chosen.config, chosen.innovation
             selection = chosen.cost, chosen.duration
         else:
             q = random_config(gt, config_rng)
-
         y = measure(gt, q, noise_rng)
-        if y is None or innovation is not None:
-            yield None
-        else:
-            innovation = yield mean, None if state is None else state.covariance, q
+        if innovation is None:
+            innovation = yield (None if y is None
+                                else (mean, None if state is None else state.covariance, q))
         if y is None:
             rejections += 1
         elif cfg.strategy == "random_gradient":
@@ -206,14 +214,16 @@ def _run_seed(cfg: ExperimentConfig, gt: GroundTruth, model, probes, box, seed: 
     return records, observations
 
 
-def _linearize_round(cfg: ExperimentConfig, model, requests: dict) -> dict:
+def _answer_round(cfg: ExperimentConfig, model, requests: dict) -> dict:
     """seed -> the reply to its request (see _run_seed), for a round's
-    requests (seed -> (mean, covariance, q)): one linearize call over the
-    stack of means, one configuration each, and under RLS one kalman_terms
-    call over the stack of covariances. Every row has the bits of its own
-    call."""
+    requests. Selection problems get one select_lockstep call. Requests
+    (mean, covariance, q) get one linearize call over the stack of means,
+    one configuration each, and under RLS one kalman_terms call over the
+    stack of covariances. Every reply has the bits of its own call."""
     if not requests:
         return {}
+    if cfg.strategy == "active_rls":
+        return dict(zip(requests, select_lockstep(requests.values())))
     means, covariances, configs = zip(*requests.values())
     predicted, jac = model.linearize(np.stack(means), np.stack(configs))
     if cfg.strategy == "random_gradient":
@@ -232,7 +242,9 @@ def run_experiment(cfg: ExperimentConfig, failures: list = None,
 
     Each round resumes every running seed in cfg.seeds order for one
     iteration (see _run_seed), then answers the round's requests with one
-    stacked linearization. Records depend only on (config, seed), and
+    lockstep selection or one stacked linearization; the seeds share one
+    model. A seed's selection_seconds is its share of the lockstep call's
+    wall time. Records depend only on (config, seed), and
     records, failures and observations come in cfg.seeds order, each
     seed's in iteration order, as if the seeds had run one by one.
     """
@@ -240,10 +252,7 @@ def run_experiment(cfg: ExperimentConfig, failures: list = None,
     model = ChainObservationModel.from_chain(gt.params)
     probes = _probe_set(gt, cfg.probe_set_size, cfg.probe_seed)
     box = _resolve_box(cfg.init_hypercube, 6 * gt.n_joints, "init_hypercube")
-    # a model per seed: its term cache keeps the seed's mean between
-    # selections, which a rejected measurement leaves unchanged
-    running = {seed: _run_seed(cfg, gt, ChainObservationModel.from_chain(gt.params), probes,
-                               box, seed, observations is not None)
+    running = {seed: _run_seed(cfg, gt, model, probes, box, seed, observations is not None)
                for seed in cfg.seeds}
     finished, failed = {}, {}   # seed -> (records, observations), seed -> failure entry
     replies = {}
@@ -262,7 +271,7 @@ def run_experiment(cfg: ExperimentConfig, failures: list = None,
                     requests[seed] = request
         running = {seed: run for seed, run in running.items()
                    if seed not in finished and seed not in failed}
-        replies = _linearize_round(cfg, model, requests)
+        replies = _answer_round(cfg, model, requests)
 
     records = []
     for seed in cfg.seeds:

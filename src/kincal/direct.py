@@ -10,8 +10,10 @@ along the dimensions whose two offsets both got a value, the best new
 values keeping the largest children. The run is one ask/tell loop, the
 sweeps generator: it yields each sweep's block of points and takes the
 block's values back by send, so the caller decides how a block is
-evaluated. minimize_batch drives it with one batch objective call per
-block, and minimize wraps a scalar objective as one. The box center
+evaluated, and result_of picks the best point of the trace it returns.
+minimize_batch drives it with one batch objective call per block, and
+minimize wraps a scalar objective as one; a caller may also drive several
+runs together, as active selection does. The box center
 needs no block of its own: the lone first rectangle is always selected,
 so the center leads the first block. on_iteration sees each sweep's
 rectangles and selection after the sweep's values come back and before
@@ -258,9 +260,13 @@ def minimize_batch(f_batch, cfg: DirectConfig, on_iteration=None,
         try:
             points = run.send(values)
         except StopIteration as done:
-            trace = done.value
-            break
+            return result_of(done.value, collect_trace)
         values = f_batch(points)
+
+
+def result_of(trace, collect_trace: bool = False) -> DirectResult:
+    """The DirectResult of a trace that sweeps returned: the first minimum,
+    the first point when every value is +inf."""
     values = [value for _, value in trace]
     best_index = values.index(min(values))
     best_point, best_value = trace[best_index]

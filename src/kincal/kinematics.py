@@ -21,9 +21,12 @@ Jacobians, which also gives every joint's prefix rotation, so that
 positions have the same bits either way. Positions also take a stack of
 parameter vectors, one block of configurations for each, and
 linearizations a stack with one configuration per vector; every row gives
-the same bits as the row alone.
-ChainObservationModel keeps the first part for the last parameter vector
-it saw. twist_exp is the scalar reference the kernel is checked against.
+the same bits as the row alone. ChainObservationModel.linearize also
+takes a stack and a row index that names each configuration's vector, and
+gathers the first part's rows by it. The model keeps the first part for
+the last parameter vector or stack it saw, but for a stack asked for
+positions only. twist_exp is the scalar reference the kernel is checked
+against.
 
 Chain files are JSON: {"joints": [[wx, wy, wz, vx, vy, vz], ...],
 "zero_pose": [12 numbers, row-major rotation then translation]}.
@@ -404,12 +407,14 @@ class ChainObservationModel:
 
     The zero pose is fixed and known; only the 6n twist entries are
     estimated. predict/jacobian is the interface the estimators expect;
-    linearize is the batched form that selection scores candidates with,
-    and that the experiment driver linearizes a round's seeds with, one
-    mean per configuration. The model keeps the _twist_terms of the last
-    x it saw, matched bit for bit, so the sweeps of one selection, which
-    all linearize about one mean, compute them once. A stack of
-    parameter vectors gets fresh terms and leaves the kept ones in place.
+    linearize is the batched form: selection scores a block of candidates
+    about a stack of means, each candidate about the mean its row index
+    names, and the experiment driver linearizes a round's seeds, one mean
+    per configuration. The model keeps the _twist_terms of the last x, one
+    vector or a stack, that it linearized about, matched bit for bit, so
+    the steps of one lockstep selection, which all linearize about one
+    stack, compute them once. A stack asked for positions only gets fresh
+    terms and leaves the kept ones in place.
     """
 
     def __init__(self, zero_pose: Pose, n_joints: int):
@@ -424,8 +429,8 @@ class ChainObservationModel:
 
     def _terms_of(self, x, jacobian=True) -> _TwistTerms:
         x = np.asarray(x, dtype=float)
-        if x.ndim > 1:
-            return _twist_terms(x, jacobian)
+        if x.ndim > 1 and not jacobian:
+            return _twist_terms(x, False)
         key = (x.shape, x.tobytes())
         if key != self._key:
             self._terms = _twist_terms(x)
@@ -444,12 +449,18 @@ class ChainObservationModel:
         stack (..., 6n) of parameter vectors, (..., m, 3)."""
         return _chain_terms(self._terms_of(x, False), self.zero_pose.translation, configs)
 
-    def linearize(self, x, configs):
+    def linearize(self, x, configs, index=None):
         """Positions (m, 3) and Jacobians (m, 3, 6n) for an (m, n) block of
-        configurations, about one parameter vector x or, for an (m, 6n)
-        stack, about the row of x with each configuration's index."""
-        return _chain_terms(self._terms_of(x), self.zero_pose.translation, configs,
-                            jacobian=True)
+        configurations: about one parameter vector x, or about the rows of
+        an (S, 6n) stack x: configuration i about row index[i] of an (m,)
+        row index, about row index of an integer index, or about row i
+        when index is None (then S == m)."""
+        terms = self._terms_of(x)
+        if index is not None:
+            if terms.norm.ndim != 2:
+                raise ValueError("a row index needs an (S, 6n) stack of parameter vectors")
+            terms = _TwistTerms(terms.n, *(a[index] for a in terms[1:]))
+        return _chain_terms(terms, self.zero_pose.translation, configs, jacobian=True)
 
 
 def chain_to_dict(params: ChainParams) -> dict:

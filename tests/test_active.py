@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from kincal import active, direct
-from kincal.active import SelectionProblem, lookahead_cost, lookahead_costs, select_next
+from kincal.active import (SelectionProblem, lookahead_cost, lookahead_costs, select_lockstep,
+                           select_next)
 from kincal.direct import DirectConfig
 from kincal.estimator import (DegenerateUpdateError, EstimatorState, NoiseConfig,
                               apply_stabilizing_noise, rls_update)
@@ -26,9 +27,14 @@ class LinearModel:
     def jacobian(self, x, q):
         return self.rows[int(q[0])]
 
-    def linearize(self, x, configs):
+    def linearize(self, means, configs, index):
         rows = self.rows[np.asarray(configs)[:, 0].astype(int)]
-        return rows @ np.asarray(x, dtype=float), rows
+        return (rows @ np.asarray(means, dtype=float)[index][..., None])[..., 0], rows
+
+
+def costs_of(problem, configs):
+    """lookahead_costs of a block of one problem's candidates."""
+    return lookahead_costs([problem], configs, 0)[0]
 
 
 def joseph_trace(problem, q):
@@ -140,7 +146,7 @@ class TestLookaheadCosts:
             state = apply_stabilizing_noise(state, noise)
             problem = SelectionProblem(state, model, noise, gt.joint_limits)
             configs = rng.uniform(lo, hi, size=(7, gt.n_joints))
-            costs = lookahead_costs(problem, configs)
+            costs = costs_of(problem, configs)
             assert costs.shape == (7,)
             for q, cost in zip(configs, costs):
                 assert abs(cost - joseph_trace(problem, q)) <= 1e-10
@@ -168,7 +174,7 @@ class TestLookaheadCosts:
             [[0.0, 3.0]],
             fov=FovConfig(camera_position=[0.0, 0.0, 0.0], axis=e3, half_angle=np.pi / 4))
         configs = np.array([[0.0], [1.0], [2.0], [3.0], [0.0]])
-        costs = lookahead_costs(problem, configs)
+        costs = costs_of(problem, configs)
 
         penalty = 2 * np.trace(cov)
         singular = [] if obs_variance else [0, 3, 4]
@@ -245,11 +251,11 @@ class TestSelectNext:
                                    optimizer=DirectConfig(max_evaluations=30,
                                                           variant="direct_l"))
         calls, sweeps = [], []
-        costs, minimize_batch = active.lookahead_costs, direct.minimize_batch
+        costs, run = active.lookahead_costs, direct.sweeps
 
-        def counted(problem, configs, rows):
+        def counted(problems, configs, index, beliefs):
             calls.append(np.array(configs))
-            return costs(problem, configs, rows)
+            return costs(problems, configs, index, beliefs)
 
         def on_iteration(_, rects, selected):
             if selected:
@@ -257,8 +263,7 @@ class TestSelectNext:
                                   for i in selected))
 
         monkeypatch.setattr(active, "lookahead_costs", counted)
-        monkeypatch.setattr(direct, "minimize_batch",
-                            lambda f, cfg: minimize_batch(f, cfg, on_iteration=on_iteration))
+        monkeypatch.setattr(direct, "sweeps", lambda cfg: run(cfg, on_iteration))
         result = select_next(problem)
         assert len(calls) == len(sweeps) > 1
         np.testing.assert_array_equal(calls[0][0], limits.mean(axis=1))
@@ -322,9 +327,8 @@ class TestHandoff:
             chosen = select_next(problem)
             q, row = chosen.config, chosen.innovation
             assert q.base is None and all(a.base is None for a in row)
-            rows = []
-            lookahead_costs(problem, q[None], rows)
-            for kept, own in zip(row, rows[0]):
+            _, own_row = lookahead_costs([problem], q[None], 0)
+            for kept, own in zip(row, own_row):
                 np.testing.assert_array_equal(kept, own)
             out_of_view += fov is not None and not fov.contains(row.predicted[0])
 
@@ -368,17 +372,106 @@ class TestHandoff:
                                    LinearModel(e2, e1, e1), NoiseConfig(obs_variance=1.0),
                                    [[0.0, 2.9]], optimizer=DirectConfig(max_evaluations=20))
         traces = []
-        minimize_batch = direct.minimize_batch
+        result_of = direct.result_of
 
-        def traced(f, cfg):
-            result = minimize_batch(f, cfg, collect_trace=True)
-            traces.append(result.trace)
-            return result
+        def traced(trace):
+            traces.append(trace)
+            return result_of(trace)
 
-        monkeypatch.setattr(direct, "minimize_batch", traced)
+        monkeypatch.setattr(direct, "result_of", traced)
         chosen = select_next(problem)
         values = [value for _, value in traces[0]]
         first = values.index(min(values))
         assert first > 0 and values.count(min(values)) > 1
         np.testing.assert_array_equal(chosen.config, traces[0][first][0])
         np.testing.assert_array_equal(chosen.innovation.jacobian, e2[None])
+
+
+def assert_same_selection(got, alone):
+    """Two SelectionResults agree bit for bit on all but duration."""
+    assert got.config.tobytes() == alone.config.tobytes()
+    assert got.cost == alone.cost and got.evaluations == alone.evaluations
+    for field, a, b in zip(got.innovation._fields, got.innovation, alone.innovation):
+        assert a.dtype == b.dtype and a.shape == b.shape, field
+        assert a.tobytes() == b.tobytes(), field
+
+
+def lockstep_problems(chain, fov, variant, budget, count=4):
+    """count problems on one chain that share model, noise, fov, optimizer
+    and limits; the last one's covariance is negative definite, so every
+    S it scores fails the Cholesky gate. The box is off center: at q = 0
+    every Jacobian is zero and S = R."""
+    gt = builtin_chain(chain)
+    truth = gt.params.to_vector()
+    rng = np.random.default_rng(len(truth) + budget)
+    model = ChainObservationModel.from_chain(gt.params)
+    noise = NoiseConfig(obs_variance=1e-4, stabilizing_variance=1e-3)
+    optimizer = DirectConfig(max_evaluations=budget, variant=variant)
+    limits = np.array([[-3.14, 2.5]] * gt.n_joints)
+    problems = []
+    for k in range(count):
+        cov = float(rng.uniform(0.005, 0.05)) * random_spd(rng, truth.size)
+        state = EstimatorState(truth + 0.1 * rng.normal(size=truth.size),
+                               -cov if k == count - 1 else cov)
+        problems.append(SelectionProblem(state, model, noise, limits, fov=fov,
+                                         optimizer=optimizer))
+    return problems
+
+
+class TestLockstep:
+    """select_lockstep gives each problem its lone select_next result, bit
+    for bit, with one lookahead_costs call per step across the problems."""
+
+    @pytest.mark.parametrize("budget_of", [lambda dim: 1, lambda dim: 2 * dim,
+                                           lambda dim: 1 + 2 * dim, lambda dim: 30],
+                             ids=["1", "2dim", "1+2dim", "30"])
+    @pytest.mark.parametrize("variant", direct.VARIANTS)
+    @pytest.mark.parametrize("chain, fov", [("planar3", None), ("planar3", PLANAR3_CONE),
+                                            ("arm6", None), ("arm12", None)])
+    def test_each_problem_gets_its_lone_result(self, monkeypatch, chain, fov, variant,
+                                               budget_of):
+        problems = lockstep_problems(chain, fov, variant,
+                                     budget_of(builtin_chain(chain).n_joints))
+        calls = []
+        costs = active.lookahead_costs
+
+        def counted(problems, configs, index, beliefs):
+            rows = np.broadcast_to(index, len(configs))
+            calls.append(np.bincount(rows, minlength=len(problems)))
+            return costs(problems, configs, index, beliefs)
+
+        monkeypatch.setattr(active, "lookahead_costs", counted)
+        together = select_lockstep(problems)
+        steps, lone_steps = calls[:], []
+        for problem, got in zip(problems, together):
+            del calls[:]
+            assert_same_selection(got, select_next(problem))
+            assert got.duration >= 0.0
+            lone_steps.append(len(calls))
+        assert not together[-1].innovation.ok[0]
+        # a step per sweep of the longest run, each candidate scored once
+        assert len(steps) == max(lone_steps)
+        assert np.sum(steps, axis=0).tolist() == [r.evaluations for r in together]
+
+    @pytest.mark.parametrize("change", [
+        lambda p: {"model": ChainObservationModel.from_chain(builtin_chain("planar3").params)},
+        lambda p: {"noise": NoiseConfig(obs_variance=2e-4, stabilizing_variance=1e-3)},
+        lambda p: {"fov": PLANAR3_CONE},
+        lambda p: {"optimizer": DirectConfig(max_evaluations=29, variant="direct_l")},
+        lambda p: {"optimizer": DirectConfig(max_evaluations=30, variant="direct")},
+        lambda p: {"joint_limits": p.joint_limits * 0.5},
+    ], ids=["model", "noise", "fov", "budget", "variant", "limits"])
+    def test_problems_must_share_the_setting(self, change):
+        problems = lockstep_problems("planar3", None, "direct_l", 30, count=3)
+        # equal settings in other objects are shared settings
+        twin = SelectionProblem(problems[1].state, problems[1].model,
+                                NoiseConfig(obs_variance=1e-4, stabilizing_variance=1e-3),
+                                problems[1].joint_limits.copy(),
+                                optimizer=DirectConfig(max_evaluations=30, variant="direct_l"))
+        assert len(select_lockstep([problems[0], twin])) == 2
+        odd = problems[1]
+        fields = {"state": odd.state, "model": odd.model, "noise": odd.noise,
+                  "joint_limits": odd.joint_limits, "fov": odd.fov, "optimizer": odd.optimizer}
+        problems[1] = SelectionProblem(**{**fields, **change(odd)})
+        with pytest.raises(ValueError, match="share"):
+            select_lockstep(problems)

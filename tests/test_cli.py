@@ -222,10 +222,11 @@ class TestRunExperiment:
             calls.append(q)
             return jacobian(self, x, q)
 
-        def counted_linearize(self, x, configs):
-            if np.ndim(x) == 2:
+        def counted_linearize(self, x, configs, index=None):
+            # selection's calls carry a row index; a round's updates' do not
+            if index is None and np.ndim(x) == 2:
                 stacked.append(len(x))
-            return linearize(self, x, configs)
+            return linearize(self, x, configs, index)
 
         monkeypatch.setattr(ChainObservationModel, "jacobian", counted)
         monkeypatch.setattr(ChainObservationModel, "linearize", counted_linearize)
@@ -283,9 +284,11 @@ class TestRunExperiment:
     @pytest.mark.parametrize("strategy", ["active_rls", "random_rls"])
     def test_benchmark_hooks_once_per_seed_iteration(self, monkeypatch, strategy):
         # bench/child.py times iterations by wrapping these module
-        # attributes: an iteration starts at the first select_next or
-        # measure, and measure is stamped once per seed-iteration. A driver
-        # that batches seeds must change this test and the benchmark.
+        # attributes: measure is stamped once per seed-iteration, and an
+        # iteration starts at the first select_next or measure. The
+        # driver selects for all seeds of a round in one select_lockstep
+        # call, so select_next is not called and a round of active seeds
+        # is one run of lookahead calls, then one measure per seed.
         events = []
         select_next, measure = kincal.cli.select_next, kincal.cli.measure
         lookahead_costs = kincal.active.lookahead_costs
@@ -307,9 +310,9 @@ class TestRunExperiment:
         # runs of lookahead calls collapse to one entry
         steps = [e for e, before in zip(events, [None] + events)
                  if not e == before == "lookahead"]
-        per_iteration = ["select", "lookahead", "measure"] if strategy == "active_rls" \
-            else ["measure"]
-        assert steps == per_iteration * 6
+        per_round = ["lookahead", "measure", "measure"] if strategy == "active_rls" \
+            else ["measure", "measure"]
+        assert steps == per_round * 3
 
     @pytest.mark.parametrize("iterations", [1, 9, 10, 11, 23])
     def test_scoring_blocks_leave_records_unchanged(self, iterations):
@@ -330,6 +333,11 @@ class TestRunExperiment:
         ({"strategy": "random_gradient", "gradient": {"learning_rate": 2.0}}, [0, 2]),
         # rejected measurements: rounds in which some seeds make no request
         ({"fov": PLANAR3_CONE, "joint_limits": 3.14}, []),
+        # selections in lockstep, with and without rejected measurements
+        ({"strategy": "active_rls", "optimizer": {"max_evaluations": 15, "variant": "direct_l"}},
+         []),
+        ({"strategy": "active_rls", "fov": PLANAR3_CONE, "joint_limits": 3.14,
+          "optimizer": {"max_evaluations": 30, "variant": "direct_l"}}, []),
     ])
     def test_seeds_in_lockstep_match_seeds_alone(self, tmp_path, extra, failed):
         # the records, CSV rows and observations of seeds run together are

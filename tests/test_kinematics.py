@@ -382,6 +382,41 @@ class TestStackedParameters:
                 np.testing.assert_array_equal(alone[0][0], position)
                 np.testing.assert_array_equal(alone[1][0], jac)
 
+    @pytest.mark.parametrize("name", FIXTURE_NAMES)
+    def test_indexed_rows_match_single_vectors(self, name, monkeypatch, perturbed_stack):
+        # a row index names each configuration's vector; each row has the
+        # bits of its own one-vector call, and the model computes the
+        # stack's terms once for every block linearized about it
+        rng = np.random.default_rng(83)
+        chain = builtin_chain(name).params
+        stack = perturbed_stack(rng, chain.to_vector(), rows=6)
+        model = ChainObservationModel.from_chain(chain)
+        alone = [ChainObservationModel.from_chain(chain) for _ in stack]
+        term_calls = []
+
+        def counted(*args):
+            term_calls.append(np.shape(args[0]))
+            return _twist_terms(*args)
+
+        monkeypatch.setattr("kincal.kinematics._twist_terms", counted)
+        for size in (1, 7, 40):
+            index = rng.integers(len(stack), size=size)
+            configs = rng.uniform(-2.0, 2.0, size=(size, chain.n_joints))
+            positions, jacs = model.linearize(stack.copy(), configs, index)
+            assert positions.shape == (size, 3) and jacs.shape == (size, 3, stack.shape[1])
+            for i, q, position, jac in zip(index, configs, positions, jacs):
+                own = alone[i].linearize(stack[i], q[None])
+                np.testing.assert_array_equal(own[0][0], position)
+                np.testing.assert_array_equal(own[1][0], jac)
+        # an integer index: one row of the stack for the whole block
+        positions, jacs = model.linearize(stack, configs, 4)
+        own = alone[4].linearize(stack[4], configs)
+        np.testing.assert_array_equal(positions, own[0])
+        np.testing.assert_array_equal(jacs, own[1])
+        assert term_calls.count(stack.shape) == 1
+        with pytest.raises(ValueError, match="row index"):
+            model.linearize(stack[0], configs, index)
+
     def test_jacobians_take_one_configuration_per_vector(self):
         chain = random_chain(np.random.default_rng(73), 3)
         stack = np.tile(chain.to_vector(), (2, 1))
