@@ -28,10 +28,10 @@ the one-problem call. A run keeps its blocks' innovation rows and hands
 the chosen one's, found by its trace index, to the update, which then
 runs with no kernel or Kalman-terms call of its own.
 
-Models provide linearize(means, configs, index), returning predicted
+Models provide terms(means), built once per call for its (S, d) stack
+of means, and linearize(terms, configs, index), returning predicted
 points (k, m) and Jacobians (k, m, d) for a (k, n) block of
-configurations, configuration i about row index[i] of an (S, d) stack of
-means.
+configurations, configuration i about row index[i] of the stack.
 """
 
 from __future__ import annotations
@@ -91,10 +91,10 @@ class SelectionResult:
 
 
 def _beliefs(problems) -> tuple:
-    """The problems' means (S, d), covariances (S, d, d) and covariance
-    traces (S,), stacked once for all the blocks of a selection call."""
+    """The model's terms of the problems' means, covariances (S, d, d) and
+    covariance traces (S,), built once for all the blocks of a selection call."""
     covariances = np.stack([p.state.covariance for p in problems])
-    return (np.stack([p.state.mean for p in problems]), covariances,
+    return (problems[0].model.terms(np.stack([p.state.mean for p in problems])), covariances,
             np.array([np.trace(cov) for cov in covariances]))
 
 
@@ -112,11 +112,11 @@ def lookahead_costs(problems, configs, index, beliefs: tuple = None):
     results cost 2 tr(P).
     """
     configs = np.asarray(configs, dtype=float)
-    means, covariances, traces = beliefs or _beliefs(problems)
+    terms, covariances, traces = beliefs or _beliefs(problems)
     prior = traces[index]
     first = problems[0]
 
-    predicted, jac = first.model.linearize(means, configs, index)
+    predicted, jac = first.model.linearize(terms, configs, index)
     hp, solved, ok = kalman_terms(covariances[index], jac, first.noise.obs_variance)
     with np.errstate(over="ignore", invalid="ignore"):
         posterior = prior - np.einsum("kij,kij->k", hp, solved)
@@ -160,6 +160,8 @@ def select_lockstep(problems) -> list:
     gets alone, bit for bit, but for duration.
     """
     problems = list(problems)
+    if not problems:
+        return []
     shared = _shared(problems[0])
     if any(_shared(p) != shared for p in problems[1:]):
         raise ValueError("problems selected in lockstep must share model, noise, fov, "

@@ -217,15 +217,15 @@ def _run_seed(cfg: ExperimentConfig, gt: GroundTruth, model, probes, box, seed: 
 def _answer_round(cfg: ExperimentConfig, model, requests: dict) -> dict:
     """seed -> the reply to its request (see _run_seed), for a round's
     requests. Selection problems get one select_lockstep call. Requests
-    (mean, covariance, q) get one linearize call over the stack of means,
-    one configuration each, and under RLS one kalman_terms call over the
-    stack of covariances. Every reply has the bits of its own call."""
+    (mean, covariance, q) get one linearize call about the terms of the
+    stack of means, one configuration each, and under RLS one kalman_terms
+    call over the stack of covariances. Every reply has its own call's bits."""
     if not requests:
         return {}
     if cfg.strategy == "active_rls":
         return dict(zip(requests, select_lockstep(requests.values())))
     means, covariances, configs = zip(*requests.values())
-    predicted, jac = model.linearize(np.stack(means), np.stack(configs))
+    predicted, jac = model.linearize(model.terms(np.stack(means)), np.stack(configs))
     if cfg.strategy == "random_gradient":
         return dict(zip(requests, zip(predicted, jac)))
     stack = Innovation(predicted, jac, *kalman_terms(np.stack(covariances), jac,

@@ -26,7 +26,8 @@ Models are duck-typed: anything with predict(x, q) and jacobian(x, q);
 prediction_error also needs predict_batch(x, configs), which takes a
 stack of parameter vectors when prediction_error is given one. An update
 that is given no linearization asks the model for the Jacobian and the
-prediction at (x, q), one call each.
+prediction at (x, q), one call each; the chain model keeps no kernel
+terms between calls, so each builds those of x.
 Observations may have any dimension; the chain model returns 3-vectors.
 """
 

@@ -21,12 +21,12 @@ Jacobians, which also gives every joint's prefix rotation, so that
 positions have the same bits either way. Positions also take a stack of
 parameter vectors, one block of configurations for each, and
 linearizations a stack with one configuration per vector; every row gives
-the same bits as the row alone. ChainObservationModel.linearize also
-takes a stack and a row index that names each configuration's vector, and
-gathers the first part's rows by it. The model keeps the first part for
-the last parameter vector or stack it saw, but for a stack asked for
-positions only. twist_exp is the scalar reference the kernel is checked
-against.
+the same bits as the row alone. ChainObservationModel.linearize takes
+the first part, which its caller builds with the model's terms method
+and holds for as long as it linearizes about those parameters; with a
+stack it also takes a row index that names each configuration's vector,
+and gathers the first part's rows by it. The model keeps nothing between
+calls. twist_exp is the scalar reference the kernel is checked against.
 
 Chain files are JSON: {"joints": [[wx, wy, wz, vx, vy, vz], ...],
 "zero_pose": [12 numbers, row-major rotation then translation]}.
@@ -407,55 +407,45 @@ class ChainObservationModel:
 
     The zero pose is fixed and known; only the 6n twist entries are
     estimated. predict/jacobian is the interface the estimators expect;
-    linearize is the batched form: selection scores a block of candidates
-    about a stack of means, each candidate about the mean its row index
-    names, and the experiment driver linearizes a round's seeds, one mean
-    per configuration. The model keeps the _twist_terms of the last x, one
-    vector or a stack, that it linearized about, matched bit for bit, so
-    the steps of one lockstep selection, which all linearize about one
-    stack, compute them once. A stack asked for positions only gets fresh
-    terms and leaves the kept ones in place.
+    linearize is the batched form, about the terms of one vector or a
+    stack: selection scores a block of candidates about a stack of means,
+    each candidate about the mean its row index names, and the experiment
+    driver linearizes a round's seeds, one mean per configuration. The
+    caller builds the terms with terms(x) and holds them for as long as
+    it linearizes about x: a lockstep selection call builds its stack's
+    once for all its steps.
     """
 
     def __init__(self, zero_pose: Pose, n_joints: int):
         self.zero_pose = zero_pose
         self.n_joints = n_joints
-        self._key = None        # (shape, bytes) of the last x seen
-        self._terms = None      # and its _twist_terms
 
     @classmethod
     def from_chain(cls, params: ChainParams) -> "ChainObservationModel":
         return cls(params.zero_pose, params.n_joints)
 
-    def _terms_of(self, x, jacobian=True) -> _TwistTerms:
-        x = np.asarray(x, dtype=float)
-        if x.ndim > 1 and not jacobian:
-            return _twist_terms(x, False)
-        key = (x.shape, x.tobytes())
-        if key != self._key:
-            self._terms = _twist_terms(x)
-            self._key = key
-        return self._terms
+    def terms(self, x) -> _TwistTerms:
+        """The kernel terms of one parameter vector or an (S, 6n) stack, for linearize."""
+        return _twist_terms(x)
 
     def predict(self, x, q) -> np.ndarray:
-        return _chain_terms(self._terms_of(x), self.zero_pose.translation,
+        return _chain_terms(_twist_terms(x, False), self.zero_pose.translation,
                             _one_config(q, self.n_joints))[0]
 
     def jacobian(self, x, q) -> np.ndarray:
-        return self.linearize(x, _one_config(q, self.n_joints))[1][0]
+        return self.linearize(self.terms(x), _one_config(q, self.n_joints))[1][0]
 
     def predict_batch(self, x, configs) -> np.ndarray:
         """Positions (m, 3) for an (m, n) block of configurations; for a
         stack (..., 6n) of parameter vectors, (..., m, 3)."""
-        return _chain_terms(self._terms_of(x, False), self.zero_pose.translation, configs)
+        return _chain_terms(_twist_terms(x, False), self.zero_pose.translation, configs)
 
-    def linearize(self, x, configs, index=None):
+    def linearize(self, terms: _TwistTerms, configs, index=None):
         """Positions (m, 3) and Jacobians (m, 3, 6n) for an (m, n) block of
-        configurations: about one parameter vector x, or about the rows of
+        configurations, given the terms(x) of one parameter vector x or of
         an (S, 6n) stack x: configuration i about row index[i] of an (m,)
         row index, about row index of an integer index, or about row i
         when index is None (then S == m)."""
-        terms = self._terms_of(x)
         if index is not None:
             if terms.norm.ndim != 2:
                 raise ValueError("a row index needs an (S, 6n) stack of parameter vectors")

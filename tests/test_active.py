@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from kincal import active, direct
+from kincal import active, direct, kinematics
 from kincal.active import (SelectionProblem, lookahead_cost, lookahead_costs, select_lockstep,
                            select_next)
 from kincal.direct import DirectConfig
@@ -26,6 +26,9 @@ class LinearModel:
 
     def jacobian(self, x, q):
         return self.rows[int(q[0])]
+
+    def terms(self, means):
+        return means
 
     def linearize(self, means, configs, index):
         rows = self.rows[np.asarray(configs)[:, 0].astype(int)]
@@ -475,3 +478,28 @@ class TestLockstep:
         problems[1] = SelectionProblem(**{**fields, **change(odd)})
         with pytest.raises(ValueError, match="share"):
             select_lockstep(problems)
+
+    def test_one_call_builds_its_stack_terms_once(self, monkeypatch):
+        # every step of a lockstep call linearizes about the same stack of
+        # means, so the call builds that stack's kernel terms once
+        problems = lockstep_problems("planar3", None, "direct_l", 30)
+        stack = np.stack([p.state.mean for p in problems])
+        built, steps = [], []
+        twist_terms, costs = kinematics._twist_terms, active.lookahead_costs
+
+        def counted_terms(*args):
+            built.append(np.array(args[0], dtype=float))
+            return twist_terms(*args)
+
+        def counted_costs(*args):
+            steps.append(len(args[1]))
+            return costs(*args)
+
+        monkeypatch.setattr(kinematics, "_twist_terms", counted_terms)
+        monkeypatch.setattr(active, "lookahead_costs", counted_costs)
+        select_lockstep(problems)
+        assert len(steps) > 1
+        assert [x.tobytes() for x in built] == [stack.tobytes()]
+
+    def test_no_problems_no_results(self):
+        assert select_lockstep([]) == []

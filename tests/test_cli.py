@@ -222,11 +222,11 @@ class TestRunExperiment:
             calls.append(q)
             return jacobian(self, x, q)
 
-        def counted_linearize(self, x, configs, index=None):
+        def counted_linearize(self, terms, configs, index=None):
             # selection's calls carry a row index; a round's updates' do not
-            if index is None and np.ndim(x) == 2:
-                stacked.append(len(x))
-            return linearize(self, x, configs, index)
+            if index is None and terms.norm.ndim == 2:
+                stacked.append(len(terms.norm))
+            return linearize(self, terms, configs, index)
 
         monkeypatch.setattr(ChainObservationModel, "jacobian", counted)
         monkeypatch.setattr(ChainObservationModel, "linearize", counted_linearize)

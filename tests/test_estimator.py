@@ -398,7 +398,7 @@ class TestGradientUpdate:
         q = rng.uniform(-1.0, 1.0, 6)
         y = model.predict(gt.params.to_vector(), q)
         cfg = GradientConfig(learning_rate=0.05)
-        positions, jacs = model.linearize(x, q[None])
+        positions, jacs = model.linearize(model.terms(x), q[None])
         np.testing.assert_array_equal(
             gradient_update(x, q, y, cfg, None, 3, (positions[0], jacs[0])),
             gradient_update(x, q, y, cfg, model, 3))

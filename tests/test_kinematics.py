@@ -207,8 +207,9 @@ class TestObservationJacobian:
             np.testing.assert_array_equal(jac[:, columns[[1, 3], :3].ravel()], 0.0)
 
     def test_terms_keep_no_view_of_x(self):
-        # the model caches _twist_terms per x, so they must not alias the
-        # caller's array
+        # callers hold _twist_terms while they linearize about x (a
+        # selection call holds its stack's for all its steps), so they must
+        # not alias the caller's array
         rng = np.random.default_rng(67)
         chain = random_chain(rng, 4)
         x = chain.to_vector()
@@ -304,8 +305,9 @@ class TestObservationModel:
                                       observation_jacobian(chain, q))
 
     def test_kept_terms_follow_the_parameters(self):
-        # the model keeps the last x's terms; changing x, even in place,
-        # must give what a fresh model gives, bit for bit
+        # a caller keeps terms(x) while it linearizes about x; they give
+        # what terms of a copy of x give, bit for bit, even after x
+        # changes in place, and predict and jacobian agree with them
         rng = np.random.default_rng(59)
         chain = random_chain(rng, 4)
         model = ChainObservationModel.from_chain(chain)
@@ -313,20 +315,47 @@ class TestObservationModel:
         x[:3] = 0.0                       # a pure translation first joint
         configs = rng.uniform(-1.0, 1.0, size=(5, 4))
         for _ in range(3):
-            before = x.copy()
-            got = model.linearize(x, configs)
-            fresh = ChainObservationModel.from_chain(chain).linearize(before, configs)
-            for a, b in zip(got, fresh):
+            kept = model.terms(x)
+            fresh = model.linearize(model.terms(x.copy()), configs)
+            for a, b in zip(model.linearize(kept, configs), fresh):
                 np.testing.assert_array_equal(a, b)
             np.testing.assert_array_equal(model.predict(x, configs[0]), fresh[0][0])
             np.testing.assert_array_equal(model.jacobian(x, configs[0]), fresh[1][0])
             x += rng.normal(scale=0.1, size=24)
-            for a, b in zip(model.linearize(before, configs), fresh):
+            for a, b in zip(model.linearize(kept, configs), fresh):
                 np.testing.assert_array_equal(a, b)
         with pytest.raises(ValueError):
-            model.linearize(np.full(24, np.nan), configs)
+            model.terms(np.full(24, np.nan))
         with pytest.raises(ValueError):
-            model.linearize(x[:18], configs)
+            model.linearize(model.terms(x[:18]), configs)
+
+    def test_predictions_build_positions_only_terms(self, monkeypatch, perturbed_stack):
+        # predict and predict_batch read no Jacobian generators, so they
+        # build none; their positions have the bits of the full terms'
+        rng = np.random.default_rng(79)
+        chain = random_chain(rng, 4)
+        model = ChainObservationModel.from_chain(chain)
+        x = chain.to_vector()
+        q = rng.uniform(-1.0, 1.0, 4)
+        configs = rng.uniform(-1.0, 1.0, size=(6, 4))
+        stack = perturbed_stack(rng, x)
+        full = [model.linearize(model.terms(xr), configs)[0] for xr in stack]
+        one = model.linearize(model.terms(x), q[None])[0][0]
+        block = model.linearize(model.terms(x), configs)[0]
+        built = []
+
+        def counted(*args):
+            terms = _twist_terms(*args)
+            built.append((np.shape(args[0]), terms.jac_gen is None))
+            return terms
+
+        monkeypatch.setattr("kincal.kinematics._twist_terms", counted)
+        np.testing.assert_array_equal(model.predict(x, q), one)
+        np.testing.assert_array_equal(model.predict_batch(x, configs), block)
+        positions = model.predict_batch(stack, configs)
+        assert built == [(x.shape, True), (x.shape, True), (stack.shape, True)]
+        for row, expected in enumerate(full):
+            np.testing.assert_array_equal(positions[row], expected)
 
     def test_predict_batch_matches_loop(self):
         rng = np.random.default_rng(53)
@@ -372,50 +401,43 @@ class TestStackedParameters:
         rng = np.random.default_rng(73)
         chain = builtin_chain(name).params
         rows = np.roll(perturbed_stack(rng, chain.to_vector(), rows=24), -1, axis=0)
+        model = ChainObservationModel.from_chain(chain)
         for size in (1, 4, 24):
             stack = rows[:size]
             configs = rng.uniform(-2.0, 2.0, size=(size, chain.n_joints))
-            positions, jacs = ChainObservationModel.from_chain(chain).linearize(stack, configs)
+            positions, jacs = model.linearize(model.terms(stack), configs)
             assert positions.shape == (size, 3) and jacs.shape == (size, 3, stack.shape[1])
             for x, q, position, jac in zip(stack, configs, positions, jacs):
-                alone = ChainObservationModel.from_chain(chain).linearize(x, q[None])
+                alone = model.linearize(model.terms(x), q[None])
                 np.testing.assert_array_equal(alone[0][0], position)
                 np.testing.assert_array_equal(alone[1][0], jac)
 
     @pytest.mark.parametrize("name", FIXTURE_NAMES)
-    def test_indexed_rows_match_single_vectors(self, name, monkeypatch, perturbed_stack):
+    def test_indexed_rows_match_single_vectors(self, name, perturbed_stack):
         # a row index names each configuration's vector; each row has the
-        # bits of its own one-vector call, and the model computes the
-        # stack's terms once for every block linearized about it
+        # bits of its own one-vector call, block after block about the
+        # same terms of the stack
         rng = np.random.default_rng(83)
         chain = builtin_chain(name).params
         stack = perturbed_stack(rng, chain.to_vector(), rows=6)
         model = ChainObservationModel.from_chain(chain)
-        alone = [ChainObservationModel.from_chain(chain) for _ in stack]
-        term_calls = []
-
-        def counted(*args):
-            term_calls.append(np.shape(args[0]))
-            return _twist_terms(*args)
-
-        monkeypatch.setattr("kincal.kinematics._twist_terms", counted)
+        terms = model.terms(stack)
         for size in (1, 7, 40):
             index = rng.integers(len(stack), size=size)
             configs = rng.uniform(-2.0, 2.0, size=(size, chain.n_joints))
-            positions, jacs = model.linearize(stack.copy(), configs, index)
+            positions, jacs = model.linearize(terms, configs, index)
             assert positions.shape == (size, 3) and jacs.shape == (size, 3, stack.shape[1])
             for i, q, position, jac in zip(index, configs, positions, jacs):
-                own = alone[i].linearize(stack[i], q[None])
+                own = model.linearize(model.terms(stack[i]), q[None])
                 np.testing.assert_array_equal(own[0][0], position)
                 np.testing.assert_array_equal(own[1][0], jac)
         # an integer index: one row of the stack for the whole block
-        positions, jacs = model.linearize(stack, configs, 4)
-        own = alone[4].linearize(stack[4], configs)
+        positions, jacs = model.linearize(terms, configs, 4)
+        own = model.linearize(model.terms(stack[4]), configs)
         np.testing.assert_array_equal(positions, own[0])
         np.testing.assert_array_equal(jacs, own[1])
-        assert term_calls.count(stack.shape) == 1
         with pytest.raises(ValueError, match="row index"):
-            model.linearize(stack[0], configs, index)
+            model.linearize(model.terms(stack[0]), configs, index)
 
     def test_jacobians_take_one_configuration_per_vector(self):
         chain = random_chain(np.random.default_rng(73), 3)
@@ -423,36 +445,14 @@ class TestStackedParameters:
         with pytest.raises(ValueError, match="stack"):
             _chain_terms(_twist_terms(stack), chain.zero_pose.translation,
                          np.zeros((3, 3)), jacobian=True)
+        model = ChainObservationModel.from_chain(chain)
         with pytest.raises(ValueError, match="stack"):
-            ChainObservationModel.from_chain(chain).linearize(stack[None], np.zeros((2, 3)))
+            model.linearize(model.terms(stack[None]), np.zeros((2, 3)))
         with pytest.raises(ValueError, match="positions only"):
             _chain_terms(_twist_terms(stack, False), chain.zero_pose.translation,
                          np.zeros((2, 3)), jacobian=True)
         with pytest.raises(ValueError, match="multiple of 6"):
             _twist_terms(np.zeros((2, 17)))
-
-    def test_model_stack_keeps_the_current_terms(self, monkeypatch, perturbed_stack):
-        rng = np.random.default_rng(79)
-        chain = random_chain(rng, 4)
-        model = ChainObservationModel.from_chain(chain)
-        x = chain.to_vector()
-        q = rng.uniform(-1.0, 1.0, 4)
-        configs = rng.uniform(-1.0, 1.0, size=(6, 4))
-        stack = perturbed_stack(rng, x)
-        before = model.predict(x, q)
-        term_calls = []
-
-        def counted(*args):
-            term_calls.append(np.shape(args[0]))
-            return _twist_terms(*args)
-
-        monkeypatch.setattr("kincal.kinematics._twist_terms", counted)
-        positions = model.predict_batch(stack, configs)
-        np.testing.assert_array_equal(model.predict(x, q), before)
-        assert term_calls == [stack.shape]     # fresh stack terms; x's were kept
-        for row, xr in enumerate(stack):
-            np.testing.assert_array_equal(
-                positions[row], ChainObservationModel.from_chain(chain).predict_batch(xr, configs))
 
 
 class TestChainLengthSweep:
