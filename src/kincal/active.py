@@ -14,19 +14,20 @@ or when its result is not finite. So visible candidates always win when
 any exist. Visibility decides only the cost: every candidate has its
 innovation row.
 
-Selections run in lockstep. select_lockstep takes a list of problems
-that share model, noise, field of view, optimizer and joint limits, and
-runs one direct.sweeps generator per problem. Each DIRECT sweep lists
-its candidates first, so at each step the live runs' blocks become one
-(k, n) block with a (k,) row -> problem index, scored in one
-lookahead_costs call: one kernel call about the stack of the problems'
-means, one Kalman-terms call over each row's covariance and one
-field-of-view call. Each run is sent its slice of the costs. Every row
-has the bits it has when its problem is selected alone, so a problem's
-result does not depend on the problems it runs with, and select_next is
-the one-problem call. A run keeps its blocks' innovation rows and hands
-the chosen one's, found by its trace index, to the update, which then
-runs with no kernel or Kalman-terms call of its own.
+Selections run in lockstep. select_lockstep takes one problem, whose
+model, noise, field of view, optimizer and joint limits are the shared
+setting, and a list of beliefs, and runs one direct.sweeps generator
+per belief. Each DIRECT sweep lists its candidates first, so at each
+step the live runs' blocks become one (k, n) block with a (k,) row ->
+belief index, scored in one lookahead_costs call: one kernel call about
+the stack of the beliefs' means, one Kalman-terms call over each row's
+covariance and one field-of-view call. Each run is sent its slice of
+the costs. Every row has the bits it has when its belief is selected
+for alone, so a belief's result does not depend on the beliefs it runs
+with, and select_next is the one-belief call on the problem's own
+state. A run keeps its blocks' innovation rows and hands the chosen
+one's, found by its trace index, to the update, which then runs with no
+kernel or Kalman-terms call of its own.
 
 Models provide terms(means), built once per call for its (S, d) stack
 of means, and linearize(terms, configs, index), returning predicted
@@ -80,8 +81,8 @@ class SelectionProblem:
 class SelectionResult:
     """The chosen configuration and its cost; innovation is its one-entry
     Innovation row, copied out of its block, for rls_update. duration is
-    the problem's share of its selection call's wall time: the call's time
-    over the number of problems it selected for."""
+    the belief's share of its selection call's wall time: the call's time
+    over the number of beliefs it selected for."""
 
     config: np.ndarray
     cost: float
@@ -90,55 +91,46 @@ class SelectionResult:
     innovation: Innovation
 
 
-def _beliefs(problems) -> tuple:
-    """The model's terms of the problems' means, covariances (S, d, d) and
+def _beliefs(model, states) -> tuple:
+    """The model's terms of the states' means, covariances (S, d, d) and
     covariance traces (S,), built once for all the blocks of a selection call."""
-    covariances = np.stack([p.state.covariance for p in problems])
-    return (problems[0].model.terms(np.stack([p.state.mean for p in problems])), covariances,
+    covariances = np.stack([state.covariance for state in states])
+    return (model.terms(np.stack([state.mean for state in states])), covariances,
             np.array([np.trace(cov) for cov in covariances]))
 
 
-def lookahead_costs(problems, configs, index, beliefs: tuple = None):
+def lookahead_costs(problem: SelectionProblem, configs, index, beliefs: tuple = None):
     """Posterior covariance traces (k,) for a (k, n) block of candidates,
-    candidate i scored for problems[index[i]], and the block's Innovation.
-    index is a (k,) row -> problem index, or one problem's index when the
-    block is that problem's alone; then its mean's terms and its
+    candidate i scored for belief index[i], and the block's Innovation.
+    index is a (k,) row -> belief index, or one belief's index when the
+    block is that belief's alone; then its mean's terms and its
     covariance serve every row as they are, with no gather.
 
-    The problems share model, noise and field of view; beliefs, if given,
-    is _beliefs(problems). Visibility is judged on the point predicted
-    from the current mean, not the unknown truth. Invisible candidates,
-    candidates whose S fails the innovation solve, and non-finite
-    results cost 2 tr(P).
+    beliefs is _beliefs(problem.model, states), by default of
+    [problem.state]; the problem gives model, noise and field of view.
+    Visibility is judged on the point predicted from the current mean,
+    not the unknown truth. Invisible candidates, candidates whose S fails
+    the innovation solve, and non-finite results cost 2 tr(P).
     """
     configs = np.asarray(configs, dtype=float)
-    terms, covariances, traces = beliefs or _beliefs(problems)
+    terms, covariances, traces = beliefs or _beliefs(problem.model, [problem.state])
     prior = traces[index]
-    first = problems[0]
 
-    predicted, jac = first.model.linearize(terms, configs, index)
-    hp, solved, ok = kalman_terms(covariances[index], jac, first.noise.obs_variance)
+    predicted, jac = problem.model.linearize(terms, configs, index)
+    hp, solved, ok = kalman_terms(covariances[index], jac, problem.noise.obs_variance)
     with np.errstate(over="ignore", invalid="ignore"):
         posterior = prior - np.einsum("kij,kij->k", hp, solved)
     keep = ok & np.isfinite(posterior)
-    if first.fov is not None:
-        keep &= first.fov.contains_points(predicted)
+    if problem.fov is not None:
+        keep &= problem.fov.contains_points(predicted)
     return np.where(keep, posterior, prior + prior), Innovation(predicted, jac, hp, solved, ok)
 
 
 def lookahead_cost(problem: SelectionProblem, q) -> float:
     """Trace of the covariance after a hypothetical measurement at q: the
     one-candidate view of lookahead_costs."""
-    costs, _ = lookahead_costs([problem], np.asarray(q, dtype=float)[None], 0)
+    costs, _ = lookahead_costs(problem, np.asarray(q, dtype=float)[None], 0)
     return float(costs[0])
-
-
-def _shared(problem: SelectionProblem) -> tuple:
-    """What the problems of one lockstep call must have in common."""
-    fov = problem.fov
-    return (problem.model, problem.noise, problem.optimizer, problem.joint_limits.tolist(),
-            None if fov is None else (fov.camera_position.tolist(), fov.axis.tolist(),
-                                      fov.half_angle))
 
 
 def _chosen_row(blocks, i: int) -> Innovation:
@@ -150,33 +142,28 @@ def _chosen_row(blocks, i: int) -> Innovation:
         i -= stop - start
 
 
-def select_lockstep(problems) -> list:
-    """A SelectionResult per problem: lookahead cost minimized over the
-    joint-limit box by one DIRECT run per problem, the runs stepped
-    together, each step's blocks scored in one lookahead_costs call.
-
-    The problems must share model, noise, field of view, optimizer and
-    joint limits, else ValueError. Each result is the one its problem
-    gets alone, bit for bit, but for duration.
+def select_lockstep(problem: SelectionProblem, states) -> list:
+    """A SelectionResult per EstimatorState in states: lookahead cost
+    minimized over the joint-limit box by one DIRECT run per state, the
+    runs stepped together, each step's blocks scored in one
+    lookahead_costs call. problem gives the shared setting; its own state
+    is not read. Each result is select_next(replace(problem, state=s))
+    for its state s, bit for bit, but for duration.
     """
-    problems = list(problems)
-    if not problems:
+    states = list(states)
+    if not states:
         return []
-    shared = _shared(problems[0])
-    if any(_shared(p) != shared for p in problems[1:]):
-        raise ValueError("problems selected in lockstep must share model, noise, fov, "
-                         "optimizer and joint limits")
-    cfg = replace(problems[0].optimizer, bounds=problems[0].joint_limits)
+    cfg = replace(problem.optimizer, bounds=problem.joint_limits)
     start = time.perf_counter()
-    beliefs = _beliefs(problems)
-    runs = [direct.sweeps(cfg) for _ in problems]
+    beliefs = _beliefs(problem.model, states)
+    runs = [direct.sweeps(cfg) for _ in states]
     blocks = {i: next(run) for i, run in enumerate(runs)}   # the live runs' next blocks
-    scored = [[] for _ in problems]         # (Innovation, start, stop) per block
-    chosen = [None] * len(problems)         # (DirectResult, innovation row)
+    scored = [[] for _ in states]           # (Innovation, start, stop) per block
+    chosen = [None] * len(states)           # (DirectResult, innovation row)
     while blocks:
         live, sizes = list(blocks), [len(block) for block in blocks.values()]
         index = live[0] if len(live) == 1 else np.repeat(live, sizes)
-        costs, innovation = lookahead_costs(problems, np.concatenate(list(blocks.values())),
+        costs, innovation = lookahead_costs(problem, np.concatenate(list(blocks.values())),
                                             index, beliefs)
         stop = 0
         for i, size in zip(live, sizes):
@@ -189,12 +176,12 @@ def select_lockstep(problems) -> list:
                 chosen[i] = result, _chosen_row(scored[i], result.best_index)
                 scored[i] = None
                 del blocks[i]
-    share = (time.perf_counter() - start) / len(problems)
+    share = (time.perf_counter() - start) / len(states)
     return [SelectionResult(config=result.best_point.copy(), cost=result.best_value,
                             evaluations=result.evaluations_used, duration=share, innovation=row)
             for result, row in chosen]
 
 
 def select_next(problem: SelectionProblem) -> SelectionResult:
-    """The one-problem call of select_lockstep."""
-    return select_lockstep([problem])[0]
+    """The one-belief call of select_lockstep, on the problem's own state."""
+    return select_lockstep(problem, [problem.state])[0]

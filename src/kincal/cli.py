@@ -13,8 +13,9 @@ comparison isolates the estimator.
 The seeds of a run share one observation model and run in lockstep
 rounds: each seed is an ask/tell generator that yields once per
 iteration, and the driver answers a round's asks with one call. Active
-seeds ask for their selections, answered by one select_lockstep call
-whose wall time the seeds share; random seeds whose measurement was
+seeds ask for selections for their beliefs, answered by one
+select_lockstep call on the run's one selection setting, whose wall
+time the seeds share; random seeds whose measurement was
 accepted ask for their linearizations, answered by one stacked kernel
 call. A seed's records do not depend on the seeds it runs with.
 
@@ -36,7 +37,6 @@ import logging
 import math
 import os
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -70,28 +70,6 @@ _ACTIVE_OPTIMIZER = {"max_evaluations": 60, "variant": "direct_l"}
 
 class ConfigError(Exception):
     """Bad experiment configuration or unresolvable inputs."""
-
-
-@dataclass
-class ExperimentRecord:
-    """One (seed, iteration) of a run. The _WALL_CLOCK_FIELDS go to the
-    .timing sidecar; every other field is deterministic and goes to the
-    record and CSV files."""
-
-    seed: int
-    iteration: int
-    orientation_error: float
-    location_error: float
-    prediction_error: float
-    cost: float = None
-    selection_seconds: float = None
-    fov_rejections: int = 0
-
-
-_WALL_CLOCK_FIELDS = ("selection_seconds",)
-_RECORD_FIELDS = tuple(f.name for f in dataclasses.fields(ExperimentRecord)
-                       if f.name not in _WALL_CLOCK_FIELDS)
-_TIMING_FIELDS = ("seed", "iteration") + _WALL_CLOCK_FIELDS
 
 
 def _resolve_box(spec, rows: int, key: str) -> np.ndarray:
@@ -141,8 +119,8 @@ def _run_seed(cfg: ExperimentConfig, gt: GroundTruth, model, probes, box, seed: 
     """One seed as an ask/tell generator that yields once per iteration.
 
     Each iteration selects or draws q and measures there. An active seed
-    yields its SelectionProblem before it measures, and send takes back
-    the SelectionResult; the update takes the result's innovation row. A
+    yields its EstimatorState before it measures, and send takes back
+    its SelectionResult; the update takes the result's innovation row. A
     random strategy draws q, measures, and if the measurement was
     accepted yields its request (mean, covariance or None for gradient
     descent, q), and send takes back the linearization at (mean, q): a
@@ -166,15 +144,14 @@ def _run_seed(cfg: ExperimentConfig, gt: GroundTruth, model, probes, box, seed: 
         state = EstimatorState(mean, cfg.init_variance * np.eye(dim))
 
     records, observations = [], []
-    block = []          # (iteration, mean, selection, rejections) of the unscored iterations
+    block = []          # (iteration, mean, cost, rejections, seconds) of the unscored iterations
     updates = rejections = 0
     for iteration in range(1, cfg.iterations + 1):
-        innovation, selection = None, (None, None)
+        innovation = cost = seconds = None
         if cfg.strategy == "active_rls":
-            chosen = yield SelectionProblem(state, model, cfg.noise, gt.joint_limits,
-                                            fov=gt.fov, optimizer=cfg.optimizer)
+            chosen = yield state
             q, innovation = chosen.config, chosen.innovation
-            selection = chosen.cost, chosen.duration
+            cost, seconds = chosen.cost, chosen.duration
         else:
             q = random_config(gt, config_rng)
         y = measure(gt, q, noise_rng)
@@ -202,28 +179,32 @@ def _run_seed(cfg: ExperimentConfig, gt: GroundTruth, model, probes, box, seed: 
                                  "y": None if y is None else [float(a) for a in y],
                                  "accepted": y is not None})
 
-        block.append((iteration, mean, selection, rejections))
+        block.append((iteration, mean, cost, rejections, seconds))
         if len(block) == _SCORE_BLOCK or iteration == cfg.iterations:
             means = np.stack([entry[1] for entry in block])
             orientation, location = metrics(means, gt)
             errors = zip(orientation.tolist(), location.tolist(),
                          prediction_error(means, *probes, model).tolist())
-            records += (ExperimentRecord(seed, i, *error, *selection, rejected)
-                        for (i, _, selection, rejected), error in zip(block, errors))
+            records += (ExperimentRecord(seed, i, *error, *rest)
+                        for (i, _, *rest), error in zip(block, errors))
             block = []
     return records, observations
 
 
-def _answer_round(cfg: ExperimentConfig, model, requests: dict) -> dict:
+def _answer_round(cfg: ExperimentConfig, gt: GroundTruth, model, requests: dict) -> dict:
     """seed -> the reply to its request (see _run_seed), for a round's
-    requests. Selection problems get one select_lockstep call. Requests
+    requests. Estimator states get one select_lockstep call on one
+    SelectionProblem, the run's selection setting. Requests
     (mean, covariance, q) get one linearize call about the terms of the
     stack of means, one configuration each, and under RLS one kalman_terms
     call over the stack of covariances. Every reply has its own call's bits."""
     if not requests:
         return {}
     if cfg.strategy == "active_rls":
-        return dict(zip(requests, select_lockstep(requests.values())))
+        states = list(requests.values())
+        problem = SelectionProblem(states[0], model, cfg.noise, gt.joint_limits, fov=gt.fov,
+                                   optimizer=cfg.optimizer)
+        return dict(zip(requests, select_lockstep(problem, states)))
     means, covariances, configs = zip(*requests.values())
     predicted, jac = model.linearize(model.terms(np.stack(means)), np.stack(configs))
     if cfg.strategy == "random_gradient":
@@ -271,7 +252,7 @@ def run_experiment(cfg: ExperimentConfig, failures: list = None,
                     requests[seed] = request
         running = {seed: run for seed, run in running.items()
                    if seed not in finished and seed not in failed}
-        replies = _answer_round(cfg, model, requests)
+        replies = _answer_round(cfg, gt, model, requests)
 
     records = []
     for seed in cfg.seeds:
@@ -364,7 +345,8 @@ def read_records(path: str):
                     elif key in records:
                         raise ValueError(f"seed {key[0]} iteration {key[1]} is recorded twice")
                     else:
-                        records[key] = ExperimentRecord(**doc)
+                        records[key] = ExperimentRecord(**doc,
+                                                        **dict.fromkeys(_WALL_CLOCK_FIELDS))
                 else:
                     raise ValueError(f"a {kind!r} line with keys {sorted(doc)} where the file "
                                      "needs one leading meta line with a config object, then "
@@ -485,6 +467,14 @@ _LINES = {
                "fov_rejections": _NATURAL},
     "failure": {"seed": _NATURAL, "error": ("a string", lambda v: isinstance(v, str))},
 }
+# One (seed, iteration) of a run: the fields of a record line, deterministic,
+# then the _WALL_CLOCK_FIELDS, which go to the .timing sidecar only.
+_WALL_CLOCK_FIELDS = ("selection_seconds",)
+ExperimentRecord = dataclasses.make_dataclass("ExperimentRecord",
+                                              [*_LINES["record"], *_WALL_CLOCK_FIELDS],
+                                              namespace={"__module__": __name__})
+_RECORD_FIELDS = tuple(_LINES["record"])
+_TIMING_FIELDS = ("seed", "iteration") + _WALL_CLOCK_FIELDS
 
 # The config document: key -> (what a value must be, its test), or the
 # table of a section. The dotted _REQUIRED keys must be present.
@@ -686,8 +676,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_LOG_LEVELS = ("DEBUG", "INFO", "WARNING", "ERROR", "CRITICAL")
+
+
 def main(argv=None) -> int:
-    logging.basicConfig(level=os.environ.get("KINCAL_LOG", "WARNING").upper())
+    level = os.environ.get("KINCAL_LOG", "WARNING")
+    if level.upper() not in _LOG_LEVELS:
+        print(f"error: KINCAL_LOG must be one of {', '.join(_LOG_LEVELS)}, got {level!r}",
+              file=sys.stderr)
+        return 1
+    logging.basicConfig(level=level.upper())
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

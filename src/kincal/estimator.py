@@ -185,8 +185,8 @@ def rls_update(state: EstimatorState, q, y, noise: NoiseConfig, model,
 
     innovation, when given, is the one-entry Innovation of (state, q)
     under noise.obs_variance, as selection scored it or a stacked
-    linearization gave it; the step then calls neither the model nor
-    kalman_terms. Without it the model is linearized at (state.mean, q),
+    linearization gave it, else ValueError; the step then calls neither
+    the model nor kalman_terms. Without it the model is linearized at (state.mean, q),
     which gives the same terms.
     """
     mean = state.mean
@@ -196,6 +196,9 @@ def rls_update(state: EstimatorState, q, y, noise: NoiseConfig, model,
         predicted = np.asarray(model.predict(mean, q), dtype=float)
         innovation = Innovation(predicted[None], jac[None],
                                 *kalman_terms(cov, jac[None], noise.obs_variance))
+    elif len(innovation.ok) != 1:
+        raise ValueError(f"innovation must be a one-entry stack, not one of "
+                         f"{len(innovation.ok)} entries")
     predicted, jac, hp, solved, ok = (a[0] for a in innovation)
     y = _observation(y, jac)
     if not ok:

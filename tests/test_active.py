@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -37,7 +39,7 @@ class LinearModel:
 
 def costs_of(problem, configs):
     """lookahead_costs of a block of one problem's candidates."""
-    return lookahead_costs([problem], configs, 0)[0]
+    return lookahead_costs(problem, configs, 0)[0]
 
 
 def joseph_trace(problem, q):
@@ -256,9 +258,9 @@ class TestSelectNext:
         calls, sweeps = [], []
         costs, run = active.lookahead_costs, direct.sweeps
 
-        def counted(problems, configs, index, beliefs):
+        def counted(problem, configs, index, beliefs):
             calls.append(np.array(configs))
-            return costs(problems, configs, index, beliefs)
+            return costs(problem, configs, index, beliefs)
 
         def on_iteration(_, rects, selected):
             if selected:
@@ -330,7 +332,7 @@ class TestHandoff:
             chosen = select_next(problem)
             q, row = chosen.config, chosen.innovation
             assert q.base is None and all(a.base is None for a in row)
-            _, own_row = lookahead_costs([problem], q[None], 0)
+            _, own_row = lookahead_costs(problem, q[None], 0)
             for kept, own in zip(row, own_row):
                 np.testing.assert_array_equal(kept, own)
             out_of_view += fov is not None and not fov.contains(row.predicted[0])
@@ -399,11 +401,11 @@ def assert_same_selection(got, alone):
         assert a.tobytes() == b.tobytes(), field
 
 
-def lockstep_problems(chain, fov, variant, budget, count=4):
-    """count problems on one chain that share model, noise, fov, optimizer
-    and limits; the last one's covariance is negative definite, so every
-    S it scores fails the Cholesky gate. The box is off center: at q = 0
-    every Jacobian is zero and S = R."""
+def lockstep_beliefs(chain, fov, variant, budget, count=4):
+    """(problem, states): a selection setting on one chain and count
+    beliefs to select for; the last one's covariance is negative definite,
+    so every S it scores fails the Cholesky gate. The box is off center:
+    at q = 0 every Jacobian is zero and S = R."""
     gt = builtin_chain(chain)
     truth = gt.params.to_vector()
     rng = np.random.default_rng(len(truth) + budget)
@@ -411,19 +413,18 @@ def lockstep_problems(chain, fov, variant, budget, count=4):
     noise = NoiseConfig(obs_variance=1e-4, stabilizing_variance=1e-3)
     optimizer = DirectConfig(max_evaluations=budget, variant=variant)
     limits = np.array([[-3.14, 2.5]] * gt.n_joints)
-    problems = []
+    states = []
     for k in range(count):
         cov = float(rng.uniform(0.005, 0.05)) * random_spd(rng, truth.size)
-        state = EstimatorState(truth + 0.1 * rng.normal(size=truth.size),
-                               -cov if k == count - 1 else cov)
-        problems.append(SelectionProblem(state, model, noise, limits, fov=fov,
-                                         optimizer=optimizer))
-    return problems
+        states.append(EstimatorState(truth + 0.1 * rng.normal(size=truth.size),
+                                     -cov if k == count - 1 else cov))
+    return SelectionProblem(states[0], model, noise, limits, fov=fov,
+                            optimizer=optimizer), states
 
 
 class TestLockstep:
-    """select_lockstep gives each problem its lone select_next result, bit
-    for bit, with one lookahead_costs call per step across the problems."""
+    """select_lockstep gives each belief its lone select_next result, bit
+    for bit, with one lookahead_costs call per step across the beliefs."""
 
     @pytest.mark.parametrize("budget_of", [lambda dim: 1, lambda dim: 2 * dim,
                                            lambda dim: 1 + 2 * dim, lambda dim: 30],
@@ -433,22 +434,22 @@ class TestLockstep:
                                             ("arm6", None), ("arm12", None)])
     def test_each_problem_gets_its_lone_result(self, monkeypatch, chain, fov, variant,
                                                budget_of):
-        problems = lockstep_problems(chain, fov, variant,
-                                     budget_of(builtin_chain(chain).n_joints))
+        problem, states = lockstep_beliefs(chain, fov, variant,
+                                           budget_of(builtin_chain(chain).n_joints))
         calls = []
         costs = active.lookahead_costs
 
-        def counted(problems, configs, index, beliefs):
+        def counted(problem, configs, index, beliefs):
             rows = np.broadcast_to(index, len(configs))
-            calls.append(np.bincount(rows, minlength=len(problems)))
-            return costs(problems, configs, index, beliefs)
+            calls.append(np.bincount(rows, minlength=len(states)))
+            return costs(problem, configs, index, beliefs)
 
         monkeypatch.setattr(active, "lookahead_costs", counted)
-        together = select_lockstep(problems)
+        together = select_lockstep(problem, states)
         steps, lone_steps = calls[:], []
-        for problem, got in zip(problems, together):
+        for state, got in zip(states, together):
             del calls[:]
-            assert_same_selection(got, select_next(problem))
+            assert_same_selection(got, select_next(replace(problem, state=state)))
             assert got.duration >= 0.0
             lone_steps.append(len(calls))
         assert not together[-1].innovation.ok[0]
@@ -456,34 +457,11 @@ class TestLockstep:
         assert len(steps) == max(lone_steps)
         assert np.sum(steps, axis=0).tolist() == [r.evaluations for r in together]
 
-    @pytest.mark.parametrize("change", [
-        lambda p: {"model": ChainObservationModel.from_chain(builtin_chain("planar3").params)},
-        lambda p: {"noise": NoiseConfig(obs_variance=2e-4, stabilizing_variance=1e-3)},
-        lambda p: {"fov": PLANAR3_CONE},
-        lambda p: {"optimizer": DirectConfig(max_evaluations=29, variant="direct_l")},
-        lambda p: {"optimizer": DirectConfig(max_evaluations=30, variant="direct")},
-        lambda p: {"joint_limits": p.joint_limits * 0.5},
-    ], ids=["model", "noise", "fov", "budget", "variant", "limits"])
-    def test_problems_must_share_the_setting(self, change):
-        problems = lockstep_problems("planar3", None, "direct_l", 30, count=3)
-        # equal settings in other objects are shared settings
-        twin = SelectionProblem(problems[1].state, problems[1].model,
-                                NoiseConfig(obs_variance=1e-4, stabilizing_variance=1e-3),
-                                problems[1].joint_limits.copy(),
-                                optimizer=DirectConfig(max_evaluations=30, variant="direct_l"))
-        assert len(select_lockstep([problems[0], twin])) == 2
-        odd = problems[1]
-        fields = {"state": odd.state, "model": odd.model, "noise": odd.noise,
-                  "joint_limits": odd.joint_limits, "fov": odd.fov, "optimizer": odd.optimizer}
-        problems[1] = SelectionProblem(**{**fields, **change(odd)})
-        with pytest.raises(ValueError, match="share"):
-            select_lockstep(problems)
-
     def test_one_call_builds_its_stack_terms_once(self, monkeypatch):
         # every step of a lockstep call linearizes about the same stack of
         # means, so the call builds that stack's kernel terms once
-        problems = lockstep_problems("planar3", None, "direct_l", 30)
-        stack = np.stack([p.state.mean for p in problems])
+        problem, states = lockstep_beliefs("planar3", None, "direct_l", 30)
+        stack = np.stack([state.mean for state in states])
         built, steps = [], []
         twist_terms, costs = kinematics._twist_terms, active.lookahead_costs
 
@@ -497,9 +475,10 @@ class TestLockstep:
 
         monkeypatch.setattr(kinematics, "_twist_terms", counted_terms)
         monkeypatch.setattr(active, "lookahead_costs", counted_costs)
-        select_lockstep(problems)
+        select_lockstep(problem, states)
         assert len(steps) > 1
         assert [x.tobytes() for x in built] == [stack.tobytes()]
 
     def test_no_problems_no_results(self):
-        assert select_lockstep([]) == []
+        problem, _ = lockstep_beliefs("planar3", None, "direct_l", 30, count=1)
+        assert select_lockstep(problem, []) == []

@@ -121,7 +121,7 @@ def write_config(tmp_path, **extra):
 
 
 def fake_record(seed, iteration, orientation, location=1.0, prediction=1.0):
-    return ExperimentRecord(seed, iteration, orientation, location, prediction)
+    return ExperimentRecord(seed, iteration, orientation, location, prediction, None, 0, None)
 
 
 def per_draw_probe_set(gt, size, probe_seed):
@@ -693,9 +693,9 @@ class TestRecordsIO:
     def test_golden_bytes(self, tmp_path):
         # pins the on-disk format: sorted JSON keys, no wall clock in the
         # records or the CSV, one .timing line per timed record
-        records = [ExperimentRecord(3, 1, 0.5, 0.25, 0.1),
+        records = [ExperimentRecord(3, 1, 0.5, 0.25, 0.1, None, 0, None),
                    ExperimentRecord(3, 2, 0.375, 0.125, 0.0625, cost=1.5,
-                                    selection_seconds=0.75, fov_rejections=1)]
+                                    fov_rejections=1, selection_seconds=0.75)]
         path = tmp_path / "golden.jsonl"
         write_records(records, {"chain": "planar3", "seeds": [3, 4]}, str(path),
                       failures=[{"seed": 4, "error": "boom"}])
@@ -1026,6 +1026,17 @@ class TestCommandLine:
         text = capsys.readouterr().out
         for name in ("planar3", "arm6", "arm12"):
             assert name in text
+
+    def test_unknown_log_level_is_an_error(self, monkeypatch, capsys):
+        monkeypatch.setenv("KINCAL_LOG", "verbose")
+        assert main(["fixtures"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: KINCAL_LOG must be one of DEBUG, INFO, WARNING, "
+                                "ERROR, CRITICAL, got 'verbose'\n")
+        # a level name in any case is a level
+        monkeypatch.setenv("KINCAL_LOG", "debug")
+        assert main(["fixtures"]) == 0
 
     def test_config_errors_exit_nonzero(self, tmp_path, capsys):
         assert main(["run", "--config", str(tmp_path / "absent.json"),

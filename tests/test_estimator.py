@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from kincal.estimator import (DegenerateUpdateError, EstimatorState, GradientConfig,
-                              NoiseConfig, _solve_innovation, apply_stabilizing_noise,
+                              Innovation, NoiseConfig, _solve_innovation, apply_stabilizing_noise,
                               gradient_update, kalman_terms, prediction_error, rls_update)
 from kincal.kinematics import ChainObservationModel, ChainParams, Pose, Twist
 from kincal.sim import FIXTURE_NAMES, builtin_chain, make_rng, measure, random_config
@@ -237,6 +237,27 @@ class TestRlsUpdate:
         model = LinearModel([np.eye(1)])
         with pytest.raises(DegenerateUpdateError):
             rls_update(state, 0, np.full(1, 1.7e308), NoiseConfig(), model)
+
+    def test_innovation_must_be_one_entry(self):
+        # a stack of several measurements' terms names no one measurement:
+        # refused, not read at entry 0
+        gt = builtin_chain("planar3")
+        model = ChainObservationModel.from_chain(gt.params)
+        rng = make_rng(5)
+        configs = np.array([random_config(gt, rng) for _ in range(3)])
+        state = EstimatorState(gt.params.to_vector() + 0.01 * rng.normal(size=18),
+                               0.01 * np.eye(18))
+        noise = NoiseConfig()
+        predicted, jac = model.linearize(model.terms(state.mean), configs)
+        stack = Innovation(predicted, jac, *kalman_terms(state.covariance, jac,
+                                                         noise.obs_variance))
+        y = gt.positions(configs[2:])[0]
+        with pytest.raises(ValueError, match="3 entries"):
+            rls_update(state, configs[2], y, noise, model, stack)
+        handed = rls_update(state, configs[2], y, noise, model, stack.row(2))
+        fresh = rls_update(state, configs[2], y, noise, model)
+        np.testing.assert_array_equal(handed.mean, fresh.mean)
+        np.testing.assert_array_equal(handed.covariance, fresh.covariance)
 
 
 def spd_stack(rng, k, m, floor=0.1):
